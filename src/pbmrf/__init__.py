@@ -26,7 +26,6 @@ from .approx import (
     ApproximationReport,
     BoundDirection,
     bound_remove_pair,
-    least_squares_project,
     remove_single_interaction,
     soir,
     sse,

@@ -4,9 +4,7 @@ Removing interactions from a dense family and re-fitting the remaining
 coefficients by least squares has closed-form solutions in two important
 cases: removing a single maximal interaction, and removing every
 interaction containing a given variable pair (second-order interaction
-removal, SOIR).  Both are implemented here as coefficient updates, along
-with a size-capped dense-linear-algebra projector that solves the normal
-equations directly and exists to validate the closed forms.
+removal, SOIR).  Both are implemented here as coefficient updates.
 
 The module also builds one-sided bounds: a function f can be replaced by
 f_U >= f (or f_L <= f) carrying no interaction over a chosen pair {i,j},
@@ -31,14 +29,14 @@ from .pbf import (
     extract_subset_family,
     interaction_set,
     moebius_transform,
+    subset_keys,
+    tabulate,
     values_from_interactions,
-    zeta_transform,
 )
 
 __all__ = [
     "BoundDirection",
     "ApproximationReport",
-    "least_squares_project",
     "remove_single_interaction",
     "soir",
     "sse",
@@ -105,43 +103,19 @@ def soir_removal_updates(
     return updates
 
 
-def pair_inner_table(
-    pair_sets: list[tuple[InteractionSet, float]], i: int, j: int
-) -> tuple[list[int], np.ndarray]:
-    """Tabulate sum over removed sets of beta * prod_{k not in {i,j}} x_k.
-
-    Returns the sorted extra variables and the table over their
-    assignments (bit k of the index = value of the k-th extra variable).
-    """
-    extras = sorted({v for key, _ in pair_sets for v in key if v != i and v != j})
-    position = {v: k for k, v in enumerate(extras)}
-    if len(extras) > DENSE_TABLE_CAP:
-        raise ResourceCapError(
-            f"pair ({i},{j}) interactions mention {len(extras)} extra variables, "
-            f"cap is {DENSE_TABLE_CAP}"
-        )
-    weights = np.zeros(1 << len(extras))
-    for key, b in pair_sets:
-        mask = 0
-        for v in key:
-            if v != i and v != j:
-                mask |= 1 << position[v]
-        weights[mask] += b
-    return extras, zeta_transform(weights)
-
-
 def soir_sse(
     pair_sets: list[tuple[InteractionSet, float]], i: int, j: int, n: int
 ) -> float | None:
     """Closed-form SOIR error sum of squares, None when the table is too big.
 
-    The pointwise error has constant magnitude |inner|/4, so the SSE over
-    all 2^n states collapses to a sum over the extra-variable assignments.
+    The pointwise error has constant magnitude |inner|/4, where inner is the
+    pair's interaction sum at x_i = x_j = 1, so the SSE over all 2^n states
+    collapses to a sum over the extra-variable assignments.
     """
-    extras = {v for key, _ in pair_sets for v in key if v != i and v != j}
+    extras = sorted({v for key, _ in pair_sets for v in key if v != i and v != j})
     if len(extras) > DENSE_TABLE_CAP:
         return None
-    _, inner = pair_inner_table(pair_sets, i, j)
+    inner = tabulate(pair_sets, extras, f"pair ({i},{j})")
     return 0.25 * float(2 ** (n - 2 - len(extras))) * float(np.sum(inner * inner))
 
 
@@ -179,20 +153,10 @@ def bound_removal_updates(
         baseset = set(base)
         extras = sorted({v for key, _ in members for v in key if v not in baseset})
         if len(extras) <= table_cap:
-            position = {v: k for k, v in enumerate(extras)}
-            weights = np.zeros(1 << len(extras))
-            for key, b in members:
-                mask = 0
-                for v in key:
-                    if v not in baseset:
-                        mask |= 1 << position[v]
-                weights[mask] += b
-            clamped = clamp(0.0, zeta_transform(weights))
-            coeffs = moebius_transform(clamped)
-            for mask, value in enumerate(coeffs):
-                key = interaction_set(
-                    [i] + [v for k, v in enumerate(extras) if mask >> k & 1]
-                )
+            inner = tabulate(members, extras, f"pair ({i},{j})")
+            coeffs = moebius_transform(clamp(0.0, inner))
+            for key, value in zip(subset_keys(extras), coeffs):
+                key = tuple(sorted(key + (i,)))
                 updates[key] = updates.get(key, 0.0) + value
         else:
             pivot = choose_split(base, extras, members)
@@ -257,47 +221,6 @@ def fstar_choice(base, candidates, members) -> int:
 # -- public operators ------------------------------------------------------
 
 
-def least_squares_project(
-    f: PseudoBooleanFunction, family
-) -> PseudoBooleanFunction:
-    """Least-squares projection of f onto the given dense subfamily.
-
-    Solves the normal equations (one per retained set) by dense linear
-    algebra.  This is the size-capped oracle the closed-form operators are
-    validated against; it is never used inside elimination.
-    """
-    if f.n > 15:
-        raise ValueError(f"projection oracle is capped at n=15, got n={f.n}")
-    keep = sorted({interaction_set(s) for s in family}, key=lambda s: (len(s), s))
-    stored = set(f.terms())
-    keepset = set(keep)
-    for key in keep:
-        if key not in stored:
-            raise ValueError(f"family member {key} not represented in f")
-        for k in range(len(key)):
-            if key[:k] + key[k + 1 :] not in keepset:
-                raise ValueError(f"family is not dense: subset of {key} missing")
-    # A[a,b] = |Omega_{keep[a] ∪ keep[b]}|, rhs[a] = sum over Omega_{keep[a]} of f.
-    size = len(keep)
-    a_mat = np.empty((size, size))
-    for ia, sa in enumerate(keep):
-        seta = set(sa)
-        for ib in range(ia, size):
-            union = len(seta | set(keep[ib]))
-            a_mat[ia, ib] = a_mat[ib, ia] = float(2 ** (f.n - union))
-    rhs = np.zeros(size)
-    terms = f.terms()
-    for ia, sa in enumerate(keep):
-        seta = set(sa)
-        total = 0.0
-        for key, b in terms.items():
-            if b != 0.0:
-                total += b * 2 ** (f.n - len(seta | set(key)))
-        rhs[ia] = total
-    solution = np.linalg.solve(a_mat, rhs)
-    return PseudoBooleanFunction(f.n, dict(zip(keep, solution)))
-
-
 def remove_single_interaction(
     f: PseudoBooleanFunction, lam
 ) -> tuple[PseudoBooleanFunction, ApproximationReport]:
@@ -317,8 +240,7 @@ def remove_single_interaction(
         raise ValueError(f"{lam} has a superset in S; remove highest degree first")
     b = terms.pop(lam)
     size = len(lam)
-    for mask in range((1 << size) - 1):
-        sub = interaction_set(lam[k] for k in range(size) if mask >> k & 1)
+    for sub in subset_keys(lam)[:-1]:
         terms[sub] = terms.get(sub, 0.0) + (
             (-1.0) ** (size - 1 - len(sub)) * 0.5 ** (size - len(sub)) * b
         )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,7 +34,9 @@ from .pbf import (
 from .pomm import (
     PartiallyOrderedMarkovModel,
     SampleBatch,
+    _backward_pass,
     log_density_many,
+    sample as pomm_sample,
 )
 from .rng import GIBBS_STREAM, REJECT_STREAM, generator
 
@@ -114,7 +115,6 @@ def mle_bracket(
     nu_schedule,
     grid_points: int = 11,
     table_cap: int | None = None,
-    jobs: int = 1,
 ) -> MleBracket:
     """Bracket the MLE of a scalar parameter by bound curves.
 
@@ -144,21 +144,15 @@ def mle_bracket(
         lo_cfg = EliminationConfig(mode="lower_bound", nu=nu, table_cap=table_cap)
         hi_cfg = EliminationConfig(mode="upper_bound", nu=nu, table_cap=table_cap)
 
-        def curves_at(theta: float) -> tuple[float, float]:
+        ell_lower: list[float] = []
+        ell_upper: list[float] = []
+        for theta in grid:
             model = model_builder(theta)
             energy = float(evaluate_many(model.energy, observed)[0])
             ln_c_lower = eliminate(model, lo_cfg).log_value
             ln_c_upper = eliminate(model, hi_cfg).log_value
-            return energy - ln_c_upper, energy - ln_c_lower
-
-        if jobs > 1:
-            # independent eliminations; results collected in grid order
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                curves = list(pool.map(curves_at, grid))
-        else:
-            curves = [curves_at(theta) for theta in grid]
-        ell_lower = [c[0] for c in curves]
-        ell_upper = [c[1] for c in curves]
+            ell_lower.append(energy - ln_c_upper)
+            ell_upper.append(energy - ln_c_lower)
         cut = max(ell_lower)
         survivors = [k for k, e in enumerate(ell_upper) if e >= cut]
         if not survivors:
@@ -323,17 +317,7 @@ def rejection_sampler(
     while accepted < count and trials < budget:
         block = min(batch, budget - trials)
         uniforms = rng.random((block, n + 1))
-        states = np.zeros((block, n), dtype=np.uint8)
-        log_dens = np.zeros(block)
-        with np.errstate(divide="ignore"):
-            for col, cond in enumerate(reversed(pomm.conditionals)):
-                rows = np.zeros(block, dtype=np.int64)
-                for k, v in enumerate(cond.depends_on):
-                    rows |= states[:, v].astype(np.int64) << k
-                p = cond.prob_one[rows]
-                on = uniforms[:, col] < p
-                states[:, cond.variable] = on
-                log_dens += np.where(on, np.log(p), np.log1p(-p))
+        states, log_dens = _backward_pass(pomm, uniforms)
         log_alpha = log_k + evaluate_many(target.energy, states) - log_dens
         max_alpha = max(max_alpha, float(np.exp(log_alpha.max(initial=-np.inf))))
         accept = uniforms[:, n] < np.exp(np.minimum(log_alpha, 0.0))
@@ -384,8 +368,6 @@ def mh_acceptance_rate(
     min{1, exp(U(x')) p~(x) / [exp(U(x)) p~(x')]}; the unknown normalising
     constants cancel.
     """
-    from .pomm import sample as pomm_sample
-
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     current = np.asarray(reference_sampler(pairs, seed), dtype=np.uint8)

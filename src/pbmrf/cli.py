@@ -17,7 +17,8 @@ over the file.  Every command is deterministic given (config, seed); the
 ``norm`` timing column stays 0 unless ``--timing`` is passed, because
 wall-clock values would break byte-identical reruns.
 
-Exit codes: 0 success, 2 configuration error, 3 resource-cap abort.
+Exit codes: 0 success, 1 internal error (RuntimeError), 2 configuration
+error, 3 resource-cap abort.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from .elimination import EliminationConfig, eliminate
 from .models import MODEL_FAMILIES, LatticeSpec, build_ising, model_from_config
 from .pbf import ResourceCapError
 from .pomm import sample as pomm_sample
+
+FORMATS = ("csv", "json")
 
 MODE_NAMES = {
     "exact": "exact",
@@ -158,31 +160,20 @@ def _state_rows(batch) -> list[dict]:
 
 def _cmd_norm(args, config) -> int:
     model = _model(args, config)
-    nus = _nu_list(args, config)
-    jobs = _setting(args, config, "jobs", 1, int)
-    timing = bool(args.timing)
-
-    def one(nu: int) -> dict:
+    rows = []
+    for nu in _nu_list(args, config):
         started = time.perf_counter()
-        values = {}
-        for mode in ("approximate", "lower_bound", "upper_bound"):
+        row = {"nu": nu}
+        for mode, column in (
+            ("approximate", "ln_c_approx"),
+            ("lower_bound", "ln_c_lower"),
+            ("upper_bound", "ln_c_upper"),
+        ):
             cfg = EliminationConfig(mode=mode, nu=nu, table_cap=args.table_cap)
-            values[mode] = eliminate(model, cfg).log_value
-        elapsed = time.perf_counter() - started
-        return {
-            "nu": nu,
-            "ln_c_approx": values["approximate"],
-            "ln_c_lower": values["lower_bound"],
-            "ln_c_upper": values["upper_bound"],
-            "gap": values["upper_bound"] - values["lower_bound"],
-            "wall_seconds": elapsed if timing else 0.0,
-        }
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, nus))
-    else:
-        rows = [one(nu) for nu in nus]
+            row[column] = eliminate(model, cfg).log_value
+        row["gap"] = row["ln_c_upper"] - row["ln_c_lower"]
+        row["wall_seconds"] = time.perf_counter() - started if args.timing else 0.0
+        rows.append(row)
     columns = ["nu", "ln_c_approx", "ln_c_lower", "ln_c_upper", "gap", "wall_seconds"]
     _write_rows(args.out, columns, rows, args.format)
     return 0
@@ -238,7 +229,7 @@ def _cmd_map(args, config) -> int:
     nu = None
     if mode != "exact":
         nu = _nu_list(args, config)[0]
-    cfg = EliminationConfig(mode=mode, marginal="max", nu=nu)
+    cfg = EliminationConfig(mode=mode, marginal="max", nu=nu, table_cap=args.table_cap)
     state = map_estimate(y, model, lik, cfg)
     rows = [{"state": "".join("1" if v else "0" for v in state)}]
     _write_rows(args.out, ["state"], rows, args.format)
@@ -262,7 +253,6 @@ def _cmd_mle(args, config) -> int:
         nus,
         grid_points=points,
         table_cap=args.table_cap,
-        jobs=_setting(args, config, "jobs", 1, int),
     )
     rows = []
     for rnd in bracket.rounds:
@@ -350,9 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", help="neighbourhood cap, or comma list for sweeps")
         p.add_argument("--mode", choices=sorted(MODE_NAMES))
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int, help="worker threads for sweeps")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--table-cap", type=int, help="bound canonicalisation cap")
 
     p = sub.add_parser("norm", help="normalising-constant approximation and bounds")
@@ -412,6 +401,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
+        # Settings every command shares, resolved once: flag, then config file.
+        args.format = _setting(args, config, "format", "csv", str)
+        if args.format not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {args.format!r}")
+        args.table_cap = _setting(args, config, "table-cap", None, int)
         return args.run(args, config)
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")

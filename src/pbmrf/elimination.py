@@ -40,8 +40,11 @@ from .pbf import (
     PseudoBooleanFunction,
     ResourceCapError,
     add_scaled,
+    close_subsets,
     moebius_transform,
-    zeta_transform,
+    prune_dead,
+    subset_keys,
+    tabulate,
 )
 from .pomm import PartiallyOrderedMarkovModel, PommConditional
 
@@ -194,20 +197,12 @@ class _TermStore:
         return value
 
     def add(self, key: InteractionSet, delta: float) -> None:
-        if key in self.beta:
-            self.beta[key] += delta
-            return
-        # New set: insert its full subset closure to keep the family dense.
-        stack = [key]
-        while stack:
-            k = stack.pop()
-            if k in self.beta:
-                continue
-            self.beta[k] = 0.0
-            for v in k:
-                self.by_var.setdefault(v, set()).add(k)
-            for t in range(len(k)):
-                stack.append(k[:t] + k[t + 1 :])
+        if key not in self.beta:
+            # New set: insert its full subset closure to keep the family dense.
+            self.beta[key] = 0.0
+            for k in [key] + close_subsets(self.beta, [key]):
+                for v in k:
+                    self.by_var.setdefault(v, set()).add(k)
         self.beta[key] += delta
 
     def prune(self) -> None:
@@ -216,17 +211,9 @@ class _TermStore:
         # coefficients would perturb the energy and void the bound
         # certificates at the same magnitude, so unlike public polynomial
         # arithmetic the engine never rounds mass away.
-        needed: set[InteractionSet] = set()
-        for key in sorted(self.beta, key=len, reverse=True):
-            if not key:
-                continue
-            if key in needed or self.beta[key] != 0.0:
-                for t in range(len(key)):
-                    needed.add(key[:t] + key[t + 1 :])
-            else:
-                del self.beta[key]
-                for v in key:
-                    self.by_var[v].discard(key)
+        for key in prune_dead(self.beta, bool):
+            for v in key:
+                self.by_var[v].discard(key)
 
 
 def _local_table(
@@ -240,20 +227,7 @@ def _local_table(
     """
     members = store.supersets((i,))
     extras = sorted({v for key, _ in members for v in key if v != i})
-    if len(extras) > DENSE_TABLE_CAP:
-        raise ResourceCapError(
-            f"{context}: neighbourhood size {len(extras)} of variable {i} "
-            f"exceeds the dense-table cap {DENSE_TABLE_CAP}"
-        )
-    position = {v: t for t, v in enumerate(extras)}
-    weights = np.zeros(1 << len(extras))
-    for key, b in members:
-        mask = 0
-        for v in key:
-            if v != i:
-                mask |= 1 << position[v]
-        weights[mask] += b
-    return extras, zeta_transform(weights)
+    return extras, tabulate(members, extras, f"{context}, variable {i}")
 
 
 def _expit(h: np.ndarray) -> np.ndarray:
@@ -350,10 +324,8 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
         else:
             max_records.append((i, extras, h))
             folded = np.maximum(0.0, h)
-        coeffs = moebius_transform(folded)
-        for mask in range(coeffs.size):
-            key = tuple(v for t, v in enumerate(extras) if mask >> t & 1)
-            store.add(key, coeffs[mask])
+        for key, value in zip(subset_keys(extras), moebius_transform(folded)):
+            store.add(key, value)
         store.prune()
         steps.append(
             StepDiagnostics(

@@ -35,6 +35,7 @@ from .pbf import (
     PseudoBooleanFunction,
     interaction_set,
     moebius_transform,
+    subset_keys,
 )
 
 __all__ = [
@@ -246,15 +247,14 @@ def _accumulate_clique(
     terms: dict[InteractionSet, float], cells: tuple[int, ...], values: np.ndarray
 ) -> None:
     """Add a clique's value table to the energy, in interaction form."""
-    coeffs = moebius_transform(values)
-    for mask, value in enumerate(coeffs):
-        if value == 0.0:
-            continue
-        key = interaction_set(v for k, v in enumerate(cells) if mask >> k & 1)
-        terms[key] = terms.get(key, 0.0) + value
+    for key, value in zip(subset_keys(cells), moebius_transform(values)):
+        if value != 0.0:
+            key = interaction_set(key)
+            terms[key] = terms.get(key, 0.0) + value
 
 
-def _block_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
+def block_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
+    """Node ids of the 2x2 block with top-left corner (r, c): TL, TR, BL, BR."""
     return (
         lat.index(r, c),
         lat.index(r, c + 1),
@@ -263,7 +263,8 @@ def _block_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
     )
 
 
-def _cross_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
+def cross_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
+    """Node ids of the five-node cross centred at (r, c): C, N, E, S, W."""
     return (
         lat.index(r, c),
         lat.index(r - 1, c),
@@ -345,10 +346,10 @@ def build_higher_order(lat: LatticeSpec, potentials) -> MarkovRandomField:
     terms: dict[InteractionSet, float] = {(): 0.0}
     for r in range(lat.rows - 1):
         for c in range(lat.cols - 1):
-            _accumulate_clique(terms, _block_cells(lat, r, c), block_values)
+            _accumulate_clique(terms, block_cells(lat, r, c), block_values)
     for r in range(1, lat.rows - 1):
         for c in range(1, lat.cols - 1):
-            _accumulate_clique(terms, _cross_cells(lat, r, c), cross_values)
+            _accumulate_clique(terms, cross_cells(lat, r, c), cross_values)
     return MarkovRandomField(
         lattice_neighbourhood(lat, THIRD_ORDER_OFFSETS),
         PseudoBooleanFunction(lat.n, terms),
@@ -372,7 +373,7 @@ def build_2x2_rotinv(lat: LatticeSpec, thetas) -> MarkovRandomField:
     terms: dict[InteractionSet, float] = {(): 0.0}
     for r in range(lat.rows - 1):
         for c in range(lat.cols - 1):
-            _accumulate_clique(terms, _block_cells(lat, r, c), values)
+            _accumulate_clique(terms, block_cells(lat, r, c), values)
     return MarkovRandomField(
         lattice_neighbourhood(lat, SECOND_ORDER_OFFSETS),
         PseudoBooleanFunction(lat.n, terms),
@@ -401,12 +402,10 @@ def model_from_config(config: dict) -> MarkovRandomField:
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
     builder, arity = MODEL_FAMILIES[family]
-    if family in ("higher_order", "rotinv2x2"):
-        if len(params) != arity:
-            raise ValueError(f"{family} needs {arity} params, got {len(params)}")
-        return builder(lat, params)
     if len(params) != arity:
         raise ValueError(f"{family} needs {arity} params, got {len(params)}")
+    if family in ("higher_order", "rotinv2x2"):
+        return builder(lat, params)
     return builder(lat, *params)
 
 
@@ -423,12 +422,3 @@ def clique_value_tables() -> dict[str, np.ndarray]:
         "block_rot": _BLOCK_ROT_CLASS.copy(),
     }
 
-
-def block_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
-    """Node ids of the 2x2 block with top-left corner (r, c): TL, TR, BL, BR."""
-    return _block_cells(lat, r, c)
-
-
-def cross_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
-    """Node ids of the five-node cross centred at (r, c): C, N, E, S, W."""
-    return _cross_cells(lat, r, c)

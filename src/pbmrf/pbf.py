@@ -12,9 +12,10 @@ coefficient).  Density is what makes the closed-form approximation
 operators in :mod:`pbmrf.approx` valid, so every constructor and
 operation in this module preserves it.
 
-Besides the coefficient map, a function keeps explicit DAG links from
-each set to its one-element-larger supersets, so subset-family queries
-clip out the relevant subgraph instead of scanning all of S.
+Every conversion between coefficients and values goes through one
+table kernel: :func:`tabulate` (coefficients to values by zeta
+transform) and :func:`subset_keys` with :func:`moebius_transform`
+(values back to coefficients).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
     "evaluate_many",
     "values_from_interactions",
     "interactions_from_values",
+    "tabulate",
+    "subset_keys",
     "add_scaled",
     "scale",
     "extract_subset_family",
@@ -161,7 +164,7 @@ class PseudoBooleanFunction:
         n: number of binary variables (indices run 0..n-1).
     """
 
-    __slots__ = ("n", "_beta", "_children")
+    __slots__ = ("n", "_beta")
 
     def __init__(self, n: int, terms=None, *, prune: bool = True):
         if n < 0:
@@ -174,25 +177,11 @@ class PseudoBooleanFunction:
             if key and key[-1] >= self.n:
                 raise ValueError(f"interaction {key} out of range for n={self.n}")
             beta[key] = beta.get(key, 0.0) + float(value)
-        # Dense closure: every subset of a stored set is stored.
-        stack = list(beta)
-        while stack:
-            key = stack.pop()
-            for k in range(len(key)):
-                sub = key[:k] + key[k + 1 :]
-                if sub not in beta:
-                    beta[sub] = 0.0
-                    stack.append(sub)
+        close_subsets(beta, beta)
         beta.setdefault((), 0.0)
         if prune:
-            _prune_inplace(beta)
+            prune_dead(beta, lambda b: abs(b) >= PRUNE_TOL)
         self._beta = beta
-        # DAG links: children of L are the stored sets L ∪ {i}.
-        children: dict[InteractionSet, list[InteractionSet]] = {k: [] for k in beta}
-        for key in beta:
-            for k in range(len(key)):
-                children[key[:k] + key[k + 1 :]].append(key)
-        self._children = {k: tuple(sorted(v)) for k, v in children.items()}
 
     # -- queries ---------------------------------------------------------
 
@@ -211,10 +200,6 @@ class PseudoBooleanFunction:
         """All stored sets, sorted by (size, lexicographic)."""
         return sorted(self._beta, key=lambda s: (len(s), s))
 
-    def children(self, indices) -> tuple[InteractionSet, ...]:
-        """DAG links: stored supersets of the set with one extra index."""
-        return self._children.get(interaction_set(indices), ())
-
     def variables(self) -> list[int]:
         """Sorted indices actually mentioned by some stored set."""
         seen: set[int] = set()
@@ -232,21 +217,43 @@ class PseudoBooleanFunction:
         return f"PseudoBooleanFunction(n={self.n}, sets={len(self._beta)})"
 
 
-def _prune_inplace(beta: dict[InteractionSet, float]) -> None:
-    """Drop sets with |beta| < PRUNE_TOL and no surviving superset.
+def close_subsets(beta: dict[InteractionSet, float], keys) -> list[InteractionSet]:
+    """Insert every missing subset of ``keys`` into ``beta`` at zero.
+
+    Returns the inserted sets, in insertion order.
+    """
+    added: list[InteractionSet] = []
+    stack = list(keys)
+    while stack:
+        key = stack.pop()
+        for k in range(len(key)):
+            sub = key[:k] + key[k + 1 :]
+            if sub not in beta:
+                beta[sub] = 0.0
+                added.append(sub)
+                stack.append(sub)
+    return added
+
+
+def prune_dead(beta: dict[InteractionSet, float], keep) -> list[InteractionSet]:
+    """Drop sets whose coefficient fails ``keep`` and that no kept set needs.
 
     Processing by decreasing size keeps the family dense: a set is kept
     whenever a kept superset needs it.  The constant term always stays.
+    Returns the dropped sets.
     """
     needed: set[InteractionSet] = set()
+    dropped: list[InteractionSet] = []
     for key in sorted(beta, key=len, reverse=True):
         if not key:
             continue
-        if key in needed or abs(beta[key]) >= PRUNE_TOL:
+        if key in needed or keep(beta[key]):
             for k in range(len(key)):
                 needed.add(key[:k] + key[k + 1 :])
         else:
             del beta[key]
+            dropped.append(key)
+    return dropped
 
 
 # -- evaluation and transforms -----------------------------------------
@@ -292,21 +299,45 @@ def values_from_interactions(
     if variables is None:
         variables = mentioned
     variables = tuple(int(v) for v in variables)
-    position = {v: k for k, v in enumerate(variables)}
-    if len(position) != len(variables):
+    listed = set(variables)
+    if len(listed) != len(variables):
         raise ValueError(f"duplicate variables in {variables}")
-    missing = [v for v in mentioned if v not in position]
+    missing = [v for v in mentioned if v not in listed]
     if missing:
         raise ValueError(f"function mentions unlisted variables {missing}")
-    m = len(variables)
-    _check_table_size(m, "values_from_interactions")
-    weights = np.zeros(1 << m)
-    for key, b in f._beta.items():
+    values = tabulate(f._beta.items(), variables, "values_from_interactions")
+    return DenseLocalFunction(variables, values)
+
+
+def tabulate(pairs, variables, context: str) -> np.ndarray:
+    """Values of sum of beta * prod_{k in L} x_k over ``(L, beta)`` pairs.
+
+    Entry ``mask`` is the value at the assignment where bit k gives the
+    value of ``variables[k]``; variables of L that are not listed count as
+    fixed at 1.  Raises ResourceCapError, prefixed by ``context``, when the
+    table would exceed the dense cap.
+    """
+    _check_table_size(len(variables), context)
+    bit = {v: 1 << k for k, v in enumerate(variables)}
+    weights = np.zeros(1 << len(variables))
+    for key, b in pairs:
         mask = 0
         for v in key:
-            mask |= 1 << position[v]
+            mask |= bit.get(v, 0)
         weights[mask] += b
-    return DenseLocalFunction(variables, zeta_transform(weights))
+    return zeta_transform(weights)
+
+
+def subset_keys(variables) -> list[tuple[int, ...]]:
+    """The subset of ``variables`` selected by each mask, in mask order.
+
+    Entry ``mask`` holds ``variables[k]`` for every set bit k, in list
+    order, so a sorted list yields canonical interaction sets.
+    """
+    keys: list[tuple[int, ...]] = [()]
+    for v in variables:
+        keys += [key + (v,) for key in keys]
+    return keys
 
 
 def interactions_from_values(
@@ -322,8 +353,8 @@ def interactions_from_values(
         n = max(variables) + 1 if variables else 0
     coeffs = moebius_transform(table.values)
     terms: dict[InteractionSet, float] = {}
-    for mask, value in enumerate(coeffs):
-        key = interaction_set(v for k, v in enumerate(variables) if mask >> k & 1)
+    for key, value in zip(subset_keys(variables), coeffs):
+        key = interaction_set(key)
         terms[key] = terms.get(key, 0.0) + value
     return PseudoBooleanFunction(n, terms)
 
@@ -350,30 +381,17 @@ def extract_subset_family(
 ) -> list[tuple[InteractionSet, float]]:
     """Subset-family query on the stored sets.
 
-    mode "containing" returns {L in S : lam subseteq L} by clipping the DAG
-    subgraph rooted at lam; "complement" returns S minus that family;
-    "disjoint" returns {L in S : lam and L share no index}.  Pairs come
-    back sorted by (size, lexicographic).
+    mode "containing" returns {L in S : lam subseteq L}; "complement"
+    returns S minus that family; "disjoint" returns {L in S : lam and L
+    share no index}.  Pairs come back sorted by (size, lexicographic).
     """
-    lam = interaction_set(lam)
+    lamset = set(interaction_set(lam))
     if mode == "containing":
-        if lam not in f._beta:
-            return []
-        found: set[InteractionSet] = set()
-        stack = [lam]
-        while stack:
-            key = stack.pop()
-            if key in found:
-                continue
-            found.add(key)
-            stack.extend(f._children[key])
-        keys = found
+        keys = [k for k in f._beta if lamset.issubset(k)]
     elif mode == "complement":
-        lamset = set(lam)
-        keys = {k for k in f._beta if not lamset.issubset(k)}
+        keys = [k for k in f._beta if not lamset.issubset(k)]
     elif mode == "disjoint":
-        lamset = set(lam)
-        keys = {k for k in f._beta if lamset.isdisjoint(k)}
+        keys = [k for k in f._beta if lamset.isdisjoint(k)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return [(k, f._beta[k]) for k in sorted(keys, key=lambda s: (len(s), s))]

@@ -137,6 +137,19 @@ def sample(pomm: PartiallyOrderedMarkovModel, seed: int, count: int) -> SampleBa
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     uniforms = generator(seed, POMM_STREAM).random((count, pomm.n))
+    states, log_dens = _backward_pass(pomm, uniforms)
+    return SampleBatch(seed=int(seed), states=states, log_densities=log_dens)
+
+
+def _backward_pass(
+    pomm: PartiallyOrderedMarkovModel, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """States and their log densities, one per row of ``uniforms``.
+
+    Column c decides the c-th variable in sampling order (reverse
+    elimination order); columns past the n-th are left to the caller.
+    """
+    count = uniforms.shape[0]
     states = np.zeros((count, pomm.n), dtype=np.uint8)
     log_dens = np.zeros(count)
     with np.errstate(divide="ignore"):
@@ -145,7 +158,7 @@ def sample(pomm: PartiallyOrderedMarkovModel, seed: int, count: int) -> SampleBa
             on = uniforms[:, col] < p
             states[:, cond.variable] = on
             log_dens += np.where(on, np.log(p), np.log1p(-p))
-    return SampleBatch(seed=int(seed), states=states, log_densities=log_dens)
+    return states, log_dens
 
 
 def log_density(pomm: PartiallyOrderedMarkovModel, x) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pbmrf import LatticeSpec, PseudoBooleanFunction
+from pbmrf import LatticeSpec, PseudoBooleanFunction, interaction_set
 from pbmrf.models import (
     build_2x2_rotinv,
     build_autologistic,
@@ -200,3 +200,44 @@ def random_test_model(rng: np.random.Generator, max_rows=4, max_cols=5):
     else:
         model = build_2x2_rotinv(lat, rng.uniform(-1.0, 1.0, size=5))
     return model, rows, cols
+
+
+def least_squares_project(
+    f: PseudoBooleanFunction, family
+) -> PseudoBooleanFunction:
+    """Least-squares projection of f onto the given dense subfamily.
+
+    Solves the normal equations (one per retained set) by dense linear
+    algebra.  This is the size-capped oracle the closed-form operators are
+    validated against.
+    """
+    if f.n > 15:
+        raise ValueError(f"projection oracle is capped at n=15, got n={f.n}")
+    keep = sorted({interaction_set(s) for s in family}, key=lambda s: (len(s), s))
+    stored = set(f.terms())
+    keepset = set(keep)
+    for key in keep:
+        if key not in stored:
+            raise ValueError(f"family member {key} not represented in f")
+        for k in range(len(key)):
+            if key[:k] + key[k + 1 :] not in keepset:
+                raise ValueError(f"family is not dense: subset of {key} missing")
+    # A[a,b] = |Omega_{keep[a] ∪ keep[b]}|, rhs[a] = sum over Omega_{keep[a]} of f.
+    size = len(keep)
+    a_mat = np.empty((size, size))
+    for ia, sa in enumerate(keep):
+        seta = set(sa)
+        for ib in range(ia, size):
+            union = len(seta | set(keep[ib]))
+            a_mat[ia, ib] = a_mat[ib, ia] = float(2 ** (f.n - union))
+    rhs = np.zeros(size)
+    terms = f.terms()
+    for ia, sa in enumerate(keep):
+        seta = set(sa)
+        total = 0.0
+        for key, b in terms.items():
+            if b != 0.0:
+                total += b * 2 ** (f.n - len(seta | set(key)))
+        rhs[ia] = total
+    solution = np.linalg.solve(a_mat, rhs)
+    return PseudoBooleanFunction(f.n, dict(zip(keep, solution)))

@@ -16,6 +16,7 @@ from helpers import (
     all_states,
     brute_log_c,
     eval_pbf,
+    least_squares_project,
     log_sum_exp,
     pack_states,
     random_dense_pbf,
@@ -33,7 +34,6 @@ from pbmrf import (
     eliminate_max,
     extract_subset_family,
     gibbs_sampler,
-    least_squares_project,
     mle_bracket,
     remove_single_interaction,
     rejection_sampler,

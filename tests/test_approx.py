@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from helpers import all_states, eval_pbf, random_dense_pbf, random_dense_subfamily
+from helpers import (
+    all_states,
+    eval_pbf,
+    least_squares_project,
+    random_dense_pbf,
+    random_dense_subfamily,
+)
 from pbmrf import (
     PseudoBooleanFunction,
     add_scaled,
     bound_remove_pair,
     extract_subset_family,
-    least_squares_project,
     remove_single_interaction,
     soir,
     sse,

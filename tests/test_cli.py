@@ -44,10 +44,7 @@ def test_norm_sweep_brackets_brute_force(tmp_path):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps({"family": "ising", "rows": 4, "cols": 4, "params": [0.8]}))
     out = tmp_path / "norm.csv"
-    assert (
-        run(["norm", "--config", str(cfg), "--nu", "1,2,3,4", "--out", str(out), "--jobs", "2"])
-        == 0
-    )
+    assert run(["norm", "--config", str(cfg), "--nu", "1,2,3,4", "--out", str(out)]) == 0
     exact = brute_log_c(build_ising(LatticeSpec(4, 4), 0.8), 4, 4)
     for line in out.read_text().strip().splitlines()[1:]:
         fields = line.split(",")
@@ -277,3 +274,30 @@ def test_exit_code_on_config_errors(tmp_path):
 def test_exit_code_on_resource_cap(ising_config):
     # a canonicalisation cap beyond the dense-table limit can never run
     assert run(["norm", "--config", ising_config, "--nu", "1", "--table-cap", "30"]) == 3
+
+
+def test_config_file_supplies_table_cap_and_format(tmp_path):
+    model = {"family": "ising", "rows": 3, "cols": 3, "params": [0.4]}
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps({**model, "table-cap": 26}))
+    assert run(["norm", "--config", str(capped), "--nu", "2"]) == 3
+    as_json = tmp_path / "as_json.json"
+    as_json.write_text(json.dumps({**model, "format": "json"}))
+    out = tmp_path / "norm.jsonl"
+    assert run(["norm", "--config", str(as_json), "--nu", "1,2", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().strip().splitlines()]
+    assert [row["nu"] for row in rows] == [1, 2]
+    # the flag still wins over the file
+    argv = ["norm", "--config", str(as_json), "--nu", "1", "--format", "csv"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_text().startswith("nu,ln_c_approx")
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({**model, "format": "xml"}))
+    assert run(["norm", "--config", str(unknown), "--nu", "2"]) == 2
+
+
+def test_map_honours_table_cap(ising_config, tmp_path):
+    ypath = tmp_path / "y.txt"
+    ypath.write_text(" ".join(["0.3"] * 9))
+    argv = ["map", "--config", ising_config, "--y", str(ypath), "--mode", "upper"]
+    assert run(argv + ["--nu", "2", "--table-cap", "26"]) == 3

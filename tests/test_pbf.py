@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import all_states, eval_pbf, random_dense_pbf
 from pbmrf import (
@@ -20,6 +21,7 @@ from pbmrf import (
     to_json,
     values_from_interactions,
 )
+from pbmrf.pbf import moebius_transform, subset_keys, tabulate
 
 
 def test_interaction_set_canonicalises_and_validates():
@@ -84,8 +86,6 @@ def test_dense_closure_and_dag_links():
     for key in sets:
         for k in range(len(key)):
             assert key[:k] + key[k + 1 :] in sets
-    assert (0, 1, 2) in f.children((0, 1))
-    assert f.children((0, 1, 2)) == ()
 
 
 def test_pruning_keeps_needed_subsets():
@@ -225,3 +225,54 @@ def test_dense_local_function_validation():
 def test_out_of_range_interaction_rejected():
     with pytest.raises(ValueError):
         PseudoBooleanFunction(2, {(0, 5): 1.0})
+
+
+sorted_variables = st.lists(st.integers(0, 30), unique=True, max_size=8).map(sorted)
+
+
+@settings(derandomize=True, database=None)
+@given(sorted_variables)
+def test_subset_keys_match_mask_bits(variables):
+    keys = subset_keys(variables)
+    assert len(keys) == 1 << len(variables)
+    for mask, key in enumerate(keys):
+        assert key == tuple(v for k, v in enumerate(variables) if mask >> k & 1)
+
+
+@st.composite
+def dense_polynomials(draw):
+    """(variables, coefficient map over every subset of them), up to 8 variables."""
+    variables = draw(sorted_variables)
+    coeffs = draw(
+        st.lists(
+            st.floats(-10.0, 10.0, allow_nan=False),
+            min_size=1 << len(variables),
+            max_size=1 << len(variables),
+        )
+    )
+    return variables, dict(zip(subset_keys(variables), coeffs))
+
+
+@settings(derandomize=True, database=None)
+@given(dense_polynomials(), st.randoms(use_true_random=False))
+def test_tabulate_inverts_to_the_coefficients(poly, rnd):
+    variables, beta = poly
+    pairs = list(beta.items())
+    rnd.shuffle(pairs)
+    coeffs = moebius_transform(tabulate(pairs, variables, "test"))
+    want = np.array([beta[key] for key in subset_keys(variables)])
+    np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, database=None)
+@given(dense_polynomials().filter(lambda p: p[0]), st.data())
+def test_tabulate_fixes_unlisted_variables_at_one(poly, data):
+    variables, beta = poly
+    fixed = data.draw(st.sampled_from(variables))
+    listed = [v for v in variables if v != fixed]
+    coeffs = moebius_transform(tabulate(beta.items(), listed, "test"))
+    # f with x_fixed = 1: each listed set L carries beta[L] + beta[L + fixed].
+    want = [
+        beta[key] + beta[tuple(sorted(key + (fixed,)))] for key in subset_keys(listed)
+    ]
+    np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-9)
