@@ -194,22 +194,27 @@ def fstar_scores(
     enumeration is needed.
     """
     size1 = len(base) + 1
-    scores: dict[int, float] = {}
-    for r in candidates:
-        withr = set(base) | {r}
-        b0 = 0.0
-        pos = 0.0
-        neg = 0.0
-        for key, b in members:
-            if len(key) > size1 + 1 or not withr.issubset(key):
-                continue
-            if len(key) == size1:
-                b0 = b
-            else:
-                pos += max(b, 0.0)
-                neg += min(b, 0.0)
-        scores[r] = max(b0 + pos, -(b0 + neg))
-    return scores
+    baseset = set(base)
+    b0 = dict.fromkeys(candidates, 0.0)
+    pos = dict.fromkeys(candidates, 0.0)
+    neg = dict.fromkeys(candidates, 0.0)
+    # One pass in member order adds each candidate's terms in the same order
+    # as a separate scan per candidate would.
+    for key, b in members:
+        if len(key) not in (size1, size1 + 1) or not baseset.issubset(key):
+            continue
+        if len(key) == size1:
+            (r,) = (v for v in key if v not in baseset)
+            if r in b0:
+                b0[r] = b
+        else:
+            up = max(b, 0.0)
+            down = min(b, 0.0)
+            for r in key:
+                if r in pos and r not in baseset:
+                    pos[r] += up
+                    neg[r] += down
+    return {r: max(b0[r] + pos[r], -(b0[r] + neg[r])) for r in candidates}
 
 
 def fstar_choice(base, candidates, members) -> int:

@@ -42,7 +42,6 @@ from .pbf import (
     add_scaled,
     close_subsets,
     moebius_transform,
-    prune_dead,
     subset_keys,
     tabulate,
 )
@@ -159,29 +158,58 @@ class EliminationResult:
 
 
 class _TermStore:
-    """Dense coefficient map with a per-variable membership index."""
+    """Dense coefficient map with per-variable membership and pair indexes.
 
-    __slots__ = ("beta", "by_var")
+    ``by_var[v]`` holds the stored sets containing v and ``partners[v]``
+    the variables w whose pair {v, w} is stored.  Because the family is
+    dense, the partners of v are exactly the variables sharing a set with
+    v, and a set K has a stored superset exactly when K + {w} is stored for
+    some w, which is then a partner of every variable of K.
+
+    ``touched`` holds the sets that may have died since the last
+    :meth:`prune`: every set whose coefficient ``add`` changed and the
+    direct subsets of every set ``take`` removed.  A set outside it still
+    has the nonzero coefficient or the surviving superset that kept it
+    alive at the last prune, so only touched sets can die.  A new store
+    marks every set as touched, which makes its first prune a full one.
+    """
+
+    __slots__ = ("beta", "by_var", "partners", "touched")
 
     def __init__(self, terms: dict[InteractionSet, float]):
         self.beta = dict(terms)
         self.beta.setdefault((), 0.0)
         self.by_var: dict[int, set[InteractionSet]] = {}
+        self.partners: dict[int, set[int]] = {}
         for key in self.beta:
-            for v in key:
-                self.by_var.setdefault(v, set()).add(key)
+            self._index(key)
+        self.touched: set[InteractionSet] = set(self.beta)
+
+    def _index(self, key: InteractionSet) -> None:
+        for v in key:
+            self.by_var.setdefault(v, set()).add(key)
+        if len(key) == 2:
+            a, b = key
+            self.partners.setdefault(a, set()).add(b)
+            self.partners.setdefault(b, set()).add(a)
+
+    def _unindex(self, key: InteractionSet) -> None:
+        for v in key:
+            self.by_var[v].discard(key)
+        if len(key) == 2:
+            a, b = key
+            self.partners[a].discard(b)
+            self.partners[b].discard(a)
 
     def neighbours(self, i: int) -> list[int]:
-        seen: set[int] = set()
-        for key in self.by_var.get(i, ()):
-            seen.update(key)
-        seen.discard(i)
-        return sorted(seen)
+        return sorted(self.partners.get(i, ()))
 
     def supersets(self, base: InteractionSet) -> list[tuple[InteractionSet, float]]:
         pools = [self.by_var.get(v, set()) for v in base]
         if not base:
             keys = list(self.beta)
+        elif len(base) == 1:
+            keys = pools[0]
         elif any(not pool for pool in pools):
             return []
         else:
@@ -190,42 +218,89 @@ class _TermStore:
             keys = [k for k in smallest if baseset.issubset(k)]
         return sorted((k, self.beta[k]) for k in keys)
 
-    def pop(self, key: InteractionSet) -> float:
-        value = self.beta.pop(key)
-        for v in key:
-            self.by_var[v].discard(key)
-        return value
+    def take(self, base: InteractionSet) -> list[tuple[InteractionSet, float]]:
+        """Remove and return :meth:`supersets` of ``base``.
+
+        The removed family is closed under supersets, so the direct subsets
+        of a removed set that stay are those missing one variable of base.
+        """
+        members = self.supersets(base)
+        for key, _ in members:
+            del self.beta[key]
+            self._unindex(key)
+            for v in base:
+                k = key.index(v)
+                self.touched.add(key[:k] + key[k + 1 :])
+        return members
 
     def add(self, key: InteractionSet, delta: float) -> None:
         if key not in self.beta:
             # New set: insert its full subset closure to keep the family dense.
             self.beta[key] = 0.0
             for k in [key] + close_subsets(self.beta, [key]):
-                for v in k:
-                    self.by_var.setdefault(v, set()).add(k)
+                self._index(k)
         self.beta[key] += delta
+        self.touched.add(key)
+
+    def add_table(self, keys: list[InteractionSet], deltas: np.ndarray) -> None:
+        """``add`` each key in turn, for keys listed after all their subsets.
+
+        :func:`pbmrf.pbf.subset_keys` of a sorted list is such a listing, so
+        every subset of a new key is already stored and no closure is needed.
+        """
+        beta = self.beta
+        for key, delta in zip(keys, deltas.tolist()):
+            if key in beta:
+                beta[key] += delta
+            else:
+                beta[key] = 0.0 + delta  # as in add: a -0.0 delta stores 0.0
+                self._index(key)
+        self.touched.update(keys)
 
     def prune(self) -> None:
         # Only structurally dead sets (exact zeros with no surviving
         # superset) are dropped.  Discarding small-but-nonzero
         # coefficients would perturb the energy and void the bound
         # certificates at the same magnitude, so unlike public polynomial
-        # arithmetic the engine never rounds mass away.
-        for key in prune_dead(self.beta, bool):
-            for v in key:
-                self.by_var[v].discard(key)
+        # arithmetic the engine never rounds mass away.  Only touched sets
+        # can die; they are visited from the largest size down, so every
+        # superset that dies goes first, and the direct subsets of each
+        # dropped set join the visit.
+        beta = self.beta
+        partners = self.partners
+        by_size: dict[int, set[InteractionSet]] = {}
+        for key in self.touched:
+            if key and beta.get(key, 1.0) == 0.0:
+                by_size.setdefault(len(key), set()).add(key)
+        self.touched = set()
+        size = max(by_size, default=0)
+        while size > 0:
+            for key in by_size.pop(size, ()):
+                pool = min((partners.get(u, ()) for u in key), key=len)
+                if any(
+                    tuple(sorted(key + (w,))) in beta for w in pool if w not in key
+                ):
+                    continue
+                del beta[key]
+                self._unindex(key)
+                if size > 1:
+                    for k in range(size):
+                        sub = key[:k] + key[k + 1 :]
+                        if beta.get(sub, 1.0) == 0.0:
+                            by_size.setdefault(size - 1, set()).add(sub)
+            size -= 1
 
 
 def _local_table(
-    store: _TermStore, i: int, context: str
+    members: list[tuple[InteractionSet, float]], i: int, context: str
 ) -> tuple[list[int], np.ndarray]:
     """Tabulate the part of the energy touching variable i at x_i = 1.
 
+    ``members`` are the sets containing i with their coefficients.
     Returns the sorted neighbour list V and the table of
     sum over sets containing i of beta * prod_{k in set, k != i} x_k,
     indexed with bit t = value of V[t].
     """
-    members = store.supersets((i,))
     extras = sorted({v for key, _ in members for v in key if v != i})
     return extras, tabulate(members, extras, f"{context}, variable {i}")
 
@@ -292,7 +367,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
                         i,
                         j,
                     )
-                pair_sets = store.supersets(tuple(sorted((i, j))))
+                pair_sets = store.take(tuple(sorted((i, j))))
                 if cfg.mode == "approximate":
                     updates = soir_removal_updates(pair_sets, i, j)
                 else:
@@ -300,8 +375,6 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
                         pair_sets, i, j, direction, table_cap, fstar_choice
                     )
                     splits += n_splits
-                for key, _ in pair_sets:
-                    store.pop(key)
                 for key, delta in sorted(updates.items()):
                     store.add(key, delta)
                 partners.append(j)
@@ -315,17 +388,14 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
         if cfg.pomm_variant == "post_approximation":
             conditionals.append(_capture_conditional(store, i, step_no))
 
-        extras, h = _local_table(store, i, f"step {step_no}")
+        extras, h = _local_table(store.take((i,)), i, f"step {step_no}")
         eta_after = len(extras)
-        for key, _ in store.supersets((i,)):
-            store.pop(key)
         if summing:
             folded = np.logaddexp(0.0, h)
         else:
             max_records.append((i, extras, h))
             folded = np.maximum(0.0, h)
-        for key, value in zip(subset_keys(extras), moebius_transform(folded)):
-            store.add(key, value)
+        store.add_table(subset_keys(extras), moebius_transform(folded))
         store.prune()
         steps.append(
             StepDiagnostics(
@@ -368,7 +438,9 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
 
 
 def _capture_conditional(store: _TermStore, i: int, step_no: int) -> PommConditional:
-    extras, h = _local_table(store, i, f"POMM capture at step {step_no}")
+    extras, h = _local_table(
+        store.supersets((i,)), i, f"POMM capture at step {step_no}"
+    )
     return PommConditional(i, tuple(extras), _expit(h))
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "DENSE_TABLE_CAP",
+    "TERMS_TABLE_CAP",
     "PRUNE_TOL",
     "InteractionSet",
     "ResourceCapError",
@@ -51,6 +52,11 @@ __all__ = [
 # Largest m for which a dense 2^m value table may be materialised.
 DENSE_TABLE_CAP = 25
 
+# Largest m for which a 2^m value table may be turned into coefficient
+# terms.  Each entry becomes a Python dict entry, which costs far more
+# memory and time than the numpy table DENSE_TABLE_CAP bounds.
+TERMS_TABLE_CAP = 20
+
 # Coefficients below this magnitude are dropped when no superset survives.
 PRUNE_TOL = 1e-12
 
@@ -60,7 +66,7 @@ InteractionSet = tuple[int, ...]
 
 
 class ResourceCapError(RuntimeError):
-    """An operation would materialise a table beyond the 2^25-entry cap."""
+    """An operation would materialise a table beyond its size cap."""
 
 
 def interaction_set(indices) -> InteractionSet:
@@ -346,9 +352,15 @@ def interactions_from_values(
     """The unique coefficient set reproducing every table entry.
 
     Inverse of :func:`values_from_interactions`.  ``n`` defaults to one
-    past the largest listed variable.
+    past the largest listed variable.  Raises ResourceCapError for tables
+    over more than TERMS_TABLE_CAP variables.
     """
     variables = table.variables
+    if len(variables) > TERMS_TABLE_CAP:
+        raise ResourceCapError(
+            f"interactions_from_values: table over {len(variables)} variables "
+            f"would become 2^{len(variables)} terms, cap is 2^{TERMS_TABLE_CAP}"
+        )
     if n is None:
         n = max(variables) + 1 if variables else 0
     coeffs = moebius_transform(table.values)

@@ -1,7 +1,10 @@
 """Approximation operators against the normal-equation oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     all_states,
@@ -19,6 +22,7 @@ from pbmrf import (
     soir,
     sse,
 )
+from pbmrf.approx import fstar_scores
 
 
 def coeffs_close(f, g, tol=1e-10):
@@ -354,3 +358,51 @@ def test_bound_rejects_missing_pair_and_bad_direction():
         bound_remove_pair(f, 0, 2, "upper", 25)
     with pytest.raises(ValueError):
         bound_remove_pair(f, 0, 1, "sideways", 25)
+
+
+# -- partner scoring ---------------------------------------------------------------
+
+
+interaction_keys = st.lists(st.integers(0, 6), unique=True, max_size=4).map(
+    lambda v: tuple(sorted(v))
+)
+# Multiples of 1/8: every sum below is exact, so scores compare with ==.
+dyadic = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+@st.composite
+def scored_members(draw):
+    """(base, members): distinct sets over variables 0..6, |base| in {1, 2}.
+
+    Members are shuffled and mix sets that contain base with sets that do not.
+    """
+    base = tuple(
+        sorted(draw(st.lists(st.integers(0, 6), unique=True, min_size=1, max_size=2)))
+    )
+    beta = draw(st.dictionaries(interaction_keys, dyadic, max_size=16))
+    with_base = interaction_keys.map(lambda k: tuple(sorted(set(k) | set(base))))
+    beta.update(draw(st.dictionaries(with_base, dyadic, max_size=16)))
+    return base, draw(st.permutations(list(beta.items())))
+
+
+def brute_fstar(base, r, members):
+    """max over x of |beta[base+r] + sum_l beta[base+r+l] x_l|, by enumeration."""
+    beta = dict(members)
+    withr = set(base) | {r}
+    b0 = beta.get(tuple(sorted(withr)), 0.0)
+    terms = [b for key, b in members if len(key) == len(withr) + 1 and withr <= set(key)]
+    return max(
+        abs(b0 + sum(b for b, x in zip(terms, xs) if x))
+        for xs in itertools.product((0, 1), repeat=len(terms))
+    )
+
+
+@settings(derandomize=True, database=None)
+@given(scored_members())
+def test_fstar_scores_match_enumeration(drawn):
+    base, members = drawn
+    # variable 7 appears in no member, so its score is 0
+    candidates = [v for v in range(8) if v not in base]
+    scores = fstar_scores(base, candidates, members)
+    assert scores == {r: brute_fstar(base, r, members) for r in candidates}
+    assert scores[7] == 0.0

@@ -18,6 +18,7 @@ from pbmrf import (
     LatticeSpec,
     PseudoBooleanFunction,
     ResourceCapError,
+    build_higher_order,
     build_independence,
     build_ising,
     eliminate,
@@ -27,6 +28,8 @@ from pbmrf import (
     eliminate_max,
     moment,
 )
+from pbmrf import elimination
+from pbmrf.pbf import prune_dead
 from pbmrf.pomm import log_density_many
 
 
@@ -332,3 +335,111 @@ def test_partner_fallback_when_scores_vanish():
         res.log_value
         - (3 * math.log(2) + math.log(1 + math.exp(0.3)))
     ) < 1e-12
+
+
+# -- incremental prune ------------------------------------------------------------
+
+
+@pytest.fixture
+def checked_prune(monkeypatch):
+    """Check each incremental store prune against a full ``prune_dead`` pass.
+
+    After each prune the store's indexes must also match its sets.  Returns
+    the list of set counts each prune dropped, one entry per step.
+    """
+    incremental = elimination._TermStore.prune
+    dropped: list[int] = []
+
+    def prune(store):
+        want = dict(store.beta)
+        prune_dead(want, bool)
+        size = len(store.beta)
+        incremental(store)
+        assert store.beta == want
+        assert prune_dead(dict(store.beta), bool) == []
+        index: dict[int, set] = {}
+        for key in store.beta:
+            for v in key:
+                index.setdefault(v, set()).add(key)
+        assert {v: keys for v, keys in store.by_var.items() if keys} == index
+        linked = {(v, w) for v, ws in store.partners.items() for w in ws}
+        assert linked == {p for k in store.beta if len(k) == 2 for p in (k, k[::-1])}
+        dropped.append(size - len(store.beta))
+
+    monkeypatch.setattr(elimination._TermStore, "prune", prune)
+    return dropped
+
+
+@pytest.mark.parametrize("mode", ["exact", "approximate", "lower_bound", "upper_bound"])
+@pytest.mark.parametrize("seed", range(3))
+def test_incremental_prune_matches_full_prune(checked_prune, mode, seed):
+    rng = np.random.default_rng(900 + seed)
+    m = build_higher_order(LatticeSpec(4, 4), rng.uniform(-1, 1, size=10))
+    nu = None if mode == "exact" else 2
+    res = eliminate(m, EliminationConfig(mode=mode, nu=nu, table_cap=1))
+    assert len(checked_prune) == m.n
+    if mode == "exact":
+        assert abs(res.log_value - brute_log_c(m, 4, 4)) < 1e-9
+
+
+def test_incremental_prune_drops_zero_leaves_of_unpruned_input(checked_prune):
+    f = PseudoBooleanFunction(
+        4,
+        {(0, 1): 0.5, (1, 2, 3): 0.0, (0, 3): 0.0, (2,): 0.25},
+        prune=False,
+    )
+    for mode in ("exact", "approximate", "upper_bound"):
+        checked_prune.clear()
+        cfg = EliminationConfig(mode=mode, nu=None if mode == "exact" else 1)
+        eliminate(f, cfg)
+        # the store's first prune is a full one and removes the zero leaves
+        assert checked_prune[0] > 0
+
+
+@pytest.mark.parametrize(
+    "terms, cfg, step, drops",
+    [
+        # step 1 removes the pair (0, 2) by SOIR; (0, 1, 2) hands +0.5 to
+        # (1, 2), which cancels its -0.5 and leaves it with no superset
+        pytest.param(
+            {(0, 1): 2.0, (0, 1, 2): 1.0, (0, 2): -0.5, (1, 2): -0.5, (3,): 0.7},
+            EliminationConfig(mode="approximate", nu=1, order=(3, 0, 1, 2)),
+            1,
+            1,
+            id="soir-cancels",
+        ),
+        # step 1 removes the pair (0, 2) by an upper clamp, which changes only
+        # sets containing 0: the zero (1, 2) loses its one superset (0, 1, 2),
+        # and then (2,) loses its last one
+        pytest.param(
+            {(0, 1): 1.0, (0, 2): 0.5, (0, 1, 2): 0.3, (1, 2): 0.0, (3,): 0.7},
+            EliminationConfig(mode="upper_bound", nu=1, order=(3, 0, 1, 2)),
+            1,
+            2,
+            id="clamp-orphans",
+        ),
+        # eliminating 1 at step 2 folds the coefficient of (0,) back to 0
+        pytest.param(
+            {(0, 1, 3): -0.5, (3,): 1.0, (1, 3): 0.5, (0, 2, 3): 0.5},
+            EliminationConfig(order=(3, 2, 1, 0)),
+            2,
+            1,
+            id="fold-cancels",
+        ),
+    ],
+)
+def test_incremental_prune_drops_what_a_later_step_kills(
+    checked_prune, terms, cfg, step, drops
+):
+    eliminate(PseudoBooleanFunction(4, terms), cfg)
+    assert checked_prune[step] == drops
+
+
+def test_store_prune_cascades_from_a_zeroed_set():
+    store = elimination._TermStore({(1, 2): 0.5, (1,): 0.0, (2,): 0.0, (3,): 0.0})
+    store.prune()
+    assert set(store.beta) == {(), (1,), (2,), (1, 2)}
+    store.add((1, 2), -0.5)
+    store.prune()
+    assert store.beta == {(): 0.0}
+    assert not any(store.by_var.values())

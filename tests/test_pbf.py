@@ -1,6 +1,7 @@
 """Core polynomial representation: evaluation, transforms, set queries."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pbmrf import (
     to_json,
     values_from_interactions,
 )
-from pbmrf.pbf import moebius_transform, subset_keys, tabulate
+from pbmrf.pbf import TERMS_TABLE_CAP, moebius_transform, subset_keys, tabulate
 
 
 def test_interaction_set_canonicalises_and_validates():
@@ -122,6 +123,17 @@ def test_interactions_from_values_trivial_tables():
     ident = DenseLocalFunction((0,), np.array([0.0, 1.0]))
     g = interactions_from_values(ident)
     assert abs(g.beta(())) < 1e-12 and abs(g.beta((0,)) - 1.0) < 1e-12
+
+
+def test_interactions_from_values_caps_the_term_dict():
+    # 2^21 entries (16 MB) pass the dense-table cap, but as coefficient
+    # terms they would become two million dict entries
+    assert TERMS_TABLE_CAP == 20
+    table = DenseLocalFunction(tuple(range(21)), np.zeros(1 << 21))
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="interactions_from_values"):
+        interactions_from_values(table)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_values_from_interactions_counting_order():
