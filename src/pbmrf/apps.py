@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elimination import EliminationConfig, eliminate, eliminate_max
+from .elimination import EliminationConfig, _expit, eliminate, eliminate_max
 from .models import MarkovRandomField
 from .pbf import (
     DenseLocalFunction,
@@ -431,9 +431,7 @@ def gibbs_sampler(
                     h += b * states[:, others].prod(axis=1)
                 else:
                     h += b
-            ex = np.exp(-np.abs(h))
-            p = np.where(h >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-            states[:, k] = uniforms[k] < p
+            states[:, k] = uniforms[k] < _expit(h)
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             snapshots.append(states.copy())
     if not snapshots:

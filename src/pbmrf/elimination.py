@@ -7,6 +7,12 @@ the folded table back into interaction coefficients.  The cost of a step
 is 2^eta for the variable's current neighbour count eta, so exact
 elimination dies once neighbourhoods grow past the dense-table cap.
 
+The working energy is one coefficient map whose sets are filed in
+buckets by their earliest variable in the elimination order, as in
+Dechter's bucket elimination.  Once the variables before i are summed
+out, i's bucket holds exactly the sets containing i, so a step reads,
+removes and prunes that one bucket and touches no other index.
+
 Three tactics keep eta at a user cap nu: before summing a variable whose
 neighbourhood is too large, interactions linking it to a chosen partner
 are removed either by the least-squares SOIR update (approximate mode)
@@ -42,6 +48,7 @@ from .pbf import (
     add_scaled,
     close_subsets,
     moebius_transform,
+    prune_dead,
     subset_keys,
     tabulate,
 )
@@ -158,89 +165,59 @@ class EliminationResult:
 
 
 class _TermStore:
-    """Dense coefficient map with per-variable membership and pair indexes.
+    """Coefficient map filed in buckets by first-eliminated variable.
 
-    ``by_var[v]`` holds the stored sets containing v and ``partners[v]``
-    the variables w whose pair {v, w} is stored.  Because the family is
-    dense, the partners of v are exactly the variables sharing a set with
-    v, and a set K has a stored superset exactly when K + {w} is stored for
-    some w, which is then a partner of every variable of K.
-
-    ``touched`` holds the sets that may have died since the last
-    :meth:`prune`: every set whose coefficient ``add`` changed and the
-    direct subsets of every set ``take`` removed.  A set outside it still
-    has the nonzero coefficient or the surviving superset that kept it
-    alive at the last prune, so only touched sets can die.  A new store
-    marks every set as touched, which makes its first prune a full one.
+    ``buckets[r]`` holds the stored sets whose earliest variable in the
+    elimination order is ``order[r]``; the constant sits in an extra last
+    bucket.  Once the variables before ``order[r]`` are summed out, bucket
+    r holds exactly the sets containing ``order[r]``, and every superset of
+    one of them, so a step reads, removes and prunes that one bucket.
     """
 
-    __slots__ = ("beta", "by_var", "partners", "touched")
+    __slots__ = ("beta", "buckets", "rank")
 
-    def __init__(self, terms: dict[InteractionSet, float]):
+    def __init__(self, terms: dict[InteractionSet, float], order: tuple[int, ...]):
         self.beta = dict(terms)
         self.beta.setdefault((), 0.0)
-        self.by_var: dict[int, set[InteractionSet]] = {}
-        self.partners: dict[int, set[int]] = {}
+        self.rank = [0] * len(order)
+        for r, v in enumerate(order):
+            self.rank[v] = r
+        self.buckets: list[set[InteractionSet]] = [set() for _ in range(len(order) + 1)]
         for key in self.beta:
-            self._index(key)
-        self.touched: set[InteractionSet] = set(self.beta)
+            self._file(key)
 
-    def _index(self, key: InteractionSet) -> None:
-        for v in key:
-            self.by_var.setdefault(v, set()).add(key)
-        if len(key) == 2:
-            a, b = key
-            self.partners.setdefault(a, set()).add(b)
-            self.partners.setdefault(b, set()).add(a)
-
-    def _unindex(self, key: InteractionSet) -> None:
-        for v in key:
-            self.by_var[v].discard(key)
-        if len(key) == 2:
-            a, b = key
-            self.partners[a].discard(b)
-            self.partners[b].discard(a)
+    def _file(self, key: InteractionSet) -> None:
+        first = min(map(self.rank.__getitem__, key), default=len(self.rank))
+        self.buckets[first].add(key)
 
     def neighbours(self, i: int) -> list[int]:
-        return sorted(self.partners.get(i, ()))
+        bucket = self.buckets[self.rank[i]]
+        return sorted({v for key in bucket for v in key if v != i})
 
-    def supersets(self, base: InteractionSet) -> list[tuple[InteractionSet, float]]:
-        pools = [self.by_var.get(v, set()) for v in base]
-        if not base:
-            keys = list(self.beta)
-        elif len(base) == 1:
-            keys = pools[0]
-        elif any(not pool for pool in pools):
-            return []
+    def members(self, i: int) -> list[tuple[InteractionSet, float]]:
+        """The stored sets containing the current variable i, sorted."""
+        beta = self.beta
+        return [(key, beta[key]) for key in sorted(self.buckets[self.rank[i]])]
+
+    def take(self, i: int, j: int | None = None) -> list[tuple[InteractionSet, float]]:
+        """Remove and return the :meth:`members` of i, or those also holding j."""
+        bucket = self.buckets[self.rank[i]]
+        if j is None:
+            keys = sorted(bucket)
+            bucket.clear()
         else:
-            smallest = min(pools, key=len)
-            baseset = set(base)
-            keys = [k for k in smallest if baseset.issubset(k)]
-        return sorted((k, self.beta[k]) for k in keys)
-
-    def take(self, base: InteractionSet) -> list[tuple[InteractionSet, float]]:
-        """Remove and return :meth:`supersets` of ``base``.
-
-        The removed family is closed under supersets, so the direct subsets
-        of a removed set that stay are those missing one variable of base.
-        """
-        members = self.supersets(base)
-        for key, _ in members:
-            del self.beta[key]
-            self._unindex(key)
-            for v in base:
-                k = key.index(v)
-                self.touched.add(key[:k] + key[k + 1 :])
-        return members
+            keys = sorted(key for key in bucket if j in key)
+            bucket.difference_update(keys)
+        beta = self.beta
+        return [(key, beta.pop(key)) for key in keys]
 
     def add(self, key: InteractionSet, delta: float) -> None:
         if key not in self.beta:
             # New set: insert its full subset closure to keep the family dense.
             self.beta[key] = 0.0
             for k in [key] + close_subsets(self.beta, [key]):
-                self._index(k)
+                self._file(k)
         self.beta[key] += delta
-        self.touched.add(key)
 
     def add_table(self, keys: list[InteractionSet], deltas: np.ndarray) -> None:
         """``add`` each key in turn, for keys listed after all their subsets.
@@ -254,41 +231,26 @@ class _TermStore:
                 beta[key] += delta
             else:
                 beta[key] = 0.0 + delta  # as in add: a -0.0 delta stores 0.0
-                self._index(key)
-        self.touched.update(keys)
+                self._file(key)
 
-    def prune(self) -> None:
-        # Only structurally dead sets (exact zeros with no surviving
-        # superset) are dropped.  Discarding small-but-nonzero
-        # coefficients would perturb the energy and void the bound
-        # certificates at the same magnitude, so unlike public polynomial
-        # arithmetic the engine never rounds mass away.  Only touched sets
-        # can die; they are visited from the largest size down, so every
-        # superset that dies goes first, and the direct subsets of each
-        # dropped set join the visit.
+    def prune(self, r: int) -> None:
+        """Drop the structurally dead sets of bucket r.
+
+        Call it once the variables before ``order[r]`` are summed out: every
+        superset of a set in the bucket is then in the bucket too, so
+        pruning it alone drops what a whole-store prune would drop there.
+        Only exact zeros with no surviving superset go.  Discarding
+        small-but-nonzero coefficients would perturb the energy and void
+        the bound certificates at the same magnitude, so unlike public
+        polynomial arithmetic the engine never rounds mass away.
+        """
+        bucket = self.buckets[r]
         beta = self.beta
-        partners = self.partners
-        by_size: dict[int, set[InteractionSet]] = {}
-        for key in self.touched:
-            if key and beta.get(key, 1.0) == 0.0:
-                by_size.setdefault(len(key), set()).add(key)
-        self.touched = set()
-        size = max(by_size, default=0)
-        while size > 0:
-            for key in by_size.pop(size, ()):
-                pool = min((partners.get(u, ()) for u in key), key=len)
-                if any(
-                    tuple(sorted(key + (w,))) in beta for w in pool if w not in key
-                ):
-                    continue
-                del beta[key]
-                self._unindex(key)
-                if size > 1:
-                    for k in range(size):
-                        sub = key[:k] + key[k + 1 :]
-                        if beta.get(sub, 1.0) == 0.0:
-                            by_size.setdefault(size - 1, set()).add(sub)
-            size -= 1
+        if not any(beta[key] == 0.0 for key in bucket):
+            return
+        for key in prune_dead({key: beta[key] for key in bucket}, bool):
+            del beta[key]
+            bucket.discard(key)
 
 
 def _local_table(
@@ -334,7 +296,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all variable indices")
 
-    store = _TermStore(energy.terms())
+    store = _TermStore(energy.terms(), order)
     approximating = cfg.mode != "exact"
     direction = {"lower_bound": "lower", "upper_bound": "upper"}.get(cfg.mode)
     table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
@@ -345,7 +307,8 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     steps: list[StepDiagnostics] = []
 
     for step_no, i in enumerate(order):
-        eta_before = len(store.neighbours(i))
+        neighbours = store.neighbours(i)
+        eta_before = len(neighbours)
         if cfg.pomm_variant == "pre_approximation":
             conditionals.append(_capture_conditional(store, i, step_no))
 
@@ -353,9 +316,8 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
         fallbacks = 0
         splits = 0
         if approximating:
-            neighbours = store.neighbours(i)
             while len(neighbours) > cfg.nu:
-                members_i = store.supersets((i,))
+                members_i = store.members(i)
                 scores = fstar_scores((i,), neighbours, members_i)
                 j = min(neighbours, key=lambda r: (scores[r], r))
                 if max(scores.values()) == 0.0:
@@ -367,7 +329,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
                         i,
                         j,
                     )
-                pair_sets = store.take(tuple(sorted((i, j))))
+                pair_sets = store.take(i, j)
                 if cfg.mode == "approximate":
                     updates = soir_removal_updates(pair_sets, i, j)
                 else:
@@ -388,7 +350,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
         if cfg.pomm_variant == "post_approximation":
             conditionals.append(_capture_conditional(store, i, step_no))
 
-        extras, h = _local_table(store.take((i,)), i, f"step {step_no}")
+        extras, h = _local_table(store.take(i), i, f"step {step_no}")
         eta_after = len(extras)
         if summing:
             folded = np.logaddexp(0.0, h)
@@ -396,7 +358,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
             max_records.append((i, extras, h))
             folded = np.maximum(0.0, h)
         store.add_table(subset_keys(extras), moebius_transform(folded))
-        store.prune()
+        store.prune(step_no + 1)
         steps.append(
             StepDiagnostics(
                 variable=i,
@@ -438,9 +400,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
 
 
 def _capture_conditional(store: _TermStore, i: int, step_no: int) -> PommConditional:
-    extras, h = _local_table(
-        store.supersets((i,)), i, f"POMM capture at step {step_no}"
-    )
+    extras, h = _local_table(store.members(i), i, f"POMM capture at step {step_no}")
     return PommConditional(i, tuple(extras), _expit(h))
 
 

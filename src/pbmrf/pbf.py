@@ -270,11 +270,7 @@ def evaluate(f: PseudoBooleanFunction, x) -> float:
     x = np.asarray(x)
     if x.shape != (f.n,):
         raise ValueError(f"state has shape {x.shape}, expected ({f.n},)")
-    total = 0.0
-    for key, b in f._beta.items():
-        if b != 0.0 and all(x[k] for k in key):
-            total += b
-    return total
+    return float(evaluate_many(f, x.reshape(1, -1))[0])
 
 
 def evaluate_many(f: PseudoBooleanFunction, states: np.ndarray) -> np.ndarray:

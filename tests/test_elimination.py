@@ -337,33 +337,43 @@ def test_partner_fallback_when_scores_vanish():
     ) < 1e-12
 
 
-# -- incremental prune ------------------------------------------------------------
+# -- bucket prune -----------------------------------------------------------------
+
+
+def lattice_orders(rows, cols, seed=31):
+    """Row-major, column-major and a seeded shuffled order of a lattice."""
+    n = rows * cols
+    return {
+        "row-major": tuple(range(n)),
+        "column-major": tuple(r * cols + c for c in range(cols) for r in range(rows)),
+        "shuffled": tuple(int(v) for v in np.random.default_rng(seed).permutation(n)),
+    }
 
 
 @pytest.fixture
 def checked_prune(monkeypatch):
-    """Check each incremental store prune against a full ``prune_dead`` pass.
+    """Check each bucket prune against a whole-store ``prune_dead`` pass.
 
-    After each prune the store's indexes must also match its sets.  Returns
-    the list of set counts each prune dropped, one entry per step.
+    After each prune the pruned bucket must hold what ``prune_dead`` keeps
+    of it in a full copy of the store, and every stored set must be filed
+    once, in the bucket of its earliest-eliminated variable.  Returns the
+    list of set counts each prune dropped, one entry per step.
     """
-    incremental = elimination._TermStore.prune
+    bucket_prune = elimination._TermStore.prune
     dropped: list[int] = []
 
-    def prune(store):
+    def prune(store, r):
         want = dict(store.beta)
         prune_dead(want, bool)
         size = len(store.beta)
-        incremental(store)
-        assert store.beta == want
-        assert prune_dead(dict(store.beta), bool) == []
-        index: dict[int, set] = {}
-        for key in store.beta:
-            for v in key:
-                index.setdefault(v, set()).add(key)
-        assert {v: keys for v, keys in store.by_var.items() if keys} == index
-        linked = {(v, w) for v, ws in store.partners.items() for w in ws}
-        assert linked == {p for k in store.beta if len(k) == 2 for p in (k, k[::-1])}
+        bucket_prune(store, r)
+
+        def first(key):
+            return min((store.rank[v] for v in key), default=len(store.rank))
+
+        assert store.buckets[r] == {key for key in want if first(key) == r}
+        filed = [(key, b) for b, bucket in enumerate(store.buckets) for key in bucket]
+        assert sorted(filed) == sorted((key, first(key)) for key in store.beta)
         dropped.append(size - len(store.beta))
 
     monkeypatch.setattr(elimination._TermStore, "prune", prune)
@@ -376,10 +386,13 @@ def test_incremental_prune_matches_full_prune(checked_prune, mode, seed):
     rng = np.random.default_rng(900 + seed)
     m = build_higher_order(LatticeSpec(4, 4), rng.uniform(-1, 1, size=10))
     nu = None if mode == "exact" else 2
-    res = eliminate(m, EliminationConfig(mode=mode, nu=nu, table_cap=1))
-    assert len(checked_prune) == m.n
-    if mode == "exact":
-        assert abs(res.log_value - brute_log_c(m, 4, 4)) < 1e-9
+    for order in lattice_orders(4, 4).values():
+        checked_prune.clear()
+        cfg = EliminationConfig(mode=mode, nu=nu, order=order, table_cap=1)
+        res = eliminate(m, cfg)
+        assert len(checked_prune) == m.n
+        if mode == "exact":
+            assert abs(res.log_value - brute_log_c(m, 4, 4)) < 1e-9
 
 
 def test_incremental_prune_drops_zero_leaves_of_unpruned_input(checked_prune):
@@ -388,58 +401,71 @@ def test_incremental_prune_drops_zero_leaves_of_unpruned_input(checked_prune):
         {(0, 1): 0.5, (1, 2, 3): 0.0, (0, 3): 0.0, (2,): 0.25},
         prune=False,
     )
-    for mode in ("exact", "approximate", "upper_bound"):
-        checked_prune.clear()
-        cfg = EliminationConfig(mode=mode, nu=None if mode == "exact" else 1)
-        eliminate(f, cfg)
-        # the store's first prune is a full one and removes the zero leaves
-        assert checked_prune[0] > 0
+    for name, order in lattice_orders(2, 2).items():
+        for mode in ("exact", "approximate", "upper_bound"):
+            checked_prune.clear()
+            nu = None if mode == "exact" else 1
+            eliminate(f, EliminationConfig(mode=mode, nu=nu, order=order))
+            assert sum(checked_prune) > 0
+            if name == "row-major":
+                # the zero leaf (1, 2, 3) is dead in the bucket of 1, which
+                # is pruned at the end of step 0
+                assert checked_prune[0] > 0
 
 
 @pytest.mark.parametrize(
-    "terms, cfg, step, drops",
+    "terms, cfg, drops",
     [
         # step 1 removes the pair (0, 2) by SOIR; (0, 1, 2) hands +0.5 to
         # (1, 2), which cancels its -0.5 and leaves it with no superset
         pytest.param(
             {(0, 1): 2.0, (0, 1, 2): 1.0, (0, 2): -0.5, (1, 2): -0.5, (3,): 0.7},
             EliminationConfig(mode="approximate", nu=1, order=(3, 0, 1, 2)),
-            1,
-            1,
+            [0, 1, 0, 0],
             id="soir-cancels",
         ),
         # step 1 removes the pair (0, 2) by an upper clamp, which changes only
-        # sets containing 0: the zero (1, 2) loses its one superset (0, 1, 2),
-        # and then (2,) loses its last one
+        # sets containing 0: the zero (1, 2) loses its one superset (0, 1, 2)
+        # and goes with the bucket of 1 at step 1; (2,) has then lost its
+        # last superset too and goes with the bucket of 2 at step 2
         pytest.param(
             {(0, 1): 1.0, (0, 2): 0.5, (0, 1, 2): 0.3, (1, 2): 0.0, (3,): 0.7},
             EliminationConfig(mode="upper_bound", nu=1, order=(3, 0, 1, 2)),
-            1,
-            2,
+            [0, 1, 1, 0],
             id="clamp-orphans",
         ),
+        # summing out 3 at step 0 leaves two dead zeros in the bucket of 2;
         # eliminating 1 at step 2 folds the coefficient of (0,) back to 0
         pytest.param(
             {(0, 1, 3): -0.5, (3,): 1.0, (1, 3): 0.5, (0, 2, 3): 0.5},
             EliminationConfig(order=(3, 2, 1, 0)),
-            2,
-            1,
+            [2, 0, 1, 0],
             id="fold-cancels",
         ),
     ],
 )
 def test_incremental_prune_drops_what_a_later_step_kills(
-    checked_prune, terms, cfg, step, drops
+    checked_prune, terms, cfg, drops
 ):
     eliminate(PseudoBooleanFunction(4, terms), cfg)
-    assert checked_prune[step] == drops
+    assert checked_prune == drops
 
 
 def test_store_prune_cascades_from_a_zeroed_set():
-    store = elimination._TermStore({(1, 2): 0.5, (1,): 0.0, (2,): 0.0, (3,): 0.0})
-    store.prune()
-    assert set(store.beta) == {(), (1,), (2,), (1, 2)}
+    store = elimination._TermStore(
+        {(1, 2): 0.5, (1,): 0.0, (2,): 0.0, (3,): 0.0}, (0, 1, 2, 3)
+    )
+    store.prune(1)  # (1,) is a zero that (1, 2) needs
+    assert set(store.beta) == {(), (1,), (2,), (3,), (1, 2)}
     store.add((1, 2), -0.5)
-    store.prune()
+    store.prune(1)
+    # (1, 2) dies and takes (1,) with it; the zeros (2,) and (3,) wait for
+    # the prunes of their own buckets
+    assert set(store.beta) == {(), (2,), (3,)}
+    assert store.take(1) == []
+    store.prune(2)
+    assert set(store.beta) == {(), (3,)}
+    assert store.take(2) == []
+    store.prune(3)
     assert store.beta == {(): 0.0}
-    assert not any(store.by_var.values())
+    assert store.buckets == [set(), set(), set(), set(), {()}]

@@ -63,3 +63,38 @@ res = rejection_sampler(build_ising(LatticeSpec(4, 4), 0.5), nu=2, seed=9, count
 print(res.acceptance_rate, res.trials, res.max_alpha, res.log_k_bound)
 print(res.samples.states.tolist(), res.samples.log_densities.tolist())
 EOF
+python3 - > "$OUT/orders.txt" <<'EOF'
+# Runs on orders other than the identity, where a variable's index and its
+# position in the order differ, so mixing the two up changes the output.
+import numpy as np
+from pbmrf import (LatticeSpec, build_ising, build_higher_order, EliminationConfig,
+    eliminate, PseudoBooleanFunction)
+def lattice_orders(rows, cols):
+    n = rows * cols
+    return {
+        "column-major": tuple(r * cols + c for c in range(cols) for r in range(rows)),
+        "reversed": tuple(range(n - 1, -1, -1)),
+        "shuffled": tuple(int(v) for v in np.random.default_rng(7).permutation(n)),
+    }
+def show(label, target, order):
+    for mode in ("exact", "approximate", "lower_bound", "upper_bound"):
+        for marg in ("sum", "max"):
+            r = eliminate(target, EliminationConfig(
+                mode=mode, marginal=marg, nu=None if mode == "exact" else 3,
+                order=order, table_cap=2,
+                pomm_variant="post_approximation" if marg == "sum" else "none"))
+            print(label, r.to_json(), None if r.argmax is None else r.argmax.tolist(), r.per_step)
+            for c in r.pomm.conditionals if r.pomm else ():
+                print(c.variable, c.depends_on, c.prob_one.tolist())
+ho = build_higher_order(LatticeSpec(5, 6), np.random.default_rng(11).uniform(-1, 1, 10))
+for name, order in lattice_orders(5, 6).items():
+    show("higher_order 5x6 " + name, ho, order)
+for name, order in lattice_orders(6, 7).items():
+    show("ising 6x7 " + name, build_ising(LatticeSpec(6, 7), 0.6), order)
+# an unpruned input whose zero leaves are dead from the start
+terms = build_higher_order(LatticeSpec(3, 4), np.random.default_rng(12).uniform(-1, 1, 10)).energy.terms()
+terms.update({(0, 5): 0.0, (2, 7, 11): 0.0, (3, 4): 0.0, (1, 6, 8, 9): 0.0})
+dead = PseudoBooleanFunction(12, terms, prune=False)
+for name, order in lattice_orders(3, 4).items():
+    show("dead leaves " + name, dead, order)
+EOF
