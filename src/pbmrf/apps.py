@@ -26,6 +26,7 @@ from .models import MarkovRandomField
 from .pbf import (
     DenseLocalFunction,
     PseudoBooleanFunction,
+    _check_table_size,
     add_scaled,
     evaluate_many,
     interactions_from_values,
@@ -389,6 +390,62 @@ def mh_acceptance_rate(
 # -- Gibbs sampling ------------------------------------------------------------
 
 
+def _site_conditionals(
+    energy: PseudoBooleanFunction,
+) -> tuple[list[list[int]], list[np.ndarray]]:
+    """Each site's energy neighbours and its full-conditional table.
+
+    Entry t of site k's table is P(x_k = 1 | neighbours), where bit s of t
+    is the value of ``neighbours[k][s]``.  Its logit adds, from 0.0 and in
+    the energy's term order, the coefficient of every term holding k whose
+    other variables are all 1: the same float sum a site-by-site update
+    forms, so tabulating changes no draw.  A site with more than
+    DENSE_TABLE_CAP neighbours raises ResourceCapError naming it before
+    any table is built.
+    """
+    site_terms: list[list[tuple[tuple[int, ...], float]]] = [
+        [] for _ in range(energy.n)
+    ]
+    for key, b in energy.terms().items():
+        if b == 0.0:
+            continue
+        for k in key:
+            site_terms[k].append((tuple(v for v in key if v != k), b))
+    neighbours = [
+        sorted({v for others, _ in terms for v in others}) for terms in site_terms
+    ]
+    for k, nbrs in enumerate(neighbours):
+        _check_table_size(len(nbrs), f"gibbs_sampler, site {k}")
+    tables = []
+    for terms, nbrs in zip(site_terms, neighbours):
+        bit = {v: 1 << s for s, v in enumerate(nbrs)}
+        masks = np.arange(1 << len(nbrs))
+        logit = np.zeros(masks.size)
+        for others, b in terms:
+            need = sum(bit[v] for v in others)
+            logit[(masks & need) == need] += b
+        tables.append(_expit(logit))
+    return neighbours, tables
+
+
+def _gibbs_levels(neighbours: list[list[int]]) -> list[list[int]]:
+    """Sites grouped into levels, each updated at once within a sweep.
+
+    ``level[k]`` is one more than the largest level among k's lower-index
+    neighbours (0 without any).  Sites of one level share no term, each
+    site's lower neighbours sit in earlier levels and its higher neighbours
+    in later ones, so a level update reads exactly what the row-major
+    single-site scan reads.  An r x c Ising lattice has r + c - 1 levels.
+    """
+    level: list[int] = []
+    for k, nbrs in enumerate(neighbours):
+        level.append(1 + max((level[j] for j in nbrs if j < k), default=-1))
+    groups: list[list[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for k, lv in enumerate(level):
+        groups[lv].append(k)
+    return groups
+
+
 def gibbs_sampler(
     mrf: MarkovRandomField,
     sweeps: int,
@@ -406,34 +463,43 @@ def gibbs_sampler(
     lockstep (uniforms are consumed sweep by sweep, site by site, chain by
     chain) and their draws are concatenated chain-major.
 
+    Each site's conditional is tabulated once over its neighbours, and a
+    sweep updates the sites level by level (see ``_gibbs_levels``): the
+    draws are those of the site-by-site scan in index order, bit for bit.
+
     The returned log_densities hold the unnormalised log target U(x);
     the true sampling density of a Gibbs draw is not available.
     """
     if sweeps < 1 or burn_in < 0 or thin < 1 or chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, thin >= 1, chains >= 1")
     n = mrf.n
-    site_terms: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n)]
-    for key, b in mrf.energy.terms().items():
-        if b == 0.0:
-            continue
-        for k in key:
-            site_terms[k].append((tuple(v for v in key if v != k), b))
+    neighbours, tables = _site_conditionals(mrf.energy)
+    prob_one = np.concatenate(tables)
+    offsets = np.cumsum([0] + [t.size for t in tables[:-1]])
+    # Per level: its sites, their neighbour columns padded with column n
+    # (always 0, so padding adds nothing to a table index), the bit value
+    # of each column and the sites' table offsets.
+    schedule = []
+    for sites in _gibbs_levels(neighbours):
+        width = max(len(neighbours[k]) for k in sites)
+        gather = np.full((len(sites), width), n, dtype=np.intp)
+        for row, k in enumerate(sites):
+            gather[row, : len(neighbours[k])] = neighbours[k]
+        schedule.append(
+            (np.array(sites), gather, 1 << np.arange(width), offsets[sites])
+        )
 
     rng = generator(seed, GIBBS_STREAM)
-    states = (rng.random((chains, n)) < 0.5).astype(np.uint8)
+    states = np.zeros((chains, n + 1), dtype=np.uint8)
+    states[:, :n] = rng.random((chains, n)) < 0.5
     snapshots: list[np.ndarray] = []
     for sweep in range(sweeps):
         uniforms = rng.random((n, chains))
-        for k in range(n):
-            h = np.zeros(chains)
-            for others, b in site_terms[k]:
-                if others:
-                    h += b * states[:, others].prod(axis=1)
-                else:
-                    h += b
-            states[:, k] = uniforms[k] < _expit(h)
+        for sites, gather, bits, base in schedule:
+            rows = base + (states[:, gather] * bits).sum(axis=2)
+            states[:, sites] = uniforms[sites].T < prob_one[rows]
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-            snapshots.append(states.copy())
+            snapshots.append(states[:, :n].copy())
     if not snapshots:
         raise ValueError("no sweep satisfied the burn-in/thinning schedule")
     # chain-major: all of chain 0's snapshots first.

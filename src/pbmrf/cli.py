@@ -143,16 +143,18 @@ def _read_reals(path) -> np.ndarray:
         return np.array([float(tok) for tok in handle.read().split()], dtype=float)
 
 
+def _state_texts(states: np.ndarray) -> list[str]:
+    """Each row of a (count, n) 0/1 array as a string of '0'/'1' digits."""
+    digits = np.asarray(states, dtype=np.uint8) + np.uint8(ord("0"))
+    rows = digits.view(f"S{digits.shape[1]}").ravel().tolist()
+    return [row.decode() for row in rows]
+
+
 def _state_rows(batch) -> list[dict]:
-    rows = []
-    for state, dens in zip(batch.states, batch.log_densities):
-        rows.append(
-            {
-                "state": "".join("1" if v else "0" for v in state),
-                "log_density": float(dens),
-            }
-        )
-    return rows
+    return [
+        {"state": text, "log_density": float(dens)}
+        for text, dens in zip(_state_texts(batch.states), batch.log_densities)
+    ]
 
 
 # -- commands -----------------------------------------------------------------
@@ -231,7 +233,7 @@ def _cmd_map(args, config) -> int:
         nu = _nu_list(args, config)[0]
     cfg = EliminationConfig(mode=mode, marginal="max", nu=nu, table_cap=args.table_cap)
     state = map_estimate(y, model, lik, cfg)
-    rows = [{"state": "".join("1" if v else "0" for v in state)}]
+    rows = [{"state": _state_texts(state.reshape(1, -1))[0]}]
     _write_rows(args.out, ["state"], rows, args.format)
     return 0
 

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from pbmrf import LatticeSpec, PseudoBooleanFunction, interaction_set
+from pbmrf import (
+    LatticeSpec,
+    MarkovRandomField,
+    NeighbourhoodSystem,
+    PseudoBooleanFunction,
+    interaction_set,
+)
+from pbmrf.elimination import _expit
 from pbmrf.models import (
     build_2x2_rotinv,
     build_autologistic,
@@ -18,6 +25,9 @@ from pbmrf.models import (
     build_ising,
     clique_value_tables,
 )
+from pbmrf.pbf import evaluate_many
+from pbmrf.pomm import SampleBatch
+from pbmrf.rng import GIBBS_STREAM, generator
 
 _STATE_CACHE: dict[int, np.ndarray] = {}
 
@@ -202,6 +212,14 @@ def random_test_model(rng: np.random.Generator, max_rows=4, max_cols=5):
     return model, rows, cols
 
 
+def star_mrf(leaves: int) -> MarkovRandomField:
+    """Hub 0 joined by a pair interaction to each of ``leaves`` leaves."""
+    n = leaves + 1
+    graph = NeighbourhoodSystem(n, (tuple(range(1, n)),) + ((0,),) * leaves)
+    terms = {(0, k): 0.1 for k in range(1, n)}
+    return MarkovRandomField(graph, PseudoBooleanFunction(n, terms), label="star")
+
+
 def least_squares_project(
     f: PseudoBooleanFunction, family
 ) -> PseudoBooleanFunction:
@@ -241,3 +259,40 @@ def least_squares_project(
         rhs[ia] = total
     solution = np.linalg.solve(a_mat, rhs)
     return PseudoBooleanFunction(f.n, dict(zip(keep, solution)))
+
+
+def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> SampleBatch:
+    """Reference for ``gibbs_sampler``: the systematic scan one site at a time.
+
+    Each site's logit is summed from the energy's terms in term order,
+    starting at 0.0, for every chain at once; the sites are visited in
+    index order.  Consumes the same uniforms as the library sampler, so the
+    two must agree bit for bit.
+    """
+    n = mrf.n
+    site_terms: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n)]
+    for key, b in mrf.energy.terms().items():
+        if b == 0.0:
+            continue
+        for k in key:
+            site_terms[k].append((tuple(v for v in key if v != k), b))
+
+    rng = generator(seed, GIBBS_STREAM)
+    states = (rng.random((chains, n)) < 0.5).astype(np.uint8)
+    snapshots: list[np.ndarray] = []
+    for sweep in range(sweeps):
+        uniforms = rng.random((n, chains))
+        for k in range(n):
+            h = np.zeros(chains)
+            for others, b in site_terms[k]:
+                if others:
+                    h += b * states[:, others].prod(axis=1)
+                else:
+                    h += b
+            states[:, k] = uniforms[k] < _expit(h)
+        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+            snapshots.append(states.copy())
+    stacked = np.stack(snapshots, axis=1).reshape(-1, n)
+    return SampleBatch(
+        seed=int(seed), states=stacked, log_densities=evaluate_many(mrf.energy, stacked)
+    )

@@ -1,22 +1,28 @@
 """Application layer: MLE bracketing, MAP, rejection, MH rate, Gibbs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     all_states,
     brute_log_c,
     eval_pbf,
+    gibbs_site_by_site,
     log_sum_exp,
     pack_states,
+    star_mrf,
     tv_distance,
 )
 from pbmrf import (
+    DENSE_TABLE_CAP,
     EliminationConfig,
     GaussianLikelihoodSpec,
     LatticeSpec,
+    ResourceCapError,
     build_independence,
     build_ising,
     eliminate,
@@ -24,9 +30,16 @@ from pbmrf import (
     map_estimate,
     mh_acceptance_rate,
     mle_bracket,
+    model_from_config,
     rejection_sampler,
 )
-from pbmrf.apps import gibbs_reference_sampler, pomm_log_density_polynomial
+from pbmrf.apps import (
+    _gibbs_levels,
+    _site_conditionals,
+    gibbs_reference_sampler,
+    pomm_log_density_polynomial,
+)
+from pbmrf.models import MODEL_FAMILIES
 from pbmrf.pomm import log_density_many, sample
 
 
@@ -290,3 +303,67 @@ def test_gibbs_validates_arguments():
         gibbs_sampler(m, sweeps=0, burn_in=0, thin=1, seed=0)
     with pytest.raises(ValueError):
         gibbs_sampler(m, sweeps=5, burn_in=9, thin=1, seed=0)
+
+
+@st.composite
+def lattice_models(draw):
+    """A model of one of the four lattice families with interactions."""
+    family = draw(st.sampled_from(["ising", "higher_order", "rotinv2x2", "autologistic"]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    size = MODEL_FAMILIES[family][1]
+    params = draw(
+        st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=size, max_size=size)
+    )
+    config = {"family": family, "rows": rows, "cols": cols, "params": params}
+    return model_from_config(config)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(lattice_models(), st.data())
+def test_gibbs_equals_site_by_site_scan(model, data):
+    sweeps = data.draw(st.integers(1, 30))
+    burn_in = data.draw(st.integers(0, sweeps - 1))
+    thin = data.draw(st.integers(1, 8))
+    chains = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**31))
+    got = gibbs_sampler(model, sweeps, burn_in, thin, seed, chains)
+    want = gibbs_site_by_site(model, sweeps, burn_in, thin, seed, chains)
+    assert got.states.dtype == want.states.dtype
+    assert got.states.shape == want.states.shape
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(lattice_models())
+def test_gibbs_levels_respect_the_scan_order(model):
+    neighbours, _ = _site_conditionals(model.energy)
+    levels = _gibbs_levels(neighbours)
+    level = {}
+    for lv, sites in enumerate(levels):
+        assert sites, "empty level"
+        for k in sites:
+            level[k] = lv
+    assert sorted(level) == list(range(model.n))
+    # within a level no two sites share an energy term
+    for key, b in model.energy.terms().items():
+        if b != 0.0:
+            assert len({level[k] for k in key}) == len(key)
+    # every lower-index neighbour was updated in an earlier level
+    for k, nbrs in enumerate(neighbours):
+        assert all(level[j] < level[k] for j in nbrs if j < k)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (4, 4), (3, 7), (12, 12)])
+def test_ising_lattice_has_rows_plus_cols_minus_one_levels(rows, cols):
+    model = build_ising(LatticeSpec(rows, cols), 0.5)
+    neighbours, _ = _site_conditionals(model.energy)
+    assert len(_gibbs_levels(neighbours)) == rows + cols - 1
+
+
+def test_gibbs_caps_site_neighbourhoods_before_tabulating():
+    star = star_mrf(DENSE_TABLE_CAP + 1)
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="site 0"):
+        gibbs_sampler(star, sweeps=1, burn_in=0, thin=1, seed=0)
+    assert time.perf_counter() - started < 2.0

@@ -6,9 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import all_states, brute_log_c, eval_pbf
-from pbmrf import LatticeSpec, build_ising, gibbs_sampler
-from pbmrf.cli import main
+from helpers import all_states, brute_log_c, eval_pbf, star_mrf
+from pbmrf import (
+    DENSE_TABLE_CAP,
+    EliminationConfig,
+    LatticeSpec,
+    build_ising,
+    eliminate,
+    gibbs_sampler,
+)
+from pbmrf import cli
+from pbmrf.cli import _state_texts, main
+from pbmrf.pomm import sample as pomm_sample
 
 
 @pytest.fixture
@@ -20,6 +29,11 @@ def ising_config(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def per_bit_text(state) -> str:
+    """A state as text the way the CLI wrote it before vectorising."""
+    return "".join("1" if v else "0" for v in state)
 
 
 def test_norm_rows_and_independence_equality(tmp_path):
@@ -109,6 +123,10 @@ def test_sample_json_format(ising_config, tmp_path):
     rows = [json.loads(line) for line in out.read_text().strip().splitlines()]
     assert len(rows) == 3
     assert set(rows[0]) == {"state", "log_density"}
+    cfg = EliminationConfig(mode="approximate", nu=2, pomm_variant="post_approximation")
+    batch = pomm_sample(eliminate(build_ising(LatticeSpec(3, 3), 0.4), cfg).pomm, 1, 3)
+    assert [row["state"] for row in rows] == [per_bit_text(s) for s in batch.states]
+    assert [row["log_density"] for row in rows] == batch.log_densities.tolist()
 
 
 def test_gibbs_command(ising_config, tmp_path):
@@ -301,3 +319,14 @@ def test_map_honours_table_cap(ising_config, tmp_path):
     ypath.write_text(" ".join(["0.3"] * 9))
     argv = ["map", "--config", ising_config, "--y", str(ypath), "--mode", "upper"]
     assert run(argv + ["--nu", "2", "--table-cap", "26"]) == 3
+
+
+@pytest.mark.parametrize("count, n", [(0, 9), (1, 1), (7, 13), (40, 65)])
+def test_state_texts_match_per_bit_join(count, n):
+    states = (np.random.default_rng(n).random((count, n)) < 0.5).astype(np.uint8)
+    assert _state_texts(states) == [per_bit_text(s) for s in states]
+
+
+def test_gibbs_exit_code_on_neighbour_cap(monkeypatch):
+    monkeypatch.setattr(cli, "_model", lambda args, config: star_mrf(DENSE_TABLE_CAP + 1))
+    assert run(["gibbs", "--sweeps", "1", "--burn-in", "0", "--thin", "1"]) == 3

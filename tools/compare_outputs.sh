@@ -27,6 +27,9 @@ $P sample --config "$OUT/ho.json" --nu 5 --count 100 --seed 4 --pomm-variant pre
 $P reject --config "$OUT/small.json" --nu 4 --count 100 --seed 5 --out "$OUT/reject.csv" 2> "$OUT/reject.err"
 $P mh-rate --config "$OUT/small.json" --nu 3 --pairs 100 --seed 5 --out "$OUT/mh.csv"
 $P gibbs --config "$OUT/small.json" --sweeps 50 --burn-in 10 --thin 5 --seed 2 --out "$OUT/gibbs.csv"
+$P gibbs --config "$OUT/ho.json" --sweeps 60 --burn-in 10 --thin 5 --seed 6 --chains 3 --out "$OUT/gibbs_ho.csv"
+$P gibbs --family ising --rows 4 --cols 7 --params 0.7 --sweeps 80 --burn-in 20 --thin 3 --seed 7 --chains 2 --format json --out "$OUT/gibbs_4x7.json"
+$P mh-rate --config "$OUT/ho.json" --nu 4 --pairs 60 --burn-in 20 --thin 4 --seed 8 --out "$OUT/mh_ho.csv"
 $P mle --config "$OUT/small.json" --x "$OUT/x.txt" --nu 2,4 --grid-points 7 --out "$OUT/mle.csv" 2> "$OUT/mle.err"
 python3 - > "$OUT/lib.txt" <<'EOF'
 import numpy as np
