@@ -17,7 +17,7 @@ variable and each part is bounded separately, recursively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -41,17 +41,11 @@ __all__ = [
     "soir",
     "sse",
     "bound_remove_pair",
-    "smallest_index_choice",
     "fstar_scores",
     "fstar_choice",
 ]
 
 BoundDirection = Literal["upper", "lower"]
-
-# choose_split(base, candidates, members) -> pivot variable
-SplitChoice = Callable[
-    [InteractionSet, list[int], list[tuple[InteractionSet, float]]], int
-]
 
 
 @dataclass(frozen=True)
@@ -125,16 +119,15 @@ def bound_removal_updates(
     j: int,
     direction: BoundDirection,
     table_cap: int,
-    choose_split: SplitChoice,
 ) -> tuple[dict[InteractionSet, float], int]:
     """Coefficient deltas replacing the {i,j} interactions by a one-sided bound.
 
     The pair's interaction sum g(x) = x_i x_j * inner(x) is bounded by
     x_i * max{0, inner(x)} (min for a lower bound) and the clamp is
     canonicalised through a dense table.  Groups whose clamp would mention
-    more than ``table_cap`` extra variables are split on a pivot chosen by
-    ``choose_split`` and each part bounded separately; splitting repeats
-    until every table fits.  Returns (deltas, number of splits performed).
+    more than ``table_cap`` extra variables are split on the pivot of
+    :func:`fstar_choice` and each part bounded separately; splitting
+    repeats until every table fits.  Returns (deltas, number of splits performed).
     """
     if table_cap < 0:
         raise ValueError(f"table_cap must be >= 0, got {table_cap}")
@@ -159,9 +152,7 @@ def bound_removal_updates(
                 key = tuple(sorted(key + (i,)))
                 updates[key] = updates.get(key, 0.0) + value
         else:
-            pivot = choose_split(base, extras, members)
-            if pivot not in extras:
-                raise ValueError(f"split choice {pivot} is not a candidate")
+            pivot = fstar_choice(base, extras, members)
             n_splits += 1
             with_pivot = [(k, b) for k, b in members if pivot in k]
             without = [(k, b) for k, b in members if pivot not in k]
@@ -173,11 +164,6 @@ def bound_removal_updates(
 
 
 # -- pivot / partner scoring ---------------------------------------------
-
-
-def smallest_index_choice(base, candidates, members) -> int:
-    """Default pivot rule: the smallest candidate index."""
-    return min(candidates)
 
 
 def fstar_scores(
@@ -300,14 +286,14 @@ def bound_remove_pair(
     j: int,
     direction: BoundDirection,
     table_cap: int,
-    choose_split: SplitChoice | None = None,
 ) -> PseudoBooleanFunction:
     """One-sided bound of f with no interaction containing both i and j.
 
     Upper: f(x) <= result(x) everywhere; lower: result(x) <= f(x).  Sets
     avoiding the pair keep their coefficients; the pair part is replaced by
-    x_i-linear clamp terms, split recursively while the clamp table would
-    exceed ``table_cap`` variables.
+    x_i-linear clamp terms, split recursively on the pivot of
+    :func:`fstar_choice` while the clamp table would exceed ``table_cap``
+    variables.
     """
     if i == j:
         raise ValueError("bound removal needs two distinct variables")
@@ -320,9 +306,7 @@ def bound_remove_pair(
     terms = f.terms()
     for key, _ in pair_sets:
         del terms[key]
-    updates, _ = bound_removal_updates(
-        pair_sets, i, j, direction, table_cap, choose_split or smallest_index_choice
-    )
+    updates, _ = bound_removal_updates(pair_sets, i, j, direction, table_cap)
     for key, delta in updates.items():
         terms[key] = terms.get(key, 0.0) + delta
     return PseudoBooleanFunction(f.n, terms)

@@ -24,18 +24,17 @@ import numpy as np
 from .elimination import EliminationConfig, _expit, eliminate, eliminate_max
 from .models import MarkovRandomField
 from .pbf import (
-    DenseLocalFunction,
+    PRUNE_TOL,
     PseudoBooleanFunction,
     _check_table_size,
-    add_scaled,
+    _table_terms,
     evaluate_many,
-    interactions_from_values,
-    scale,
+    prune_dead,
 )
 from .pomm import (
     PartiallyOrderedMarkovModel,
     SampleBatch,
-    _backward_pass,
+    _walk,
     log_density_many,
     sample as pomm_sample,
 )
@@ -232,9 +231,10 @@ def pomm_log_density_polynomial(
 ) -> PseudoBooleanFunction:
     """ln of the POMM density as a pseudo-Boolean polynomial.
 
-    Each conditional contributes the log of its table over the variable
-    and its dependencies; degenerate probabilities (0 or 1) have no finite
-    polynomial and are rejected.
+    Each conditional adds the coefficients of its log table over the
+    variable and its dependencies, negligible leaves pruned.  Degenerate
+    probabilities (0 or 1) have no finite polynomial and are rejected, and
+    tables over more than TERMS_TABLE_CAP variables raise ResourceCapError.
     """
     total: dict = {}
     for cond in pomm.conditionals:
@@ -244,13 +244,10 @@ def pomm_log_density_polynomial(
                 f"conditional for variable {cond.variable} is degenerate; "
                 "its log has no polynomial representation"
             )
-        k = len(cond.depends_on)
-        # Table over (variable, deps...): bit 0 is the variable itself.
-        values = np.empty(1 << (k + 1))
-        values[0::2] = np.log1p(-p)
-        values[1::2] = np.log(p)
-        local = DenseLocalFunction((cond.variable,) + cond.depends_on, values)
-        for key, value in interactions_from_values(local, pomm.n).terms().items():
+        variables = (cond.variable,) + cond.depends_on
+        local = _table_terms(cond.log_table(), variables, "pomm_log_density_polynomial")
+        prune_dead(local, lambda b: abs(b) >= PRUNE_TOL)
+        for key, value in local.items():
             total[key] = total.get(key, 0.0) + value
     return PseudoBooleanFunction(pomm.n, total)
 
@@ -299,14 +296,16 @@ def rejection_sampler(
         table_cap=table_cap,
     )
     pomm = eliminate(target, cfg).pomm
-    log_prop = pomm_log_density_polynomial(pomm)
-    gap = add_scaled(log_prop, target.energy, 1.0, -1.0)
+    n = target.n
+    # U - ln proposal, whose certified maximum bounds -ln k.
+    terms = {k: -v for k, v in pomm_log_density_polynomial(pomm).terms().items()}
+    for key, value in target.energy.terms().items():
+        terms[key] = terms.get(key, 0.0) + value
     bound_cfg = EliminationConfig(
         mode="upper_bound", marginal="max", nu=nu, table_cap=table_cap
     )
-    log_k = -eliminate_max(scale(gap, -1.0), bound_cfg).log_value
+    log_k = -eliminate_max(PseudoBooleanFunction(n, terms), bound_cfg).log_value
 
-    n = target.n
     budget = trial_budget if trial_budget is not None else max(10_000, 200 * count)
     rng = generator(seed, REJECT_STREAM)
     kept_states: list[np.ndarray] = []
@@ -315,14 +314,16 @@ def rejection_sampler(
     trials = 0
     max_alpha = 0.0
     batch = max(1024, 2 * count)
+    backward = pomm.conditionals[::-1]
     while accepted < count and trials < budget:
         block = min(batch, budget - trials)
         uniforms = rng.random((block, n + 1))
-        states, log_dens = _backward_pass(pomm, uniforms)
-        log_alpha = log_k + evaluate_many(target.energy, states) - log_dens
+        states = np.zeros((n, block), dtype=np.uint8)
+        log_dens = _walk(backward, states, uniforms)
+        log_alpha = log_k + evaluate_many(target.energy, states.T) - log_dens
         max_alpha = max(max_alpha, float(np.exp(log_alpha.max(initial=-np.inf))))
         accept = uniforms[:, n] < np.exp(np.minimum(log_alpha, 0.0))
-        kept_states.append(states[accept])
+        kept_states.append(states.T[accept])
         kept_dens.append(log_dens[accept])
         accepted += int(accept.sum())
         trials += block

@@ -13,9 +13,11 @@ machine-readable result table):
 
 The config file is JSON: the model keys (family, rows, cols, params) plus
 optional defaults for any command flag (nu, seed, count, ...); flags win
-over the file.  Every command is deterministic given (config, seed); the
-``norm`` timing column stays 0 unless ``--timing`` is passed, because
-wall-clock values would break byte-identical reruns.
+over the file.  Each command accepts only the flags it reads, so a flag
+it would ignore is a usage error (exit 2).  Every command is
+deterministic given (config, seed); the ``norm`` timing column stays 0
+unless ``--timing`` is passed, because wall-clock values would break
+byte-identical reruns.
 
 Exit codes: 0 success, 1 internal error (RuntimeError), 2 configuration
 error, 3 resource-cap abort.
@@ -332,68 +334,76 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pseudo-Boolean elimination for binary Markov random fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags some commands read; each command registers only those it reads,
+    # so argparse rejects the others instead of ignoring them.
+    shared = {
+        "--nu": {"help": "neighbourhood cap, or comma list for sweeps"},
+        "--mode": {"choices": sorted(MODE_NAMES)},
+        "--seed": {"type": int},
+        "--table-cap": {"type": int, "help": "bound canonicalisation cap"},
+    }
 
-    def common(p):
+    def command(name, help_text, run, *flags):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with the model and defaults")
         p.add_argument("--family", choices=sorted(MODEL_FAMILIES))
         p.add_argument("--rows", type=int)
         p.add_argument("--cols", type=int)
         p.add_argument("--params", help="comma-separated model parameters")
-        p.add_argument("--nu", help="neighbourhood cap, or comma list for sweeps")
-        p.add_argument("--mode", choices=sorted(MODE_NAMES))
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=FORMATS)
-        p.add_argument("--table-cap", type=int, help="bound canonicalisation cap")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("norm", help="normalising-constant approximation and bounds")
-    common(p)
+    p = command(
+        "norm", "normalising-constant approximation and bounds", _cmd_norm,
+        "--nu", "--table-cap",
+    )
     p.add_argument("--timing", action="store_true", help="fill the wall_seconds column")
-    p.set_defaults(run=_cmd_norm)
 
-    p = sub.add_parser("sample", help="draw states from the POMM surrogate")
-    common(p)
+    p = command(
+        "sample", "draw states from the POMM surrogate", _cmd_sample,
+        "--nu", "--mode", "--seed",
+    )
     p.add_argument("--count", type=int)
     p.add_argument("--pomm-variant", choices=["pre", "post"])
-    p.set_defaults(run=_cmd_sample)
 
-    p = sub.add_parser("gibbs", help="reference Gibbs sampler")
-    common(p)
+    p = command("gibbs", "reference Gibbs sampler", _cmd_gibbs, "--seed")
     p.add_argument("--sweeps", type=int)
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--chains", type=int)
-    p.set_defaults(run=_cmd_gibbs)
 
-    p = sub.add_parser("map", help="maximum posterior state")
-    common(p)
+    p = command(
+        "map", "maximum posterior state", _cmd_map, "--nu", "--mode", "--table-cap"
+    )
     p.add_argument("--y", help="file of real observations, one per node")
     p.add_argument("--mu0", type=float)
     p.add_argument("--mu1", type=float)
     p.add_argument("--sigma", type=float)
-    p.set_defaults(run=_cmd_map)
 
-    p = sub.add_parser("mle", help="bracket the Ising MLE")
-    common(p)
+    p = command("mle", "bracket the Ising MLE", _cmd_mle, "--nu", "--table-cap")
     p.add_argument("--x", help="file with the observed 0/1 state")
     p.add_argument("--theta-min", type=float)
     p.add_argument("--theta-max", type=float)
     p.add_argument("--grid-points", type=int)
-    p.set_defaults(run=_cmd_mle)
 
-    p = sub.add_parser("reject", help="exact samples by rejection")
-    common(p)
+    p = command(
+        "reject", "exact samples by rejection", _cmd_reject,
+        "--nu", "--seed", "--table-cap",
+    )
     p.add_argument("--count", type=int)
     p.add_argument("--rate-floor", type=float)
-    p.set_defaults(run=_cmd_reject)
 
-    p = sub.add_parser("mh-rate", help="POMM proposal acceptance rate")
-    common(p)
+    p = command(
+        "mh-rate", "POMM proposal acceptance rate", _cmd_mh_rate, "--nu", "--seed"
+    )
     p.add_argument("--pairs", type=int)
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--chains", type=int)
-    p.set_defaults(run=_cmd_mh_rate)
 
     return parser
 

@@ -21,10 +21,12 @@ log normalising constants).  Partners, and pivots for bound splitting,
 are picked by the truncated worst-case error score of
 :func:`pbmrf.approx.fstar_scores`.
 
-As a by-product each step can record the variable's conditional
-distribution, yielding a partially ordered Markov model: either before
-the cap-forcing removals (closest to the target) or after them (every
-dependency set is at most nu, so conditional normalisation stays cheap).
+Each step keeps one record, its local table h (x_i's coefficient over
+its neighbours).  The max marginal reads its maximising state backwards
+from the sign of h; a partially ordered Markov model takes expit(h) as
+x_i's conditional, with h from before the cap-forcing removals (closest
+to the target) or, like the max marginal, the table the step folds (every
+dependency set is then at most nu, so normalisation stays cheap).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 
 from .approx import (
     bound_removal_updates,
-    fstar_choice,
     fstar_scores,
     soir_removal_updates,
 )
@@ -50,6 +51,7 @@ from .pbf import (
     moebius_transform,
     prune_dead,
     subset_keys,
+    table_rows,
     tabulate,
 )
 from .pomm import PartiallyOrderedMarkovModel, PommConditional
@@ -258,10 +260,9 @@ def _local_table(
 ) -> tuple[list[int], np.ndarray]:
     """Tabulate the part of the energy touching variable i at x_i = 1.
 
-    ``members`` are the sets containing i with their coefficients.
-    Returns the sorted neighbour list V and the table of
-    sum over sets containing i of beta * prod_{k in set, k != i} x_k,
-    indexed with bit t = value of V[t].
+    ``members`` are the sets containing i with their coefficients.  Returns
+    the sorted neighbour list V and the table h of sum over members of
+    beta * prod_{k in set, k != i} x_k, indexed with bit t = value of V[t].
     """
     extras = sorted({v for key, _ in members for v in key if v != i})
     return extras, tabulate(members, extras, f"{context}, variable {i}")
@@ -302,15 +303,16 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
     summing = cfg.marginal == "sum"
 
-    conditionals: list[PommConditional] = []
-    max_records: list[tuple[int, list[int], np.ndarray]] = []
+    # (variable, extras, h) per step, for the POMM or the maximising state.
+    records: list[tuple[int, list[int], np.ndarray]] = []
+    record_folds = not summing or cfg.pomm_variant == "post_approximation"
     steps: list[StepDiagnostics] = []
 
     for step_no, i in enumerate(order):
         neighbours = store.neighbours(i)
         eta_before = len(neighbours)
         if cfg.pomm_variant == "pre_approximation":
-            conditionals.append(_capture_conditional(store, i, step_no))
+            records.append((i, *_local_table(store.members(i), i, f"step {step_no}")))
 
         partners: list[int] = []
         fallbacks = 0
@@ -334,7 +336,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
                     updates = soir_removal_updates(pair_sets, i, j)
                 else:
                     updates, n_splits = bound_removal_updates(
-                        pair_sets, i, j, direction, table_cap, fstar_choice
+                        pair_sets, i, j, direction, table_cap
                     )
                     splits += n_splits
                 for key, delta in sorted(updates.items()):
@@ -347,16 +349,11 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
                     f"after forced removals at step {step_no}"
                 )
 
-        if cfg.pomm_variant == "post_approximation":
-            conditionals.append(_capture_conditional(store, i, step_no))
-
         extras, h = _local_table(store.take(i), i, f"step {step_no}")
         eta_after = len(extras)
-        if summing:
-            folded = np.logaddexp(0.0, h)
-        else:
-            max_records.append((i, extras, h))
-            folded = np.maximum(0.0, h)
+        if record_folds:
+            records.append((i, extras, h))
+        folded = np.logaddexp(0.0, h) if summing else np.maximum(0.0, h)
         store.add_table(subset_keys(extras), moebius_transform(folded))
         store.prune(step_no + 1)
         steps.append(
@@ -378,15 +375,14 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     argmax = None
     if not summing:
         argmax = np.zeros(n, dtype=np.uint8)
-        for i, extras, h in reversed(max_records):
-            mask = 0
-            for t, v in enumerate(extras):
-                mask |= int(argmax[v]) << t
-            argmax[i] = 1 if h[mask] > 0.0 else 0
+        for i, extras, h in reversed(records):
+            argmax[i] = h[table_rows(argmax, extras)] > 0.0
 
     pomm = None
     if cfg.pomm_variant != "none":
-        pomm = PartiallyOrderedMarkovModel(n, tuple(conditionals))
+        pomm = PartiallyOrderedMarkovModel(
+            n, tuple(PommConditional(i, tuple(e), _expit(h)) for i, e, h in records)
+        )
 
     return EliminationResult(
         log_value=float(log_value),
@@ -397,11 +393,6 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
         pomm=pomm,
         per_step=tuple(steps),
     )
-
-
-def _capture_conditional(store: _TermStore, i: int, step_no: int) -> PommConditional:
-    extras, h = _local_table(store.members(i), i, f"POMM capture at step {step_no}")
-    return PommConditional(i, tuple(extras), _expit(h))
 
 
 # -- public entry points --------------------------------------------------------

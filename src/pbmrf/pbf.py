@@ -15,7 +15,8 @@ operation in this module preserves it.
 Every conversion between coefficients and values goes through one
 table kernel: :func:`tabulate` (coefficients to values by zeta
 transform) and :func:`subset_keys` with :func:`moebius_transform`
-(values back to coefficients).
+(values back to coefficients).  :func:`table_rows` reads a table at given
+states, with the same bit convention.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "interactions_from_values",
     "tabulate",
     "subset_keys",
+    "table_rows",
     "add_scaled",
     "scale",
     "extract_subset_family",
@@ -342,6 +344,16 @@ def subset_keys(variables) -> list[tuple[int, ...]]:
     return keys
 
 
+def table_rows(values: np.ndarray, variables):
+    """Table entry of each assignment, bit k the value of ``variables[k]``.
+
+    ``values[v]`` is variable v's 0/1 value in one state of shape (n,), or
+    its row in a column-major (n, count) batch: one entry per column.
+    """
+    bits = np.left_shift(1, np.arange(len(variables), dtype=np.int64))
+    return bits @ values[list(variables)].astype(np.int64)
+
+
 def interactions_from_values(
     table: DenseLocalFunction, n: int | None = None
 ) -> PseudoBooleanFunction:
@@ -352,19 +364,26 @@ def interactions_from_values(
     over more than TERMS_TABLE_CAP variables.
     """
     variables = table.variables
-    if len(variables) > TERMS_TABLE_CAP:
-        raise ResourceCapError(
-            f"interactions_from_values: table over {len(variables)} variables "
-            f"would become 2^{len(variables)} terms, cap is 2^{TERMS_TABLE_CAP}"
-        )
     if n is None:
         n = max(variables) + 1 if variables else 0
-    coeffs = moebius_transform(table.values)
-    terms: dict[InteractionSet, float] = {}
-    for key, value in zip(subset_keys(variables), coeffs):
-        key = interaction_set(key)
-        terms[key] = terms.get(key, 0.0) + value
+    terms = _table_terms(table.values, variables, "interactions_from_values")
     return PseudoBooleanFunction(n, terms)
+
+
+def _table_terms(values, variables, context: str) -> dict[InteractionSet, float]:
+    """Moebius coefficient of each subset of ``variables``, keyed in mask order.
+
+    Keys are sorted interaction sets; a -0.0 coefficient is stored as 0.0.
+    Raises ResourceCapError, prefixed by ``context``, for tables over more
+    than TERMS_TABLE_CAP variables.
+    """
+    if len(variables) > TERMS_TABLE_CAP:
+        raise ResourceCapError(
+            f"{context}: table over {len(variables)} variables "
+            f"would become 2^{len(variables)} terms, cap is 2^{TERMS_TABLE_CAP}"
+        )
+    coeffs = moebius_transform(values).tolist()
+    return {tuple(sorted(k)): 0.0 + c for k, c in zip(subset_keys(variables), coeffs)}
 
 
 def add_scaled(

@@ -7,9 +7,13 @@ eliminated later, so drawing variables in reverse elimination order is a
 single backward pass and the product of the conditionals is a normalised
 joint density.
 
+Sampling, density evaluation and the rejection sampler share one pass,
+:func:`_walk`, over a column-major (n, count) batch of states.
+
 Sampling is reproducible: sample s always consumes the s-th block of
 per-variable uniforms from the Philox stream (seed, POMM_STREAM), so
-enlarging a batch never changes earlier samples.
+enlarging a batch never changes earlier samples.  Philox fills rows in
+sequence, so drawing them in blocks of _BLOCK_ROWS changes no number.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import struct
 
 import numpy as np
 
+from .pbf import table_rows
 from .rng import POMM_STREAM, generator
 
 __all__ = [
@@ -34,6 +39,9 @@ __all__ = [
 ]
 
 _BINARY_MAGIC = b"PBSB"
+
+# Rows drawn and decided at once by :func:`sample`.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,12 @@ class PommConditional:
         object.__setattr__(self, "variable", int(self.variable))
         object.__setattr__(self, "depends_on", deps)
         object.__setattr__(self, "prob_one", probs)
+
+    def log_table(self) -> np.ndarray:
+        """ln P(x_variable | x_deps); bit 0 is x_variable, bit k+1 depends_on[k]."""
+        with np.errstate(divide="ignore"):
+            p = self.prob_one
+            return np.stack([np.log1p(-p), np.log(p)], axis=1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -119,12 +133,21 @@ class SampleBatch:
         return self.states.shape[1]
 
 
-def _dep_rows(cond: PommConditional, states: np.ndarray) -> np.ndarray:
-    """Table row index per state: bit k is the value of depends_on[k]."""
-    rows = np.zeros(states.shape[0], dtype=np.int64)
-    for k, v in enumerate(cond.depends_on):
-        rows |= states[:, v].astype(np.int64) << k
-    return rows
+def _walk(conditionals, states: np.ndarray, uniforms=None) -> np.ndarray:
+    """Log density of each column of a column-major (n, count) 0/1 batch.
+
+    Sums over ``conditionals`` in the order given.  With ``uniforms`` of
+    shape (count, >= len(conditionals)), conditional c first sets its own
+    variable in ``states`` to uniforms[:, c] < P(x = 1 | dependencies), so
+    each conditional must come after those of its dependencies.
+    """
+    log_dens = np.zeros(states.shape[1])
+    for c, cond in enumerate(conditionals):
+        rows = table_rows(states, cond.depends_on)
+        if uniforms is not None:
+            states[cond.variable] = uniforms[:, c] < cond.prob_one[rows]
+        log_dens += cond.log_table()[2 * rows + states[cond.variable]]
+    return log_dens
 
 
 def sample(pomm: PartiallyOrderedMarkovModel, seed: int, count: int) -> SampleBatch:
@@ -136,29 +159,16 @@ def sample(pomm: PartiallyOrderedMarkovModel, seed: int, count: int) -> SampleBa
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    uniforms = generator(seed, POMM_STREAM).random((count, pomm.n))
-    states, log_dens = _backward_pass(pomm, uniforms)
+    rng = generator(seed, POMM_STREAM)
+    backward = pomm.conditionals[::-1]
+    states = np.empty((count, pomm.n), dtype=np.uint8)
+    log_dens = np.empty(count)
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        block = np.zeros((pomm.n, stop - start), dtype=np.uint8)
+        log_dens[start:stop] = _walk(backward, block, rng.random(block.shape[::-1]))
+        states[start:stop] = block.T
     return SampleBatch(seed=int(seed), states=states, log_densities=log_dens)
-
-
-def _backward_pass(
-    pomm: PartiallyOrderedMarkovModel, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """States and their log densities, one per row of ``uniforms``.
-
-    Column c decides the c-th variable in sampling order (reverse
-    elimination order); columns past the n-th are left to the caller.
-    """
-    count = uniforms.shape[0]
-    states = np.zeros((count, pomm.n), dtype=np.uint8)
-    log_dens = np.zeros(count)
-    with np.errstate(divide="ignore"):
-        for col, cond in enumerate(reversed(pomm.conditionals)):
-            p = cond.prob_one[_dep_rows(cond, states)]
-            on = uniforms[:, col] < p
-            states[:, cond.variable] = on
-            log_dens += np.where(on, np.log(p), np.log1p(-p))
-    return states, log_dens
 
 
 def log_density(pomm: PartiallyOrderedMarkovModel, x) -> float:
@@ -174,13 +184,7 @@ def log_density_many(pomm: PartiallyOrderedMarkovModel, states) -> np.ndarray:
     states = np.asarray(states, dtype=np.uint8)
     if states.ndim != 2 or states.shape[1] != pomm.n:
         raise ValueError(f"states have shape {states.shape}, expected (*, {pomm.n})")
-    out = np.zeros(states.shape[0])
-    with np.errstate(divide="ignore"):
-        for cond in pomm.conditionals:
-            p = cond.prob_one[_dep_rows(cond, states)]
-            on = states[:, cond.variable].astype(bool)
-            out += np.where(on, np.log(p), np.log1p(-p))
-    return out
+    return _walk(pomm.conditionals, np.ascontiguousarray(states.T))
 
 
 # -- export ----------------------------------------------------------------

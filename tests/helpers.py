@@ -3,7 +3,9 @@
 Everything here recomputes expectations through routes independent of the
 code under test: energies by direct per-term products or straight from
 the model family definitions (edge counts, clique class lookups), never
-through the package's table transforms or the elimination engine.
+through the package's table transforms or the elimination engine.  The
+exceptions are the byte-identity oracles at the end: earlier, simpler
+implementations that a faster library routine must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from pbmrf.models import (
     build_ising,
     clique_value_tables,
 )
-from pbmrf.pbf import evaluate_many
+from pbmrf.pbf import DenseLocalFunction, evaluate_many, interactions_from_values
 from pbmrf.pomm import SampleBatch
-from pbmrf.rng import GIBBS_STREAM, generator
+from pbmrf.rng import GIBBS_STREAM, POMM_STREAM, generator
 
 _STATE_CACHE: dict[int, np.ndarray] = {}
 
@@ -296,3 +298,59 @@ def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> SampleBatc
     return SampleBatch(
         seed=int(seed), states=stacked, log_densities=evaluate_many(mrf.energy, stacked)
     )
+
+
+def _dep_rows_row_major(cond, states: np.ndarray) -> np.ndarray:
+    """Table row per row of a (count, n) batch, one dependency bit at a time."""
+    rows = np.zeros(states.shape[0], dtype=np.int64)
+    for k, v in enumerate(cond.depends_on):
+        rows |= states[:, v].astype(np.int64) << k
+    return rows
+
+
+def pomm_sample_one_shot(pomm, seed: int, count: int) -> SampleBatch:
+    """Reference for ``pomm.sample``: one (count, n) uniform block, row-major.
+
+    Column c of the block decides the c-th variable in sampling order
+    (reverse elimination order), and each row's log density is summed in
+    that order.
+    """
+    uniforms = generator(seed, POMM_STREAM).random((count, pomm.n))
+    states = np.zeros((count, pomm.n), dtype=np.uint8)
+    log_dens = np.zeros(count)
+    with np.errstate(divide="ignore"):
+        for col, cond in enumerate(reversed(pomm.conditionals)):
+            p = cond.prob_one[_dep_rows_row_major(cond, states)]
+            on = uniforms[:, col] < p
+            states[:, cond.variable] = on
+            log_dens += np.where(on, np.log(p), np.log1p(-p))
+    return SampleBatch(seed=int(seed), states=states, log_densities=log_dens)
+
+
+def pomm_log_density_row_major(pomm, states: np.ndarray) -> np.ndarray:
+    """Reference for ``log_density_many``: summed in elimination order."""
+    out = np.zeros(states.shape[0])
+    with np.errstate(divide="ignore"):
+        for cond in pomm.conditionals:
+            p = cond.prob_one[_dep_rows_row_major(cond, states)]
+            on = states[:, cond.variable].astype(bool)
+            out += np.where(on, np.log(p), np.log1p(-p))
+    return out
+
+
+def pomm_log_density_polynomial_per_table(pomm) -> PseudoBooleanFunction:
+    """Reference for ``pomm_log_density_polynomial``: one polynomial per table.
+
+    Each conditional's log table goes through ``interactions_from_values``
+    (closure and prune included) and the coefficient maps are summed.
+    """
+    total: dict = {}
+    for cond in pomm.conditionals:
+        p = cond.prob_one
+        values = np.empty(2 * p.size)
+        values[0::2] = np.log1p(-p)
+        values[1::2] = np.log(p)
+        local = DenseLocalFunction((cond.variable,) + cond.depends_on, values)
+        for key, value in interactions_from_values(local, pomm.n).terms().items():
+            total[key] = total.get(key, 0.0) + value
+    return PseudoBooleanFunction(pomm.n, total)

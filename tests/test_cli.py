@@ -330,3 +330,29 @@ def test_state_texts_match_per_bit_join(count, n):
 def test_gibbs_exit_code_on_neighbour_cap(monkeypatch):
     monkeypatch.setattr(cli, "_model", lambda args, config: star_mrf(DENSE_TABLE_CAP + 1))
     assert run(["gibbs", "--sweeps", "1", "--burn-in", "0", "--thin", "1"]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("norm", "--mode", "exact"),
+        ("norm", "--seed", "1"),
+        ("sample", "--table-cap", "2"),
+        ("gibbs", "--nu", "2"),
+        ("gibbs", "--mode", "exact"),
+        ("gibbs", "--table-cap", "2"),
+        ("map", "--seed", "1"),
+        ("mle", "--mode", "exact"),
+        ("mle", "--seed", "1"),
+        ("reject", "--mode", "exact"),
+        ("mh-rate", "--mode", "exact"),
+        ("mh-rate", "--table-cap", "2"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(
+    ising_config, capsys, command, flag, value
+):
+    with pytest.raises(SystemExit) as info:
+        run([command, "--config", ising_config, flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -22,7 +22,13 @@ from pbmrf import (
     to_json,
     values_from_interactions,
 )
-from pbmrf.pbf import TERMS_TABLE_CAP, moebius_transform, subset_keys, tabulate
+from pbmrf.pbf import (
+    TERMS_TABLE_CAP,
+    moebius_transform,
+    subset_keys,
+    table_rows,
+    tabulate,
+)
 
 
 def test_interaction_set_canonicalises_and_validates():
@@ -288,3 +294,20 @@ def test_tabulate_fixes_unlisted_variables_at_one(poly, data):
         beta[key] + beta[tuple(sorted(key + (fixed,)))] for key in subset_keys(listed)
     ]
     np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(0, 12), st.integers(0, 4), st.integers(0, 7), st.data())
+def test_table_rows_equals_per_bit_sum(k, spare, count, data):
+    n = k + spare
+    variables = data.draw(st.permutations(range(n)))[:k]
+    seed = data.draw(st.integers(0, 2**31))
+    batch = np.random.default_rng(seed).integers(0, 2, size=(n, count), dtype=np.uint8)
+    want = [
+        sum(int(batch[v, c]) << t for t, v in enumerate(variables)) for c in range(count)
+    ]
+    rows = table_rows(batch, variables)
+    assert rows.shape == (count,)
+    assert rows.tolist() == want
+    for c in range(count):
+        assert int(table_rows(batch[:, c], variables)) == want[c]

@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import all_states, eval_pbf, log_sum_exp, pack_states, tv_distance
+from helpers import (
+    all_states,
+    eval_pbf,
+    log_sum_exp,
+    pack_states,
+    pomm_log_density_row_major,
+    pomm_sample_one_shot,
+    tv_distance,
+)
 from pbmrf import (
     EliminationConfig,
     LatticeSpec,
@@ -15,6 +24,7 @@ from pbmrf import (
     eliminate_exact_sum,
 )
 from pbmrf.pomm import (
+    _BLOCK_ROWS,
     PartiallyOrderedMarkovModel,
     PommConditional,
     SampleBatch,
@@ -147,3 +157,75 @@ def test_text_and_binary_export(tmp_path):
 def test_sample_batch_validation():
     with pytest.raises(ValueError):
         SampleBatch(0, np.zeros((3, 2), dtype=np.uint8), np.zeros(2))
+
+
+# -- the column-major pass in row blocks ----------------------------------------
+
+
+@st.composite
+def random_pomms(draw, max_n=8, max_deps=4):
+    """A POMM on a random elimination order with random dependency sets.
+
+    Dependencies come in any order, and probabilities may be exactly 0 or 1.
+    """
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    conds = []
+    for pos, v in enumerate(order):
+        later = order[pos + 1 :]
+        deps = []
+        if later:
+            deps = draw(st.lists(st.sampled_from(later), unique=True, max_size=max_deps))
+        size = 1 << len(deps)
+        probs = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        conds.append(PommConditional(v, tuple(deps), np.array(probs)))
+    return PartiallyOrderedMarkovModel(n, tuple(conds))
+
+
+def assert_same_batch(got, want):
+    assert got.states.dtype == want.states.dtype
+    assert got.states.shape == want.states.shape
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+
+
+B = _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_sample_equals_one_shot_row_major_pass(count):
+    m = build_ising(LatticeSpec(3, 4), 0.7)
+    cfg = EliminationConfig(mode="approximate", nu=2, pomm_variant="post_approximation")
+    pomm = eliminate(m, cfg).pomm
+    assert_same_batch(sample(pomm, 17, count), pomm_sample_one_shot(pomm, 17, count))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(random_pomms(), st.integers(0, 2**31), st.integers(0, 40))
+def test_random_pomm_sample_and_density_equal_row_major_oracles(pomm, seed, count):
+    batch = sample(pomm, seed, count)
+    assert_same_batch(batch, pomm_sample_one_shot(pomm, seed, count))
+    got = log_density_many(pomm, batch.states)
+    assert got.tobytes() == pomm_log_density_row_major(pomm, batch.states).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(random_pomms())
+def test_random_pomm_density_normalises(pomm):
+    total = np.exp(log_density_many(pomm, all_states(pomm.n))).sum()
+    assert abs(total - 1.0) < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(
+    random_pomms(max_n=5),
+    st.integers(0, 2**31),
+    st.integers(0, 2 * B + 5),
+    st.integers(0, 2 * B + 5),
+)
+def test_shorter_sample_is_a_prefix_across_blocks(pomm, seed, a, b):
+    short, long = sorted((a, b))
+    head = sample(pomm, seed, short)
+    full = sample(pomm, seed, long)
+    assert full.states[:short].tobytes() == head.states.tobytes()
+    assert full.log_densities[:short].tobytes() == head.log_densities.tobytes()

@@ -22,8 +22,11 @@ $P norm --config "$OUT/ising.json" --nu 3,6 --out "$OUT/norm_ising.csv"
 $P norm --config "$OUT/ho.json" --nu 5 --table-cap 3 --out "$OUT/norm_ho.csv"
 $P map --config "$OUT/ising.json" --y "$OUT/y.txt" --mode exact --out "$OUT/map_exact.csv"
 $P map --config "$OUT/ising.json" --y "$OUT/y.txt" --mode upper --nu 4 --out "$OUT/map_upper.csv"
+$P map --config "$OUT/ho.json" --y "$OUT/y.txt" --mode exact --out "$OUT/map_ho_exact.csv"
 $P sample --config "$OUT/ising.json" --nu 6 --count 300 --seed 3 --out "$OUT/sample.csv"
 $P sample --config "$OUT/ho.json" --nu 5 --count 100 --seed 4 --pomm-variant pre --format json --out "$OUT/sample_ho.json"
+$P sample --config "$OUT/small.json" --nu 3 --count 9000 --seed 10 --out "$OUT/sample_9000.csv"
+$P sample --config "$OUT/small.json" --mode exact --count 200 --seed 11 --out "$OUT/sample_exact.csv"
 $P reject --config "$OUT/small.json" --nu 4 --count 100 --seed 5 --out "$OUT/reject.csv" 2> "$OUT/reject.err"
 $P mh-rate --config "$OUT/small.json" --nu 3 --pairs 100 --seed 5 --out "$OUT/mh.csv"
 $P gibbs --config "$OUT/small.json" --sweeps 50 --burn-in 10 --thin 5 --seed 2 --out "$OUT/gibbs.csv"
@@ -38,9 +41,12 @@ from pbmrf import (LatticeSpec, build_ising, build_higher_order, build_2x2_rotin
     remove_single_interaction, to_json, values_from_interactions,
     interactions_from_values, extract_subset_family, add_scaled, scale)
 from pbmrf.apps import pomm_log_density_polynomial, rejection_sampler
+from pbmrf.pomm import log_density_many, sample
 print(repr(eliminate_exact_sum(build_ising(LatticeSpec(8, 8), 0.6)).log_value))
 ho = build_higher_order(LatticeSpec(5, 5), np.random.default_rng(3).uniform(-1, 1, 10))
 print(repr(eliminate_exact_sum(ho).log_value))
+r = eliminate(ho, EliminationConfig(marginal="max"))
+print(r.to_json(), r.argmax.tolist())
 f = build_higher_order(LatticeSpec(4, 4), np.random.default_rng(4).uniform(-1, 1, 10)).energy
 g, rep = soir(f, 0, 5)
 print(to_json(g)); print(rep.to_json())
@@ -60,6 +66,9 @@ for mode in ("approximate", "lower_bound", "upper_bound"):
         print(r.to_json(), None if r.argmax is None else r.argmax.tolist(), r.per_step)
 pomm = eliminate(ho, EliminationConfig(mode="approximate", nu=4, pomm_variant="post_approximation")).pomm
 print(to_json(pomm_log_density_polynomial(pomm)))
+batch = sample(pomm, 12, 500)
+print(batch.log_densities.tolist())
+print(log_density_many(pomm, batch.states).tolist())
 rot = build_2x2_rotinv(LatticeSpec(4, 4), [0.3, -0.2, 0.5, 0.1, -0.4])
 print(to_json(rot.energy))
 res = rejection_sampler(build_ising(LatticeSpec(4, 4), 0.5), nu=2, seed=9, count=50)
