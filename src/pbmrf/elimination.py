@@ -1,17 +1,21 @@
 """Variable elimination over pseudo-Boolean energies.
 
-One elimination step splits the energy into the part touching the chosen
-variable and the rest, folds the touching part over the variable's two
-values (log-sum-exp for partition sums, max for Viterbi), and converts
-the folded table back into interaction coefficients.  The cost of a step
-is 2^eta for the variable's current neighbour count eta, so exact
-elimination dies once neighbourhoods grow past the dense-table cap.
+One elimination step gathers the part of the energy touching the chosen
+variable, folds it over the variable's two values (log-sum-exp for
+partition sums, max for Viterbi), and hands the folded function of the
+variable's neighbours on.  The cost of a step is 2^eta for the variable's
+current neighbour count eta, so exact elimination dies once
+neighbourhoods grow past the dense-table cap.
 
-The working energy is one coefficient map whose sets are filed in
-buckets by their earliest variable in the elimination order, as in
-Dechter's bucket elimination.  Once the variables before i are summed
-out, i's bucket holds exactly the sets containing i, so a step reads,
-removes and prunes that one bucket and touches no other index.
+Both working representations are filed in buckets by their earliest
+variable in the elimination order, as in Dechter's bucket elimination:
+once the variables before i are summed out, i's bucket holds exactly the
+parts of the energy containing i, so a step reads one bucket and touches
+no other.  Exact mode keeps each bucket as a list of dense value factors
+(scope, table): a step sums them onto (x_i, neighbours), folds the x_i
+axis and files the message, and no coefficient is ever written.  The
+capped modes keep one coefficient map instead, because their removals
+read and rewrite interaction coefficients.
 
 Three tactics keep eta at a user cap nu: before summing a variable whose
 neighbourhood is too large, interactions linking it to a chosen partner
@@ -21,9 +25,10 @@ log normalising constants).  Partners, and pivots for bound splitting,
 are picked by the truncated worst-case error score of
 :func:`pbmrf.approx.fstar_scores`.
 
-Each step keeps one record, its local table h (x_i's coefficient over
-its neighbours).  The max marginal reads its maximising state backwards
-from the sign of h; a partially ordered Markov model takes expit(h) as
+Each step keeps one record, its local table h: x_i's coefficient over
+its neighbours, the step's summed table at x_i = 1 minus that at x_i = 0.
+The max marginal keeps only h > 0 and reads its maximising state
+backwards from it; a partially ordered Markov model takes expit(h) as
 x_i's conditional, with h from before the cap-forcing removals (closest
 to the target) or, like the max marginal, the table the step folds (every
 dependency set is then at most nu, so normalisation stays cheap).
@@ -288,23 +293,86 @@ def _energy_of(target) -> PseudoBooleanFunction:
 
 # -- the engine ---------------------------------------------------------------
 
+# A step's record: the variable, its sorted neighbours, and its local table
+# (float h for a POMM, h > 0 for the max marginal's backward pass).
+_Record = tuple[int, list[int], np.ndarray]
 
-def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
-    """Run variable elimination on an MRF or a raw energy polynomial."""
-    energy = _energy_of(target)
-    n = energy.n
-    order = cfg.order if cfg.order is not None else tuple(range(n))
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of all variable indices")
 
+def _eliminate_dense(
+    energy: PseudoBooleanFunction, order: tuple[int, ...], cfg: EliminationConfig
+) -> tuple[float, list[_Record], list[StepDiagnostics]]:
+    """Exact elimination on per-bucket lists of dense value factors.
+
+    A factor is (scope, table): a sorted scope and its 2^m values in the
+    :func:`pbmrf.pbf.tabulate` bit convention.  The input's nonzero sets are
+    tabulated once per bucket, at its step.  The step sums its factors onto
+    the joint scope (x_i and its neighbours), folds the x_i axis, and files
+    the message under its first remaining variable.
+    """
+    summing = cfg.marginal == "sum"
+    fold = np.logaddexp if summing else np.maximum
+    record = not summing or cfg.pomm_variant != "none"
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+
+    log_value = 0.0
+    inputs: list[list[tuple[InteractionSet, float]]] = [[] for _ in order]
+    for key, b in energy.terms().items():
+        if b == 0.0:
+            continue
+        if key:
+            inputs[min(map(rank.__getitem__, key))].append((key, b))
+        else:
+            log_value += b
+    buckets: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in order]
+
+    records: list[_Record] = []
+    steps: list[StepDiagnostics] = []
+    for step_no, i in enumerate(order):
+        pairs, factors = inputs[step_no], buckets[step_no]
+        inputs[step_no] = buckets[step_no] = []  # free the consumed bucket
+        own = tuple(sorted({v for key, _ in pairs for v in key}))
+        joint = sorted({i, *own}.union(*(scope for scope, _ in factors)))
+        eta = len(joint) - 1
+        if len(joint) > DENSE_TABLE_CAP:
+            raise ResourceCapError(
+                f"step {step_no}, variable {i}: eta {eta} needs a joint table "
+                f"of 2^{len(joint)} entries, cap is 2^{DENSE_TABLE_CAP}"
+            )
+        if pairs:
+            table = tabulate(pairs, own, f"step {step_no}, variable {i}")
+            factors.insert(0, (own, table))
+        # C order puts the last variable of the joint scope on axis 0.
+        axes = joint[::-1]
+        total = np.zeros((2,) * len(joint))
+        for scope, table in factors:
+            total += table.reshape([2 if v in scope else 1 for v in axes])
+        t0, t1 = np.moveaxis(total, axes.index(i), 0)
+        extras = [v for v in joint if v != i]
+        if record:
+            h = (t1 - t0).reshape(-1)
+            records.append((i, extras, h if summing else h > 0.0))
+        message = fold(t0, t1).reshape(-1)
+        if extras:
+            first = min(map(rank.__getitem__, extras))
+            buckets[first].append((tuple(extras), message))
+        else:
+            log_value += float(message[0])
+        steps.append(StepDiagnostics(variable=i, eta_before=eta, eta_after=eta))
+    return log_value, records, steps
+
+
+def _eliminate_store(
+    energy: PseudoBooleanFunction, order: tuple[int, ...], cfg: EliminationConfig
+) -> tuple[float, list[_Record], list[StepDiagnostics]]:
+    """Capped elimination on the coefficient store (approximate and bounds)."""
     store = _TermStore(energy.terms(), order)
-    approximating = cfg.mode != "exact"
     direction = {"lower_bound": "lower", "upper_bound": "upper"}.get(cfg.mode)
     table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
     summing = cfg.marginal == "sum"
 
-    # (variable, extras, h) per step, for the POMM or the maximising state.
-    records: list[tuple[int, list[int], np.ndarray]] = []
+    records: list[_Record] = []
     record_folds = not summing or cfg.pomm_variant == "post_approximation"
     steps: list[StepDiagnostics] = []
 
@@ -317,42 +385,41 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
         partners: list[int] = []
         fallbacks = 0
         splits = 0
-        if approximating:
-            while len(neighbours) > cfg.nu:
-                members_i = store.members(i)
-                scores = fstar_scores((i,), neighbours, members_i)
-                j = min(neighbours, key=lambda r: (scores[r], r))
-                if max(scores.values()) == 0.0:
-                    fallbacks += 1
-                    logger.debug(
-                        "step %d: truncated error score vanished for every "
-                        "partner of %d; falling back to smallest index %d",
-                        step_no,
-                        i,
-                        j,
-                    )
-                pair_sets = store.take(i, j)
-                if cfg.mode == "approximate":
-                    updates = soir_removal_updates(pair_sets, i, j)
-                else:
-                    updates, n_splits = bound_removal_updates(
-                        pair_sets, i, j, direction, table_cap
-                    )
-                    splits += n_splits
-                for key, delta in sorted(updates.items()):
-                    store.add(key, delta)
-                partners.append(j)
-                neighbours = store.neighbours(i)
-            if len(neighbours) > cfg.nu:
-                raise RuntimeError(
-                    f"internal error: eta {len(neighbours)} > nu {cfg.nu} "
-                    f"after forced removals at step {step_no}"
+        while len(neighbours) > cfg.nu:
+            members_i = store.members(i)
+            scores = fstar_scores((i,), neighbours, members_i)
+            j = min(neighbours, key=lambda r: (scores[r], r))
+            if max(scores.values()) == 0.0:
+                fallbacks += 1
+                logger.debug(
+                    "step %d: truncated error score vanished for every "
+                    "partner of %d; falling back to smallest index %d",
+                    step_no,
+                    i,
+                    j,
                 )
+            pair_sets = store.take(i, j)
+            if cfg.mode == "approximate":
+                updates = soir_removal_updates(pair_sets, i, j)
+            else:
+                updates, n_splits = bound_removal_updates(
+                    pair_sets, i, j, direction, table_cap
+                )
+                splits += n_splits
+            for key, delta in sorted(updates.items()):
+                store.add(key, delta)
+            partners.append(j)
+            neighbours = store.neighbours(i)
+        if len(neighbours) > cfg.nu:
+            raise RuntimeError(
+                f"internal error: eta {len(neighbours)} > nu {cfg.nu} "
+                f"after forced removals at step {step_no}"
+            )
 
         extras, h = _local_table(store.take(i), i, f"step {step_no}")
         eta_after = len(extras)
         if record_folds:
-            records.append((i, extras, h))
+            records.append((i, extras, h if summing else h > 0.0))
         folded = np.logaddexp(0.0, h) if summing else np.maximum(0.0, h)
         store.add_table(subset_keys(extras), moebius_transform(folded))
         store.prune(step_no + 1)
@@ -370,13 +437,25 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     leftovers = [k for k in store.beta if k]
     if leftovers:
         raise RuntimeError(f"internal error: sets {leftovers} survived elimination")
-    log_value = store.beta.get((), 0.0)
+    return store.beta.get((), 0.0), records, steps
+
+
+def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
+    """Run variable elimination on an MRF or a raw energy polynomial."""
+    energy = _energy_of(target)
+    n = energy.n
+    order = cfg.order if cfg.order is not None else tuple(range(n))
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of all variable indices")
+
+    run = _eliminate_dense if cfg.mode == "exact" else _eliminate_store
+    log_value, records, steps = run(energy, order, cfg)
 
     argmax = None
-    if not summing:
+    if cfg.marginal == "max":
         argmax = np.zeros(n, dtype=np.uint8)
-        for i, extras, h in reversed(records):
-            argmax[i] = h[table_rows(argmax, extras)] > 0.0
+        for i, extras, wins in reversed(records):
+            argmax[i] = wins[table_rows(argmax, extras)]
 
     pomm = None
     if cfg.pomm_variant != "none":

@@ -2,9 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     all_states,
@@ -29,7 +31,7 @@ from pbmrf import (
     moment,
 )
 from pbmrf import elimination
-from pbmrf.pbf import prune_dead
+from pbmrf.pbf import prune_dead, table_rows
 from pbmrf.pomm import log_density_many
 
 
@@ -224,6 +226,54 @@ def test_max_mode_bounds_bracket_maximum():
     assert lo <= u.max() + 1e-12 <= hi + 2e-12
 
 
+# -- dense exact engine against enumeration and the store -------------------------
+
+
+@st.composite
+def energies_and_orders(draw, max_n=8):
+    """A random dense polynomial on at most 8 variables and a random order."""
+    n = draw(st.integers(1, max_n))
+    sets = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 4))
+    terms = draw(st.lists(st.tuples(sets, st.floats(-2.0, 2.0)), max_size=12))
+    return PseudoBooleanFunction(n, terms), tuple(draw(st.permutations(range(n))))
+
+
+def _close(value, want):
+    return abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(energies_and_orders())
+def test_exact_engine_matches_enumeration_and_saturated_store(case):
+    f, order = case
+    states = all_states(f.n)
+    values = eval_pbf(f, states)
+    # nu = n: the store folds every step with no removal
+    store = EliminationConfig(mode="approximate", nu=f.n, order=order)
+
+    sums = [
+        eliminate(f, replace(cfg, pomm_variant="post_approximation"))
+        for cfg in (EliminationConfig(order=order), store)
+    ]
+    assert _close(sums[0].log_value, log_sum_exp(values))
+    assert _close(sums[0].log_value, sums[1].log_value)
+    # the conditionals agree at every state, whatever their dependency sets
+    for dense, stored in zip(sums[0].pomm.conditionals, sums[1].pomm.conditionals):
+        assert dense.variable == stored.variable
+        p = dense.prob_one[table_rows(states.T, dense.depends_on)]
+        q = stored.prob_one[table_rows(states.T, stored.depends_on)]
+        assert np.abs(p - q).max() <= 1e-12
+
+    maxes = [
+        eliminate(f, replace(cfg, marginal="max"))
+        for cfg in (EliminationConfig(order=order), store)
+    ]
+    assert _close(maxes[0].log_value, values.max())
+    assert _close(maxes[0].log_value, maxes[1].log_value)
+    attained = eval_pbf(f, maxes[0].argmax.reshape(1, -1))[0]
+    assert _close(attained, values.max())
+
+
 # -- moments --------------------------------------------------------------------
 
 
@@ -380,18 +430,26 @@ def checked_prune(monkeypatch):
     return dropped
 
 
-@pytest.mark.parametrize("mode", ["exact", "approximate", "lower_bound", "upper_bound"])
+@pytest.mark.parametrize(
+    "mode, nu",
+    [
+        # nu = n saturates the cap: the store folds every step with no removal
+        pytest.param("approximate", 16, id="saturated"),
+        pytest.param("approximate", 2, id="approximate"),
+        pytest.param("lower_bound", 2, id="lower_bound"),
+        pytest.param("upper_bound", 2, id="upper_bound"),
+    ],
+)
 @pytest.mark.parametrize("seed", range(3))
-def test_incremental_prune_matches_full_prune(checked_prune, mode, seed):
+def test_incremental_prune_matches_full_prune(checked_prune, mode, nu, seed):
     rng = np.random.default_rng(900 + seed)
     m = build_higher_order(LatticeSpec(4, 4), rng.uniform(-1, 1, size=10))
-    nu = None if mode == "exact" else 2
     for order in lattice_orders(4, 4).values():
         checked_prune.clear()
         cfg = EliminationConfig(mode=mode, nu=nu, order=order, table_cap=1)
         res = eliminate(m, cfg)
         assert len(checked_prune) == m.n
-        if mode == "exact":
+        if nu == m.n:
             assert abs(res.log_value - brute_log_c(m, 4, 4)) < 1e-9
 
 
@@ -402,9 +460,8 @@ def test_incremental_prune_drops_zero_leaves_of_unpruned_input(checked_prune):
         prune=False,
     )
     for name, order in lattice_orders(2, 2).items():
-        for mode in ("exact", "approximate", "upper_bound"):
+        for mode, nu in (("approximate", 3), ("approximate", 1), ("upper_bound", 1)):
             checked_prune.clear()
-            nu = None if mode == "exact" else 1
             eliminate(f, EliminationConfig(mode=mode, nu=nu, order=order))
             assert sum(checked_prune) > 0
             if name == "row-major":
@@ -438,7 +495,7 @@ def test_incremental_prune_drops_zero_leaves_of_unpruned_input(checked_prune):
         # eliminating 1 at step 2 folds the coefficient of (0,) back to 0
         pytest.param(
             {(0, 1, 3): -0.5, (3,): 1.0, (1, 3): 0.5, (0, 2, 3): 0.5},
-            EliminationConfig(order=(3, 2, 1, 0)),
+            EliminationConfig(mode="approximate", nu=3, order=(3, 2, 1, 0)),
             [2, 0, 1, 0],
             id="fold-cancels",
         ),
