@@ -103,6 +103,13 @@ def _setting(args, config, name, default=None, cast=None):
     return cast(value) if cast else value
 
 
+def _refuse_under_exact(args, mode: str, *names: str) -> None:
+    """Refuse flags (not config values) that exact mode does not read."""
+    for name in names:
+        if mode == "exact" and getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} has no effect under --mode exact")
+
+
 def _model(args, config):
     model_keys = {"family", "rows", "cols", "params"}
     merged = {k: config[k] for k in model_keys if k in config}
@@ -164,6 +171,7 @@ def _state_rows(batch) -> list[dict]:
 
 def _cmd_norm(args, config) -> int:
     model = _model(args, config)
+    table_cap = _setting(args, config, "table-cap", None, int)
     rows = []
     for nu in _nu_list(args, config):
         started = time.perf_counter()
@@ -173,7 +181,7 @@ def _cmd_norm(args, config) -> int:
             ("lower_bound", "ln_c_lower"),
             ("upper_bound", "ln_c_upper"),
         ):
-            cfg = EliminationConfig(mode=mode, nu=nu, table_cap=args.table_cap)
+            cfg = EliminationConfig(mode=mode, nu=nu, table_cap=table_cap)
             row[column] = eliminate(model, cfg).log_value
         row["gap"] = row["ln_c_upper"] - row["ln_c_lower"]
         row["wall_seconds"] = time.perf_counter() - started if args.timing else 0.0
@@ -196,6 +204,7 @@ def _cmd_sample(args, config) -> int:
     mode = MODE_NAMES[_setting(args, config, "mode", "approx", str)]
     if mode not in ("exact", "approximate"):
         raise ValueError("sample only supports exact or approx modes")
+    _refuse_under_exact(args, mode, "nu")
     cfg = EliminationConfig(
         mode=mode,
         nu=_nu_list(args, config)[0] if mode != "exact" else None,
@@ -230,10 +239,10 @@ def _cmd_map(args, config) -> int:
         sigma=_setting(args, config, "sigma", 1.0, float),
     )
     mode = MODE_NAMES[_setting(args, config, "mode", "exact", str)]
-    nu = None
-    if mode != "exact":
-        nu = _nu_list(args, config)[0]
-    cfg = EliminationConfig(mode=mode, marginal="max", nu=nu, table_cap=args.table_cap)
+    _refuse_under_exact(args, mode, "nu", "table_cap")
+    nu = None if mode == "exact" else _nu_list(args, config)[0]
+    table_cap = _setting(args, config, "table-cap", None, int)
+    cfg = EliminationConfig(mode=mode, marginal="max", nu=nu, table_cap=table_cap)
     state = map_estimate(y, model, lik, cfg)
     rows = [{"state": _state_texts(state.reshape(1, -1))[0]}]
     _write_rows(args.out, ["state"], rows, args.format)
@@ -256,7 +265,7 @@ def _cmd_mle(args, config) -> int:
         np.linspace(lo, hi, points),
         nus,
         grid_points=points,
-        table_cap=args.table_cap,
+        table_cap=_setting(args, config, "table-cap", None, int),
     )
     rows = []
     for rnd in bracket.rounds:
@@ -286,7 +295,7 @@ def _cmd_reject(args, config) -> int:
         seed=_setting(args, config, "seed", 0, int),
         count=_setting(args, config, "count", 100, int),
         rate_floor=_setting(args, config, "rate-floor", 1e-3, float),
-        table_cap=args.table_cap,
+        table_cap=_setting(args, config, "table-cap", None, int),
     )
     _write_rows(
         args.out, ["state", "log_density"], _state_rows(result.samples), args.format
@@ -413,11 +422,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        # Settings every command shares, resolved once: flag, then config file.
+        # The output format every command shares: flag, then config file.
         args.format = _setting(args, config, "format", "csv", str)
         if args.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {args.format!r}")
-        args.table_cap = _setting(args, config, "table-cap", None, int)
         return args.run(args, config)
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")

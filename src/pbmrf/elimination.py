@@ -15,7 +15,10 @@ no other.  Exact mode keeps each bucket as a list of dense value factors
 (scope, table): a step sums them onto (x_i, neighbours), folds the x_i
 axis and files the message, and no coefficient is ever written.  The
 capped modes keep one coefficient map instead, because their removals
-read and rewrite interaction coefficients.
+read and rewrite interaction coefficients.  A capped step takes (and
+prunes) its bucket once and works on it as a local sorted list, so the
+store holds only what lies outside the current bucket: the step hands
+back SOIR's residual sets, which lack x_i, and its folded table.
 
 Three tactics keep eta at a user cap nu: before summing a variable whose
 neighbourhood is too large, interactions linking it to a chosen partner
@@ -52,7 +55,6 @@ from .pbf import (
     PseudoBooleanFunction,
     ResourceCapError,
     add_scaled,
-    close_subsets,
     moebius_transform,
     prune_dead,
     subset_keys,
@@ -178,7 +180,8 @@ class _TermStore:
     elimination order is ``order[r]``; the constant sits in an extra last
     bucket.  Once the variables before ``order[r]`` are summed out, bucket
     r holds exactly the sets containing ``order[r]``, and every superset of
-    one of them, so a step reads, removes and prunes that one bucket.
+    one of them, so a step takes that one bucket and the store keeps only
+    what lies outside it.  The stored family stays closed under subsets.
     """
 
     __slots__ = ("beta", "buckets", "rank")
@@ -197,37 +200,20 @@ class _TermStore:
         first = min(map(self.rank.__getitem__, key), default=len(self.rank))
         self.buckets[first].add(key)
 
-    def neighbours(self, i: int) -> list[int]:
-        bucket = self.buckets[self.rank[i]]
-        return sorted({v for key in bucket for v in key if v != i})
-
-    def members(self, i: int) -> list[tuple[InteractionSet, float]]:
-        """The stored sets containing the current variable i, sorted."""
-        beta = self.beta
-        return [(key, beta[key]) for key in sorted(self.buckets[self.rank[i]])]
-
-    def take(self, i: int, j: int | None = None) -> list[tuple[InteractionSet, float]]:
-        """Remove and return the :meth:`members` of i, or those also holding j."""
-        bucket = self.buckets[self.rank[i]]
-        if j is None:
-            keys = sorted(bucket)
-            bucket.clear()
-        else:
-            keys = sorted(key for key in bucket if j in key)
-            bucket.difference_update(keys)
-        beta = self.beta
-        return [(key, beta.pop(key)) for key in keys]
+    def take(self, i: int) -> list[tuple[InteractionSet, float]]:
+        """Prune the bucket of the current variable i, remove it, return it sorted."""
+        r = self.rank[i]
+        self.prune(r)
+        taken = [(key, self.beta.pop(key)) for key in sorted(self.buckets[r])]
+        self.buckets[r].clear()
+        return taken
 
     def add(self, key: InteractionSet, delta: float) -> None:
-        if key not in self.beta:
-            # New set: insert its full subset closure to keep the family dense.
-            self.beta[key] = 0.0
-            for k in [key] + close_subsets(self.beta, [key]):
-                self._file(k)
+        """Add to a stored set: a residual is a subset of a set just taken."""
         self.beta[key] += delta
 
     def add_table(self, keys: list[InteractionSet], deltas: np.ndarray) -> None:
-        """``add`` each key in turn, for keys listed after all their subsets.
+        """Add each delta to its key, for keys listed after all their subsets.
 
         :func:`pbmrf.pbf.subset_keys` of a sorted list is such a listing, so
         every subset of a new key is already stored and no closure is needed.
@@ -237,7 +223,7 @@ class _TermStore:
             if key in beta:
                 beta[key] += delta
             else:
-                beta[key] = 0.0 + delta  # as in add: a -0.0 delta stores 0.0
+                beta[key] = 0.0 + delta  # a -0.0 delta stores 0.0
                 self._file(key)
 
     def prune(self, r: int) -> None:
@@ -258,19 +244,6 @@ class _TermStore:
         for key in prune_dead({key: beta[key] for key in bucket}, bool):
             del beta[key]
             bucket.discard(key)
-
-
-def _local_table(
-    members: list[tuple[InteractionSet, float]], i: int, context: str
-) -> tuple[list[int], np.ndarray]:
-    """Tabulate the part of the energy touching variable i at x_i = 1.
-
-    ``members`` are the sets containing i with their coefficients.  Returns
-    the sorted neighbour list V and the table h of sum over members of
-    beta * prod_{k in set, k != i} x_k, indexed with bit t = value of V[t].
-    """
-    extras = sorted({v for key, _ in members for v in key if v != i})
-    return extras, tabulate(members, extras, f"{context}, variable {i}")
 
 
 def _expit(h: np.ndarray) -> np.ndarray:
@@ -377,17 +350,19 @@ def _eliminate_store(
     steps: list[StepDiagnostics] = []
 
     for step_no, i in enumerate(order):
-        neighbours = store.neighbours(i)
+        context = f"step {step_no}, variable {i}"
+        # x_i's sets, sorted: every float sum below runs in this order.
+        bucket = store.take(i)
+        neighbours = sorted({v for key, _ in bucket for v in key if v != i})
         eta_before = len(neighbours)
         if cfg.pomm_variant == "pre_approximation":
-            records.append((i, *_local_table(store.members(i), i, f"step {step_no}")))
+            records.append((i, neighbours, tabulate(bucket, neighbours, context)))
 
         partners: list[int] = []
         fallbacks = 0
         splits = 0
         while len(neighbours) > cfg.nu:
-            members_i = store.members(i)
-            scores = fstar_scores((i,), neighbours, members_i)
+            scores = fstar_scores((i,), neighbours, bucket)
             j = min(neighbours, key=lambda r: (scores[r], r))
             if max(scores.values()) == 0.0:
                 fallbacks += 1
@@ -398,7 +373,8 @@ def _eliminate_store(
                     i,
                     j,
                 )
-            pair_sets = store.take(i, j)
+            pair_sets = [(key, b) for key, b in bucket if j in key]
+            kept = {key: b for key, b in bucket if j not in key}
             if cfg.mode == "approximate":
                 updates = soir_removal_updates(pair_sets, i, j)
             else:
@@ -406,28 +382,29 @@ def _eliminate_store(
                     pair_sets, i, j, direction, table_cap
                 )
                 splits += n_splits
+            size = len(kept)
             for key, delta in sorted(updates.items()):
-                store.add(key, delta)
+                if i in key:
+                    kept[key] = kept.get(key, 0.0) + delta
+                else:
+                    store.add(key, delta)  # SOIR's residual, outside the bucket
+            # Only a clamp adds sets to the bucket; re-sort only then.
+            bucket = list(kept.items()) if len(kept) == size else sorted(kept.items())
+            # The bucket is closed under subsets, so L minus j keeps every
+            # other variable of a removed set L in the neighbourhood.
+            neighbours = [v for v in neighbours if v != j]
             partners.append(j)
-            neighbours = store.neighbours(i)
-        if len(neighbours) > cfg.nu:
-            raise RuntimeError(
-                f"internal error: eta {len(neighbours)} > nu {cfg.nu} "
-                f"after forced removals at step {step_no}"
-            )
 
-        extras, h = _local_table(store.take(i), i, f"step {step_no}")
-        eta_after = len(extras)
+        h = tabulate(bucket, neighbours, context)
         if record_folds:
-            records.append((i, extras, h if summing else h > 0.0))
+            records.append((i, neighbours, h if summing else h > 0.0))
         folded = np.logaddexp(0.0, h) if summing else np.maximum(0.0, h)
-        store.add_table(subset_keys(extras), moebius_transform(folded))
-        store.prune(step_no + 1)
+        store.add_table(subset_keys(neighbours), moebius_transform(folded))
         steps.append(
             StepDiagnostics(
                 variable=i,
                 eta_before=eta_before,
-                eta_after=eta_after,
+                eta_after=len(neighbours),
                 partners=tuple(partners),
                 fallback_partners=fallbacks,
                 splits=splits,

@@ -356,3 +356,41 @@ def test_flags_a_command_does_not_read_are_usage_errors(
         run([command, "--config", ising_config, flag, value])
     assert info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+
+@pytest.fixture
+def exact_config(tmp_path):
+    """A 3x3 Ising config with observations for map and nu and table-cap defaults."""
+    ypath = tmp_path / "y.txt"
+    ypath.write_text(" ".join(["0.3"] * 9))
+    model = {"family": "ising", "rows": 3, "cols": 3, "params": [0.4]}
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps({**model, "y": str(ypath), "nu": 2, "table-cap": 1}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sample", "--mode", "exact", "--nu", "2"], "--nu"),
+        (["map", "--mode", "exact", "--nu", "2", "--table-cap", "1"], "--nu"),
+        (["map", "--mode", "exact", "--table-cap", "1"], "--table-cap"),
+        # map defaults to exact mode
+        (["map", "--nu", "2"], "--nu"),
+    ],
+)
+def test_flags_exact_mode_does_not_read_are_usage_errors(
+    exact_config, capsys, argv, flag
+):
+    assert run(argv + ["--config", exact_config]) == 2
+    assert f"error: {flag} has no effect under --mode exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "map"])
+def test_config_defaults_exact_mode_does_not_read_are_allowed(
+    exact_config, tmp_path, command
+):
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", exact_config, "--mode", "exact", "--out", str(out)]
+    assert run(argv) == 0

@@ -13,6 +13,7 @@ from helpers import (
     brute_log_c,
     eval_pbf,
     log_sum_exp,
+    random_dense_pbf,
     random_test_model,
 )
 from pbmrf import (
@@ -274,6 +275,51 @@ def test_exact_engine_matches_enumeration_and_saturated_store(case):
     assert _close(attained, values.max())
 
 
+@st.composite
+def capped_runs(draw):
+    """A random dense polynomial, the same plus dead zeros, and a capped run.
+
+    The added sets are exact zeros that no nonzero set contains, kept with
+    ``prune=False``, so the two polynomials are the same function.
+    """
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 6)))
+    live = [set(key) for key, b in f.terms().items() if b != 0.0]
+    sets = st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n)
+    zeros = {
+        tuple(sorted(key)): 0.0
+        for key in draw(st.lists(sets, min_size=1, max_size=4))
+        if not any(set(key) <= other for other in live)
+    }
+    dead = PseudoBooleanFunction(n, {**f.terms(), **zeros}, prune=False)
+    order = tuple(draw(st.permutations(range(n))))
+    return f, dead, order, draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(capped_runs())
+def test_capped_runs_ignore_dead_zeros_and_sandwich_the_truth(case):
+    f, dead, order, nu, table_cap = case
+    values = eval_pbf(f, all_states(f.n))
+    truth = {"sum": log_sum_exp(values), "max": values.max()}
+    for mode in ("approximate", "lower_bound", "upper_bound"):
+        for marginal in ("sum", "max"):
+            cfg = EliminationConfig(
+                mode=mode, marginal=marginal, nu=nu, order=order, table_cap=table_cap
+            )
+            res, res_dead = eliminate(f, cfg), eliminate(dead, cfg)
+            # a step prunes its bucket as it takes it, step 0 included
+            assert res_dead.log_value == res.log_value
+            assert res_dead.per_step == res.per_step
+            if marginal == "max":
+                assert (res_dead.argmax == res.argmax).all()
+            if mode == "lower_bound":
+                assert res.log_value <= truth[marginal] + 1e-12
+            if mode == "upper_bound":
+                assert truth[marginal] <= res.log_value + 1e-12
+
+
 # -- moments --------------------------------------------------------------------
 
 
@@ -370,21 +416,21 @@ def test_partner_diagnostics_recorded():
 
 
 def test_partner_fallback_when_scores_vanish():
-    # all pair coefficients zero and no triples: every candidate scores 0,
-    # so the smallest index is removed and the fallback is counted
-    f = PseudoBooleanFunction(
-        4, {(0, 1): 0.0, (0, 2): 0.0, (0, 3): 0.0, (1,): 0.3}, prune=False
-    )
-    res = eliminate(f, EliminationConfig(mode="approximate", nu=1))
+    # every pair and triple holding 0 is a closure zero under the one live
+    # set: every candidate scores 0, so the smallest index is removed and
+    # the fallback is counted
+    f = PseudoBooleanFunction(4, {(0, 1, 2, 3): 0.5, (1,): 0.3})
+    res = eliminate(f, EliminationConfig(mode="approximate", nu=2))
     first = res.per_step[0]
     assert first.variable == 0
-    assert first.fallback_partners >= 1
-    assert first.partners[0] == 1
-    # removing zero coefficients is exact
-    assert abs(
-        res.log_value
-        - (3 * math.log(2) + math.log(1 + math.exp(0.3)))
-    ) < 1e-12
+    assert first.fallback_partners == 1
+    assert first.partners == (1,)
+    # SOIR of (0, 1) leaves an energy whose remaining steps are exact
+    removed = PseudoBooleanFunction(
+        4, {(0, 2, 3): 0.25, (1, 2, 3): 0.25, (2, 3): -0.125, (1,): 0.3}
+    )
+    want = log_sum_exp(eval_pbf(removed, all_states(4)))
+    assert abs(res.log_value - want) < 1e-12
 
 
 # -- bucket prune -----------------------------------------------------------------
@@ -465,38 +511,42 @@ def test_incremental_prune_drops_zero_leaves_of_unpruned_input(checked_prune):
             eliminate(f, EliminationConfig(mode=mode, nu=nu, order=order))
             assert sum(checked_prune) > 0
             if name == "row-major":
-                # the zero leaf (1, 2, 3) is dead in the bucket of 1, which
-                # is pruned at the end of step 0
+                # the zero leaf (0, 3) is dead in the bucket of 0, which
+                # step 0 prunes as it takes it; the zero leaf (1, 2, 3) goes
+                # with the bucket of 1 at step 1
                 assert checked_prune[0] > 0
+                assert checked_prune[1] > 0
 
 
 @pytest.mark.parametrize(
     "terms, cfg, drops",
     [
         # step 1 removes the pair (0, 2) by SOIR; (0, 1, 2) hands +0.5 to
-        # (1, 2), which cancels its -0.5 and leaves it with no superset
+        # (1, 2), which cancels its -0.5 and leaves it with no superset, so
+        # it goes with the bucket of 1 when step 2 takes it
         pytest.param(
             {(0, 1): 2.0, (0, 1, 2): 1.0, (0, 2): -0.5, (1, 2): -0.5, (3,): 0.7},
             EliminationConfig(mode="approximate", nu=1, order=(3, 0, 1, 2)),
-            [0, 1, 0, 0],
+            [0, 0, 1, 0],
             id="soir-cancels",
         ),
         # step 1 removes the pair (0, 2) by an upper clamp, which changes only
         # sets containing 0: the zero (1, 2) loses its one superset (0, 1, 2)
-        # and goes with the bucket of 1 at step 1; (2,) has then lost its
-        # last superset too and goes with the bucket of 2 at step 2
+        # and goes with the bucket of 1 at step 2; (2,) has then lost its
+        # last superset too and goes with the bucket of 2 at step 3
         pytest.param(
             {(0, 1): 1.0, (0, 2): 0.5, (0, 1, 2): 0.3, (1, 2): 0.0, (3,): 0.7},
             EliminationConfig(mode="upper_bound", nu=1, order=(3, 0, 1, 2)),
-            [0, 1, 1, 0],
+            [0, 0, 1, 1],
             id="clamp-orphans",
         ),
-        # summing out 3 at step 0 leaves two dead zeros in the bucket of 2;
-        # eliminating 1 at step 2 folds the coefficient of (0,) back to 0
+        # summing out 3 at step 0 leaves two dead zeros in the bucket of 2,
+        # which go at step 1; eliminating 1 at step 2 folds the coefficient
+        # of (0,) back to 0, and it goes with the bucket of 0 at step 3
         pytest.param(
             {(0, 1, 3): -0.5, (3,): 1.0, (1, 3): 0.5, (0, 2, 3): 0.5},
             EliminationConfig(mode="approximate", nu=3, order=(3, 2, 1, 0)),
-            [2, 0, 1, 0],
+            [0, 2, 0, 1],
             id="fold-cancels",
         ),
     ],

@@ -4,13 +4,13 @@ usage: python3 tools/bench_record.py --parent REV --workload exact \
            --seeds 4101-4110 --seconds 15 --out BENCH_N.json
 
 For each workload and seed it runs ``bench/run.py --trace 0`` once on a
-``git worktree`` of REV and once on this checkout (its working tree, so
+``git archive`` copy of REV and once on this checkout (its working tree, so
 uncommitted changes count as the change), alternating which side runs
 first from one seed to the next.  The JSON record holds every run, and per
 workload and end-to-end metric the median of each side, the quartiles of
 the parent's runs and the number of pairs the change won (ties count for
-neither side).  The worktree is created under the temporary directory
-(``TMPDIR``) and removed at the end.
+neither side).  The copy is unpacked under the temporary directory
+(``TMPDIR``) and removed at the end; it adds no worktree to the repository.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -88,14 +89,15 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                          capture_output=True, text=True, check=True).stdout.strip()
-    worktree = Path(tempfile.mkdtemp(prefix="bench-parent-")) / "tree"
-    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                    str(worktree), rev], check=True, capture_output=True)
+    copy = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(copy)], input=archive, check=True)
     runs = []
     try:
         for workload in args.workload:
             for k, seed in enumerate(args.seeds):
-                sides = [("parent", worktree), ("change", ROOT)]
+                sides = [("parent", copy), ("change", ROOT)]
                 if k % 2:
                     sides.reverse()
                 for position, (side, checkout) in enumerate(sides):
@@ -105,9 +107,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side:6s} "
                           f"wall_s {result['metrics']['wall_s']:.3f}", flush=True)
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                        str(worktree)], check=False)
-        worktree.parent.rmdir()
+        shutil.rmtree(copy)
 
     record = {
         "parent": rev,

@@ -110,3 +110,17 @@ dead = PseudoBooleanFunction(12, terms, prune=False)
 for name, order in lattice_orders(3, 4).items():
     show("dead leaves " + name, dead, order)
 EOF
+python3 - > "$OUT/bench_norm.txt" <<'EOF'
+# The two models of the bench norm workload (seed 1), in every capped mode:
+# their wide neighbourhoods have the densest partner-score ties and splits.
+import numpy as np
+from pbmrf import LatticeSpec, build_ising, build_higher_order, EliminationConfig, eliminate
+rng = np.random.default_rng([1, 1])
+ising = build_ising(LatticeSpec(30, 30), float(rng.uniform(0.3, 0.7)))
+ho = build_higher_order(LatticeSpec(16, 16), rng.uniform(-1.0, 1.0, 10))
+for label, model, nu, cap in (("ising 30x30", ising, 8, None), ("higher_order 16x16", ho, 6, 3)):
+    for mode in ("approximate", "lower_bound", "upper_bound"):
+        for marg in ("sum", "max"):
+            r = eliminate(model, EliminationConfig(mode=mode, marginal=marg, nu=nu, table_cap=cap))
+            print(label, r.to_json(), None if r.argmax is None else r.argmax.tolist(), r.per_step)
+EOF
