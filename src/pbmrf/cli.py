@@ -44,7 +44,7 @@ from .apps import (
 from .elimination import EliminationConfig, eliminate
 from .models import MODEL_FAMILIES, LatticeSpec, build_ising, model_from_config
 from .pbf import ResourceCapError
-from .pomm import sample as pomm_sample
+from .pomm import sample as pomm_sample, state_texts
 
 FORMATS = ("csv", "json")
 
@@ -152,17 +152,10 @@ def _read_reals(path) -> np.ndarray:
         return np.array([float(tok) for tok in handle.read().split()], dtype=float)
 
 
-def _state_texts(states: np.ndarray) -> list[str]:
-    """Each row of a (count, n) 0/1 array as a string of '0'/'1' digits."""
-    digits = np.asarray(states, dtype=np.uint8) + np.uint8(ord("0"))
-    rows = digits.view(f"S{digits.shape[1]}").ravel().tolist()
-    return [row.decode() for row in rows]
-
-
 def _state_rows(batch) -> list[dict]:
     return [
         {"state": text, "log_density": float(dens)}
-        for text, dens in zip(_state_texts(batch.states), batch.log_densities)
+        for text, dens in zip(state_texts(batch.states), batch.log_densities)
     ]
 
 
@@ -244,7 +237,7 @@ def _cmd_map(args, config) -> int:
     table_cap = _setting(args, config, "table-cap", None, int)
     cfg = EliminationConfig(mode=mode, marginal="max", nu=nu, table_cap=table_cap)
     state = map_estimate(y, model, lik, cfg)
-    rows = [{"state": _state_texts(state.reshape(1, -1))[0]}]
+    rows = [{"state": state_texts(state.reshape(1, -1))[0]}]
     _write_rows(args.out, ["state"], rows, args.format)
     return 0
 

@@ -7,18 +7,21 @@ variable's neighbours on.  The cost of a step is 2^eta for the variable's
 current neighbour count eta, so exact elimination dies once
 neighbourhoods grow past the dense-table cap.
 
-Both working representations are filed in buckets by their earliest
-variable in the elimination order, as in Dechter's bucket elimination:
-once the variables before i are summed out, i's bucket holds exactly the
-parts of the energy containing i, so a step reads one bucket and touches
-no other.  Exact mode keeps each bucket as a list of dense value factors
-(scope, table): a step sums them onto (x_i, neighbours), folds the x_i
-axis and files the message, and no coefficient is ever written.  The
-capped modes keep one coefficient map instead, because their removals
-read and rewrite interaction coefficients.  A capped step takes (and
-prunes) its bucket once and works on it as a local sorted list, so the
-store holds only what lies outside the current bucket: the step hands
-back SOIR's residual sets, which lack x_i, and its folded table.
+Both engines file the working energy in buckets by each set's earliest
+variable in the elimination order, as in Dechter's bucket elimination,
+with the constant in one extra last bucket: once the variables before i
+are summed out, i's bucket holds exactly the parts of the energy
+containing i, so a step reads one bucket and touches no other.  One
+helper files the input's sets, and what a step hands on goes through the
+same earliest-variable rule.  Exact mode keeps a list of dense value
+factors (scope, table) beside each bucket: a step sums its sets and factors
+onto (x_i, neighbours), folds the x_i axis and files the message, and no
+coefficient is ever written.  The capped modes keep each bucket as a
+coefficient map, because their removals read and rewrite interaction
+coefficients.  A capped step takes (and prunes) its bucket once and
+works on it as a local sorted list; only SOIR's residual sets, which
+lack x_i, and the Moebius coefficients of its folded table go to later
+buckets.
 
 Three tactics keep eta at a user cap nu: before summing a variable whose
 neighbourhood is too large, interactions linking it to a chosen partner
@@ -170,80 +173,69 @@ class EliminationResult:
         )
 
 
-# -- mutable working state ---------------------------------------------------
+# -- buckets -------------------------------------------------------------------
+
+# Coefficient maps by first-eliminated variable, the constant in the last one.
+_Buckets = list[dict[InteractionSet, float]]
 
 
-class _TermStore:
-    """Coefficient map filed in buckets by first-eliminated variable.
+def _first(rank: list[int], key) -> int:
+    """The bucket of a set: its earliest position in the order (the constant last)."""
+    return min(map(rank.__getitem__, key), default=len(rank))
 
-    ``buckets[r]`` holds the stored sets whose earliest variable in the
-    elimination order is ``order[r]``; the constant sits in an extra last
-    bucket.  Once the variables before ``order[r]`` are summed out, bucket
-    r holds exactly the sets containing ``order[r]``, and every superset of
-    one of them, so a step takes that one bucket and the store keeps only
-    what lies outside it.  The stored family stays closed under subsets.
+
+def _file_terms(
+    terms: dict[InteractionSet, float], order: tuple[int, ...]
+) -> tuple[list[int], _Buckets]:
+    """Each variable's position in ``order``, and the terms filed by :func:`_first`.
+
+    Once the variables before ``order[r]`` are summed out, bucket r holds
+    exactly the sets containing ``order[r]``, and every superset of one of
+    them, so a step reads one bucket and touches no other.
     """
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    buckets: _Buckets = [{} for _ in range(len(order) + 1)]
+    for key, b in terms.items():
+        buckets[_first(rank, key)][key] = b
+    buckets[-1].setdefault((), 0.0)
+    return rank, buckets
 
-    __slots__ = ("beta", "buckets", "rank")
 
-    def __init__(self, terms: dict[InteractionSet, float], order: tuple[int, ...]):
-        self.beta = dict(terms)
-        self.beta.setdefault((), 0.0)
-        self.rank = [0] * len(order)
-        for r, v in enumerate(order):
-            self.rank[v] = r
-        self.buckets: list[set[InteractionSet]] = [set() for _ in range(len(order) + 1)]
-        for key in self.beta:
-            self._file(key)
+def _take(buckets: _Buckets, r: int) -> list[tuple[InteractionSet, float]]:
+    """Prune bucket r, empty it and return its sets sorted.
 
-    def _file(self, key: InteractionSet) -> None:
-        first = min(map(self.rank.__getitem__, key), default=len(self.rank))
-        self.buckets[first].add(key)
+    Call it once the variables before ``order[r]`` are summed out: a prune
+    of all buckets together would then drop the same sets from it.  Only
+    exact zeros with no surviving superset go.  Discarding small-but-nonzero
+    coefficients would perturb the energy and void the bound certificates at
+    the same magnitude, so unlike public polynomial arithmetic the engine
+    never rounds mass away.
+    """
+    bucket = buckets[r]
+    buckets[r] = {}
+    if any(b == 0.0 for b in bucket.values()):
+        prune_dead(bucket, bool)
+    return sorted(bucket.items())
 
-    def take(self, i: int) -> list[tuple[InteractionSet, float]]:
-        """Prune the bucket of the current variable i, remove it, return it sorted."""
-        r = self.rank[i]
-        self.prune(r)
-        taken = [(key, self.beta.pop(key)) for key in sorted(self.buckets[r])]
-        self.buckets[r].clear()
-        return taken
 
-    def add(self, key: InteractionSet, delta: float) -> None:
-        """Add to a stored set: a residual is a subset of a set just taken."""
-        self.beta[key] += delta
+def _add_table(
+    buckets: _Buckets, rank: list[int], variables: list[int], deltas: np.ndarray
+) -> None:
+    """Add a folded table's Moebius coefficients, each to its set's bucket.
 
-    def add_table(self, keys: list[InteractionSet], deltas: np.ndarray) -> None:
-        """Add each delta to its key, for keys listed after all their subsets.
-
-        :func:`pbmrf.pbf.subset_keys` of a sorted list is such a listing, so
-        every subset of a new key is already stored and no closure is needed.
-        """
-        beta = self.beta
-        for key, delta in zip(keys, deltas.tolist()):
-            if key in beta:
-                beta[key] += delta
-            else:
-                beta[key] = 0.0 + delta  # a -0.0 delta stores 0.0
-                self._file(key)
-
-    def prune(self, r: int) -> None:
-        """Drop the structurally dead sets of bucket r.
-
-        Call it once the variables before ``order[r]`` are summed out: every
-        superset of a set in the bucket is then in the bucket too, so
-        pruning it alone drops what a whole-store prune would drop there.
-        Only exact zeros with no surviving superset go.  Discarding
-        small-but-nonzero coefficients would perturb the energy and void
-        the bound certificates at the same magnitude, so unlike public
-        polynomial arithmetic the engine never rounds mass away.
-        """
-        bucket = self.buckets[r]
-        beta = self.beta
-        if not any(beta[key] == 0.0 for key in bucket):
-            return
-        for key in prune_dead({key: beta[key] for key in bucket}, bool):
-            del beta[key]
-            bucket.discard(key)
+    Entry ``mask`` is the set :func:`pbmrf.pbf.subset_keys` lists there; its
+    bucket is built alongside, one variable at a time.  That listing puts
+    every set after its subsets, so the family stays closed under subsets.
+    """
+    firsts = [len(rank)]
+    for v in variables:
+        rv = rank[v]
+        firsts += [f if f < rv else rv for f in firsts]
+    for key, first, delta in zip(subset_keys(variables), firsts, deltas.tolist()):
+        bucket = buckets[first]
+        bucket[key] = bucket.get(key, 0.0) + delta  # a new -0.0 delta stores 0.0
 
 
 def _expit(h: np.ndarray) -> np.ndarray:
@@ -285,26 +277,15 @@ def _eliminate_dense(
     summing = cfg.marginal == "sum"
     fold = np.logaddexp if summing else np.maximum
     record = not summing or cfg.pomm_variant != "none"
-    rank = [0] * len(order)
-    for r, v in enumerate(order):
-        rank[v] = r
-
-    log_value = 0.0
-    inputs: list[list[tuple[InteractionSet, float]]] = [[] for _ in order]
-    for key, b in energy.terms().items():
-        if b == 0.0:
-            continue
-        if key:
-            inputs[min(map(rank.__getitem__, key))].append((key, b))
-        else:
-            log_value += b
-    buckets: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in order]
+    rank, inputs = _file_terms(energy.terms(), order)
+    buckets: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in inputs]
 
     records: list[_Record] = []
     steps: list[StepDiagnostics] = []
     for step_no, i in enumerate(order):
-        pairs, factors = inputs[step_no], buckets[step_no]
-        inputs[step_no] = buckets[step_no] = []  # free the consumed bucket
+        pairs = [(key, b) for key, b in inputs[step_no].items() if b != 0.0]
+        factors = buckets[step_no]
+        inputs[step_no], buckets[step_no] = {}, []  # free the consumed bucket
         own = tuple(sorted({v for key, _ in pairs for v in key}))
         joint = sorted({i, *own}.union(*(scope for scope, _ in factors)))
         eta = len(joint) - 1
@@ -327,20 +308,19 @@ def _eliminate_dense(
             h = (t1 - t0).reshape(-1)
             records.append((i, extras, h if summing else h > 0.0))
         message = fold(t0, t1).reshape(-1)
-        if extras:
-            first = min(map(rank.__getitem__, extras))
-            buckets[first].append((tuple(extras), message))
-        else:
-            log_value += float(message[0])
+        buckets[_first(rank, extras)].append((tuple(extras), message))
         steps.append(StepDiagnostics(variable=i, eta_before=eta, eta_after=eta))
+    log_value = 0.0 + inputs[-1][()]  # a -0.0 constant gives 0.0
+    for _, message in buckets[-1]:
+        log_value += float(message[0])
     return log_value, records, steps
 
 
-def _eliminate_store(
+def _eliminate_capped(
     energy: PseudoBooleanFunction, order: tuple[int, ...], cfg: EliminationConfig
 ) -> tuple[float, list[_Record], list[StepDiagnostics]]:
-    """Capped elimination on the coefficient store (approximate and bounds)."""
-    store = _TermStore(energy.terms(), order)
+    """Capped elimination on per-bucket coefficient maps (approximate and bounds)."""
+    rank, buckets = _file_terms(energy.terms(), order)
     direction = {"lower_bound": "lower", "upper_bound": "upper"}.get(cfg.mode)
     table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
     summing = cfg.marginal == "sum"
@@ -352,7 +332,7 @@ def _eliminate_store(
     for step_no, i in enumerate(order):
         context = f"step {step_no}, variable {i}"
         # x_i's sets, sorted: every float sum below runs in this order.
-        bucket = store.take(i)
+        bucket = _take(buckets, step_no)
         neighbours = sorted({v for key, _ in bucket for v in key if v != i})
         eta_before = len(neighbours)
         if cfg.pomm_variant == "pre_approximation":
@@ -387,7 +367,9 @@ def _eliminate_store(
                 if i in key:
                     kept[key] = kept.get(key, 0.0) + delta
                 else:
-                    store.add(key, delta)  # SOIR's residual, outside the bucket
+                    # SOIR's residual: a subset of a set just taken, so
+                    # it is filed already (the family is closed under subsets)
+                    buckets[_first(rank, key)][key] += delta
             # Only a clamp adds sets to the bucket; re-sort only then.
             bucket = list(kept.items()) if len(kept) == size else sorted(kept.items())
             # The bucket is closed under subsets, so L minus j keeps every
@@ -399,7 +381,7 @@ def _eliminate_store(
         if record_folds:
             records.append((i, neighbours, h if summing else h > 0.0))
         folded = np.logaddexp(0.0, h) if summing else np.maximum(0.0, h)
-        store.add_table(subset_keys(neighbours), moebius_transform(folded))
+        _add_table(buckets, rank, neighbours, moebius_transform(folded))
         steps.append(
             StepDiagnostics(
                 variable=i,
@@ -411,10 +393,10 @@ def _eliminate_store(
             )
         )
 
-    leftovers = [k for k in store.beta if k]
+    leftovers = [key for bucket in buckets[:-1] for key in bucket]
     if leftovers:
         raise RuntimeError(f"internal error: sets {leftovers} survived elimination")
-    return store.beta.get((), 0.0), records, steps
+    return buckets[-1][()], records, steps
 
 
 def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
@@ -425,7 +407,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all variable indices")
 
-    run = _eliminate_dense if cfg.mode == "exact" else _eliminate_store
+    run = _eliminate_dense if cfg.mode == "exact" else _eliminate_capped
     log_value, records, steps = run(energy, order, cfg)
 
     argmax = None

@@ -33,6 +33,7 @@ __all__ = [
     "sample",
     "log_density",
     "log_density_many",
+    "state_texts",
     "save_text",
     "save_binary",
     "load_binary",
@@ -190,11 +191,21 @@ def log_density_many(pomm: PartiallyOrderedMarkovModel, states) -> np.ndarray:
 # -- export ----------------------------------------------------------------
 
 
+def state_texts(states) -> list[str]:
+    """Each row of a (count, n) array as a string of '0'/'1' digits, '1' for nonzero."""
+    # a fresh C-ordered copy, so the shift and the row view are safe
+    digits = np.ascontiguousarray(np.asarray(states) != 0).view(np.uint8)
+    digits += np.uint8(ord("0"))
+    if digits.shape[1] == 0:
+        return [""] * digits.shape[0]
+    rows = digits.view(f"S{digits.shape[1]}").ravel().tolist()
+    return [row.decode() for row in rows]
+
+
 def save_text(batch: SampleBatch, path) -> None:
     """One state per line: the 0/1 string, a space, the log density."""
     with open(path, "w", encoding="utf-8") as handle:
-        for row, dens in zip(batch.states, batch.log_densities):
-            bits = "".join("1" if v else "0" for v in row)
+        for bits, dens in zip(state_texts(batch.states), batch.log_densities):
             handle.write(f"{bits} {dens:.17g}\n")
 
 
@@ -211,11 +222,16 @@ def save_binary(batch: SampleBatch, path) -> None:
 def load_binary(path) -> SampleBatch:
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[:4] != _BINARY_MAGIC:
+    if len(blob) < 16 or blob[:4] != _BINARY_MAGIC:
         raise ValueError("not a sample-batch file")
     n, count = struct.unpack("<IQ", blob[4:16])
     row_bytes = (n + 7) // 8
     body = 16 + count * row_bytes
+    if len(blob) != body + 8 * count:
+        raise ValueError(
+            f"sample-batch file has {len(blob)} bytes; its header "
+            f"(n={n}, count={count}) needs {body + 8 * count}"
+        )
     packed = np.frombuffer(blob[16:body], dtype=np.uint8).reshape(count, row_bytes)
     states = np.unpackbits(packed, axis=1)[:, :n]
     dens = np.frombuffer(blob[body : body + 8 * count], dtype="<f8")

@@ -16,8 +16,8 @@ from pbmrf import (
     gibbs_sampler,
 )
 from pbmrf import cli
-from pbmrf.cli import _state_texts, main
-from pbmrf.pomm import sample as pomm_sample
+from pbmrf.cli import main
+from pbmrf.pomm import sample as pomm_sample, state_texts
 
 
 @pytest.fixture
@@ -321,10 +321,11 @@ def test_map_honours_table_cap(ising_config, tmp_path):
     assert run(argv + ["--nu", "2", "--table-cap", "26"]) == 3
 
 
-@pytest.mark.parametrize("count, n", [(0, 9), (1, 1), (7, 13), (40, 65)])
+@pytest.mark.parametrize("count, n", [(0, 9), (1, 1), (7, 13), (40, 65), (3, 0)])
 def test_state_texts_match_per_bit_join(count, n):
     states = (np.random.default_rng(n).random((count, n)) < 0.5).astype(np.uint8)
-    assert _state_texts(states) == [per_bit_text(s) for s in states]
+    assert state_texts(states) == [per_bit_text(s) for s in states]
+    assert state_texts(np.asfortranarray(states)) == state_texts(states)
 
 
 def test_gibbs_exit_code_on_neighbour_cap(monkeypatch):

@@ -227,7 +227,7 @@ def test_max_mode_bounds_bracket_maximum():
     assert lo <= u.max() + 1e-12 <= hi + 2e-12
 
 
-# -- dense exact engine against enumeration and the store -------------------------
+# -- dense exact engine against enumeration and the capped engine --------------
 
 
 @st.composite
@@ -249,12 +249,12 @@ def test_exact_engine_matches_enumeration_and_saturated_store(case):
     f, order = case
     states = all_states(f.n)
     values = eval_pbf(f, states)
-    # nu = n: the store folds every step with no removal
-    store = EliminationConfig(mode="approximate", nu=f.n, order=order)
+    # nu = n: the capped engine folds every step with no removal
+    capped = EliminationConfig(mode="approximate", nu=f.n, order=order)
 
     sums = [
         eliminate(f, replace(cfg, pomm_variant="post_approximation"))
-        for cfg in (EliminationConfig(order=order), store)
+        for cfg in (EliminationConfig(order=order), capped)
     ]
     assert _close(sums[0].log_value, log_sum_exp(values))
     assert _close(sums[0].log_value, sums[1].log_value)
@@ -267,7 +267,7 @@ def test_exact_engine_matches_enumeration_and_saturated_store(case):
 
     maxes = [
         eliminate(f, replace(cfg, marginal="max"))
-        for cfg in (EliminationConfig(order=order), store)
+        for cfg in (EliminationConfig(order=order), capped)
     ]
     assert _close(maxes[0].log_value, values.max())
     assert _close(maxes[0].log_value, maxes[1].log_value)
@@ -448,38 +448,51 @@ def lattice_orders(rows, cols, seed=31):
 
 @pytest.fixture
 def checked_prune(monkeypatch):
-    """Check each bucket prune against a whole-store ``prune_dead`` pass.
+    """Check each bucket take against a ``prune_dead`` pass over all buckets.
 
-    After each prune the pruned bucket must hold what ``prune_dead`` keeps
-    of it in a full copy of the store, and every stored set must be filed
-    once, in the bucket of its earliest-eliminated variable.  Returns the
-    list of set counts each prune dropped, one entry per step.
+    The bucket ``_take`` returns must be, sorted, what ``prune_dead`` keeps
+    of it in a merged copy of all buckets; the other buckets must be left
+    as they were, and every remaining set must be filed in the bucket of
+    its earliest-eliminated variable.  Returns the list of set counts each
+    take's prune dropped, one entry per step.
     """
-    bucket_prune = elimination._TermStore.prune
+    file_terms, take = elimination._file_terms, elimination._take
+    ranks: list[list[int]] = []
     dropped: list[int] = []
 
-    def prune(store, r):
-        want = dict(store.beta)
-        prune_dead(want, bool)
-        size = len(store.beta)
-        bucket_prune(store, r)
+    def recording_file_terms(terms, order):
+        rank, buckets = file_terms(terms, order)
+        ranks.append(rank)
+        return rank, buckets
+
+    def checked_take(buckets, r):
+        rank = ranks[-1]
 
         def first(key):
-            return min((store.rank[v] for v in key), default=len(store.rank))
+            return min((rank[v] for v in key), default=len(rank))
 
-        assert store.buckets[r] == {key for key in want if first(key) == r}
-        filed = [(key, b) for b, bucket in enumerate(store.buckets) for key in bucket]
-        assert sorted(filed) == sorted((key, first(key)) for key in store.beta)
-        dropped.append(size - len(store.beta))
+        merged = {key: b for bucket in buckets for key, b in bucket.items()}
+        want = dict(merged)
+        prune_dead(want, bool)
+        taken = take(buckets, r)
+        assert taken == sorted((k, b) for k, b in want.items() if first(k) == r)
+        filed = [(key, b) for b, bucket in enumerate(buckets) for key in bucket]
+        assert all(first(key) == b for key, b in filed)
+        assert sorted(key for key, _ in filed) == sorted(
+            key for key in merged if first(key) != r
+        )
+        dropped.append(len(merged) - len(taken) - len(filed))
+        return taken
 
-    monkeypatch.setattr(elimination._TermStore, "prune", prune)
+    monkeypatch.setattr(elimination, "_file_terms", recording_file_terms)
+    monkeypatch.setattr(elimination, "_take", checked_take)
     return dropped
 
 
 @pytest.mark.parametrize(
     "mode, nu",
     [
-        # nu = n saturates the cap: the store folds every step with no removal
+        # nu = n saturates the cap: the capped engine folds every step with no removal
         pytest.param("approximate", 16, id="saturated"),
         pytest.param("approximate", 2, id="approximate"),
         pytest.param("lower_bound", 2, id="lower_bound"),
@@ -559,20 +572,19 @@ def test_incremental_prune_drops_what_a_later_step_kills(
 
 
 def test_store_prune_cascades_from_a_zeroed_set():
-    store = elimination._TermStore(
+    rank, buckets = elimination._file_terms(
         {(1, 2): 0.5, (1,): 0.0, (2,): 0.0, (3,): 0.0}, (0, 1, 2, 3)
     )
-    store.prune(1)  # (1,) is a zero that (1, 2) needs
-    assert set(store.beta) == {(), (1,), (2,), (3,), (1, 2)}
-    store.add((1, 2), -0.5)
-    store.prune(1)
+    assert rank == [0, 1, 2, 3]
+    taken = elimination._take(buckets, 1)
+    assert taken == [((1,), 0.0), ((1, 2), 0.5)]  # (1, 2) needs the zero (1,)
+    buckets[1] = dict(taken)
+    buckets[1][(1, 2)] += -0.5
     # (1, 2) dies and takes (1,) with it; the zeros (2,) and (3,) wait for
-    # the prunes of their own buckets
-    assert set(store.beta) == {(), (2,), (3,)}
-    assert store.take(1) == []
-    store.prune(2)
-    assert set(store.beta) == {(), (3,)}
-    assert store.take(2) == []
-    store.prune(3)
-    assert store.beta == {(): 0.0}
-    assert store.buckets == [set(), set(), set(), set(), {()}]
+    # the takes of their own buckets
+    assert elimination._take(buckets, 1) == []
+    assert buckets == [{}, {}, {(2,): 0.0}, {(3,): 0.0}, {(): 0.0}]
+    assert elimination._take(buckets, 2) == []
+    assert buckets == [{}, {}, {}, {(3,): 0.0}, {(): 0.0}]
+    assert elimination._take(buckets, 3) == []
+    assert buckets == [{}, {}, {}, {}, {(): 0.0}]

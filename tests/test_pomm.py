@@ -154,6 +154,23 @@ def test_text_and_binary_export(tmp_path):
     assert np.allclose(loaded.log_densities, batch.log_densities)
 
 
+@pytest.mark.parametrize(
+    "cut",
+    [
+        pytest.param(lambda blob: blob[:10], id="short-header"),
+        pytest.param(lambda blob: blob[:20], id="truncated-body"),
+        pytest.param(lambda blob: blob + b"\0", id="trailing-bytes"),
+    ],
+)
+def test_load_binary_rejects_malformed_files(tmp_path, cut):
+    batch = sample(exact_pomm(build_ising(LatticeSpec(3, 4), 0.4)), seed=3, count=5)
+    path = tmp_path / "batch.bin"
+    save_binary(batch, path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError):
+        load_binary(path)
+
+
 def test_sample_batch_validation():
     with pytest.raises(ValueError):
         SampleBatch(0, np.zeros((3, 2), dtype=np.uint8), np.zeros(2))

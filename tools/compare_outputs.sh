@@ -113,14 +113,22 @@ EOF
 python3 - > "$OUT/bench_norm.txt" <<'EOF'
 # The two models of the bench norm workload (seed 1), in every capped mode:
 # their wide neighbourhoods have the densest partner-score ties and splits.
+# The column-major runs file wide folded tables where a variable's index and
+# its position in the order differ; they add about 8 s to this script
+# (7-9 s on 2 CPUs of a shared machine).
 import numpy as np
 from pbmrf import LatticeSpec, build_ising, build_higher_order, EliminationConfig, eliminate
 rng = np.random.default_rng([1, 1])
 ising = build_ising(LatticeSpec(30, 30), float(rng.uniform(0.3, 0.7)))
 ho = build_higher_order(LatticeSpec(16, 16), rng.uniform(-1.0, 1.0, 10))
-for label, model, nu, cap in (("ising 30x30", ising, 8, None), ("higher_order 16x16", ho, 6, 3)):
-    for mode in ("approximate", "lower_bound", "upper_bound"):
-        for marg in ("sum", "max"):
-            r = eliminate(model, EliminationConfig(mode=mode, marginal=marg, nu=nu, table_cap=cap))
-            print(label, r.to_json(), None if r.argmax is None else r.argmax.tolist(), r.per_step)
+for label, side, model, nu, cap in (("ising 30x30", 30, ising, 8, None),
+                                    ("higher_order 16x16", 16, ho, 6, 3)):
+    column_major = tuple(r * side + c for c in range(side) for r in range(side))
+    for name, order in (("", None), (" column-major", column_major)):
+        for mode in ("approximate", "lower_bound", "upper_bound"):
+            for marg in ("sum", "max"):
+                r = eliminate(model, EliminationConfig(
+                    mode=mode, marginal=marg, nu=nu, table_cap=cap, order=order))
+                print(label + name, r.to_json(),
+                      None if r.argmax is None else r.argmax.tolist(), r.per_step)
 EOF
