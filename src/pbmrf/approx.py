@@ -68,7 +68,7 @@ class ApproximationReport:
         return f'{{"removed": [{removed}], "sse": {sse}, "partner": {partner}}}'
 
 
-# -- pair-removal kernels (shared with the elimination engine) -----------
+# -- pair-removal kernels on coefficient maps -----------------------------
 
 
 def soir_removal_updates(

@@ -110,6 +110,14 @@ def _refuse_under_exact(args, mode: str, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} has no effect under --mode exact")
 
 
+def _named(args, config, name, default, names: dict):
+    """What ``names`` maps the flag or config-file value of ``name`` to."""
+    key = _setting(args, config, name, default, str)
+    if key not in names:
+        raise ValueError(f"{name} must be one of {sorted(names)}, got {key!r}")
+    return names[key]
+
+
 def _model(args, config):
     model_keys = {"family", "rows", "cols", "params"}
     merged = {k: config[k] for k in model_keys if k in config}
@@ -188,13 +196,9 @@ def _cmd_sample(args, config) -> int:
     model = _model(args, config)
     seed = _setting(args, config, "seed", 0, int)
     count = _setting(args, config, "count", 100, int)
-    variant = _setting(args, config, "pomm-variant", "post", str)
-    variant_name = {"pre": "pre_approximation", "post": "post_approximation"}.get(
-        variant
-    )
-    if variant_name is None:
-        raise ValueError(f"unknown POMM variant {variant!r}")
-    mode = MODE_NAMES[_setting(args, config, "mode", "approx", str)]
+    variants = {"pre": "pre_approximation", "post": "post_approximation"}
+    variant_name = _named(args, config, "pomm-variant", "post", variants)
+    mode = _named(args, config, "mode", "approx", MODE_NAMES)
     if mode not in ("exact", "approximate"):
         raise ValueError("sample only supports exact or approx modes")
     _refuse_under_exact(args, mode, "nu")
@@ -231,7 +235,7 @@ def _cmd_map(args, config) -> int:
         mu1=_setting(args, config, "mu1", 1.0, float),
         sigma=_setting(args, config, "sigma", 1.0, float),
     )
-    mode = MODE_NAMES[_setting(args, config, "mode", "exact", str)]
+    mode = _named(args, config, "mode", "exact", MODE_NAMES)
     _refuse_under_exact(args, mode, "nu", "table_cap")
     nu = None if mode == "exact" else _nu_list(args, config)[0]
     table_cap = _setting(args, config, "table-cap", None, int)
@@ -342,7 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--nu": {"help": "neighbourhood cap, or comma list for sweeps"},
         "--mode": {"choices": sorted(MODE_NAMES)},
         "--seed": {"type": int},
-        "--table-cap": {"type": int, "help": "bound canonicalisation cap"},
+        "--table-cap": {
+            "type": int,
+            "help": "bound canonicalisation cap: the most variables a merged "
+            "clamp table may span besides the partner (default nu)",
+        },
     }
 
     def command(name, help_text, run, *flags):

@@ -1,66 +1,54 @@
 """Variable elimination over pseudo-Boolean energies.
 
 One elimination step gathers the part of the energy touching the chosen
-variable, folds it over the variable's two values (log-sum-exp for
-partition sums, max for Viterbi), and hands the folded function of the
-variable's neighbours on.  The cost of a step is 2^eta for the variable's
-current neighbour count eta, so exact elimination dies once
-neighbourhoods grow past the dense-table cap.
+variable i, folds it over x_i (log-sum-exp for partition sums, max for
+Viterbi), and hands the folded function of i's neighbours on.  A step
+costs 2^eta for i's current neighbour count eta.
 
-Both engines file the working energy in buckets by each set's earliest
-variable in the elimination order, as in Dechter's bucket elimination,
-with the constant in one extra last bucket: once the variables before i
-are summed out, i's bucket holds exactly the parts of the energy
-containing i, so a step reads one bucket and touches no other.  One
-helper files the input's sets, and what a step hands on goes through the
-same earliest-variable rule.  Exact mode keeps a list of dense value
-factors (scope, table) beside each bucket: a step sums its sets and factors
-onto (x_i, neighbours), folds the x_i axis and files the message, and no
-coefficient is ever written.  The capped modes keep each bucket as a
-coefficient map, because their removals read and rewrite interaction
-coefficients.  A capped step takes (and prunes) its bucket once and
-works on it as a local sorted list; only SOIR's residual sets, which
-lack x_i, and the Moebius coefficients of its folded table go to later
-buckets.
+One step loop serves every mode.  The working energy is a list of dense
+value factors (scope, table) per bucket, filed by earliest variable in
+the elimination order as in Dechter's bucket elimination (the constant
+in one extra last bucket), so i's bucket holds exactly the factors
+containing i; the input's sets are tabulated at their step.  A step
+within the cap nu (every step of exact mode) tabulates them as one
+factor, sums its factors onto (x_i, neighbours), folds the x_i axis and
+files the message.
 
-Three tactics keep eta at a user cap nu: before summing a variable whose
-neighbourhood is too large, interactions linking it to a chosen partner
-are removed either by the least-squares SOIR update (approximate mode)
-or by a one-sided clamp bound (bound modes, giving certified lower/upper
-log normalising constants).  Partners, and pivots for bound splitting,
-are picked by the truncated worst-case error score of
-:func:`pbmrf.approx.fstar_scores`.
+A step over the cap writes its energy as x_i h + r: it makes each input
+set a factor of its own, merges each factor whose scope lies inside
+another's into it, hands each factor's
+x_i = 0 slice on as part of r, and keeps the rest as the pieces of h.
+Each partner j is then removed by a reduction over the j axis of the
+pieces holding x_j: the least-squares SOIR update (approximate mode)
+takes their mean and files each piece's residual (x_j/2 - 1/4)(h1 - h0);
+a one-sided clamp (bound modes, certified lower/upper ln c) takes their
+max or min, over one summed table when they span at most ``table_cap``
+variables besides j, else piece by piece.  Partners minimise the f*
+score of :func:`pbmrf.approx.fstar_scores`, read from finite differences
+of h.  The fold of h, without the axes it is exactly constant along, is
+the step's message.
 
-Each step keeps one record, its local table h: x_i's coefficient over
-its neighbours, the step's summed table at x_i = 1 minus that at x_i = 0.
-The max marginal keeps only h > 0 and reads its maximising state
-backwards from it; a partially ordered Markov model takes expit(h) as
-x_i's conditional, with h from before the cap-forcing removals (closest
-to the target) or, like the max marginal, the table the step folds (every
-dependency set is then at most nu, so normalisation stays cheap).
+Each step keeps one record, its local table h over its neighbours: the
+max marginal reads its maximising state backwards from h > 0; a
+partially ordered Markov model takes expit(h) as x_i's conditional, with
+h from before the removals (closest to the target) or, like the max
+marginal, the table the step folds (dependency sets at most nu).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approx import (
-    bound_removal_updates,
-    fstar_scores,
-    soir_removal_updates,
-)
 from .pbf import (
     DENSE_TABLE_CAP,
     InteractionSet,
     PseudoBooleanFunction,
     ResourceCapError,
     add_scaled,
-    moebius_transform,
-    prune_dead,
-    subset_keys,
     table_rows,
     tabulate,
 )
@@ -94,8 +82,9 @@ class EliminationConfig:
 
     ``nu`` caps the neighbourhood size in the non-exact modes (exact mode
     ignores it).  ``order`` is the elimination order, defaulting to the
-    natural (row-major) node order.  ``table_cap`` limits the clamp
-    canonicalisation tables in bound modes and defaults to nu.
+    natural (row-major) node order.  ``table_cap`` is the bound modes'
+    canonicalisation cap: the most variables a merged clamp table may span
+    besides the removed partner, defaulting to nu.
     """
 
     mode: str = "exact"
@@ -173,10 +162,11 @@ class EliminationResult:
         )
 
 
-# -- buckets -------------------------------------------------------------------
+# -- factors ------------------------------------------------------------------
 
-# Coefficient maps by first-eliminated variable, the constant in the last one.
-_Buckets = list[dict[InteractionSet, float]]
+# A dense factor: a sorted scope and its 2^m values, entry ``mask`` the value
+# where bit k gives ``scope[k]`` (the :func:`pbmrf.pbf.tabulate` convention).
+_Factor = tuple[tuple[int, ...], np.ndarray]
 
 
 def _first(rank: list[int], key) -> int:
@@ -184,58 +174,125 @@ def _first(rank: list[int], key) -> int:
     return min(map(rank.__getitem__, key), default=len(rank))
 
 
-def _file_terms(
-    terms: dict[InteractionSet, float], order: tuple[int, ...]
-) -> tuple[list[int], _Buckets]:
-    """Each variable's position in ``order``, and the terms filed by :func:`_first`.
+def _sum_over(joint, factors) -> np.ndarray:
+    """The sum of factors whose scopes lie in ``joint``, as a table over it.
 
-    Once the variables before ``order[r]`` are summed out, bucket r holds
-    exactly the sets containing ``order[r]``, and every superset of one of
-    them, so a step reads one bucket and touches no other.
+    C order puts the last variable of a scope on axis 0.
     """
-    rank = [0] * len(order)
-    for r, v in enumerate(order):
-        rank[v] = r
-    buckets: _Buckets = [{} for _ in range(len(order) + 1)]
-    for key, b in terms.items():
-        buckets[_first(rank, key)][key] = b
-    buckets[-1].setdefault((), 0.0)
-    return rank, buckets
+    total = np.zeros((2,) * len(joint))
+    for scope, table, *_ in factors:
+        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)])
+    return total
 
 
-def _take(buckets: _Buckets, r: int) -> list[tuple[InteractionSet, float]]:
-    """Prune bucket r, empty it and return its sets sorted.
+def _split(scope: tuple[int, ...], table: np.ndarray, v: int):
+    """(scope without v, the table at x_v = 0, the table at x_v = 1)."""
+    k = scope.index(v)
+    halves = table.reshape(-1, 2, 1 << k)
+    return scope[:k] + scope[k + 1 :], halves[:, 0].reshape(-1), halves[:, 1].reshape(-1)
 
-    Call it once the variables before ``order[r]`` are summed out: a prune
-    of all buckets together would then drop the same sets from it.  Only
-    exact zeros with no surviving superset go.  Discarding small-but-nonzero
-    coefficients would perturb the energy and void the bound certificates at
-    the same magnitude, so unlike public polynomial arithmetic the engine
-    never rounds mass away.
+
+@functools.cache
+def _masks(m: int) -> tuple[np.ndarray, ...]:
+    """Entry masks of a table over m variables.
+
+    The unit masks e_k; for each pair a < b, a, b and e_a + e_b; and per k
+    (one row each) the masks with bit k clear and the same with bit k set.
     """
-    bucket = buckets[r]
-    buckets[r] = {}
-    if any(b == 0.0 for b in bucket.values()):
-        prune_dead(bucket, bool)
-    return sorted(bucket.items())
+    bits = np.left_shift(1, np.arange(m))
+    a, b = np.triu_indices(m, 1)
+    every = np.arange(1 << m)
+    clear = np.array([every[every & bit == 0] for bit in bits]).reshape(m, len(every) // 2)
+    return bits, a, b, bits[a] | bits[b], clear, clear + bits[:, None]
 
 
-def _add_table(
-    buckets: _Buckets, rank: list[int], variables: list[int], deltas: np.ndarray
-) -> None:
-    """Add a folded table's Moebius coefficients, each to its set's bucket.
+def _squeeze(scope: tuple[int, ...], table: np.ndarray) -> _Factor:
+    """Drop every variable along which the table is exactly constant."""
+    clear, set_ = _masks(len(scope))[4:]
+    flat = (table[clear] == table[set_]).all(axis=1)
+    if not flat.any():
+        return scope, table
+    at = tuple(0 if f else slice(None) for f in flat[::-1])  # x_k = 0 where flat
+    kept = tuple(v for v, f in zip(scope, flat) if not f)
+    return kept, table.reshape((2,) * len(scope))[at].reshape(-1)
 
-    Entry ``mask`` is the set :func:`pbmrf.pbf.subset_keys` lists there; its
-    bucket is built alongside, one variable at a time.  That listing puts
-    every set after its subsets, so the family stays closed under subsets.
+
+def _merge_nested(factors: list[_Factor]) -> list[_Factor]:
+    """Add each factor whose scope lies inside another's into the first such one."""
+    merged: list[_Factor] = []
+    for scope, table in sorted(factors, key=lambda f: len(f[0]), reverse=True):
+        for k, (outer, _) in enumerate(merged):
+            if set(scope).issubset(outer):
+                merged[k] = (outer, _sum_over(outer, [merged[k], (scope, table)]).reshape(-1))
+                break
+        else:
+            merged.append((scope, table))
+    return merged
+
+
+def _partner_scores(pieces: list[list], slot: dict[int, int]) -> np.ndarray:
+    """The f* score of each neighbour r (at ``slot[r]``), read from h's pieces.
+
+    The score is max over x of |b_r + sum_l b_rl x_l|, as in
+    :func:`pbmrf.approx.fstar_scores`.  A piece is [scope, table t, its
+    differences or None]; h's order-1 and order-2 Moebius coefficients are
+    the sums of the pieces' b_r = t(e_r) - t(0) and, for a < b,
+    b_ab = (t(e_a+e_b) - t(e_b)) - (t(e_a) - t(0)), in the operation order
+    of a Moebius transform.  A piece keeps its differences once read.
     """
-    firsts = [len(rank)]
-    for v in variables:
-        rv = rank[v]
-        firsts += [f if f < rv else rv for f in firsts]
-    for key, first, delta in zip(subset_keys(variables), firsts, deltas.tolist()):
-        bucket = buckets[first]
-        bucket[key] = bucket.get(key, 0.0) + delta  # a new -0.0 delta stores 0.0
+    size = len(slot)
+    for piece in pieces:
+        if piece[2] is None:
+            scope, table, _ = piece
+            bits, a, b, both = _masks(len(scope))[:4]
+            at = np.array([slot[v] for v in scope], dtype=np.intp)
+            single = table[bits]
+            order1 = single - table[0]
+            order2 = (table[both] - single[b]) - order1[a]
+            # b_ab at (a, b) and (b, a) of a size x size block, b_r in a last row
+            slots = (at[a] * size + at[b], at[b] * size + at[a], size * size + at)
+            piece[2] = (np.concatenate(slots), np.concatenate((order2, order2, order1)))
+    slots, values = map(np.concatenate, zip(*(p[2] for p in pieces)))
+    total = np.bincount(slots, values, size * (size + 1)).reshape(size + 1, size)
+    order1, order2 = total[size], total[:size]
+    up = order1 + np.maximum(order2, 0.0).sum(axis=0)
+    down = order1 + np.minimum(order2, 0.0).sum(axis=0)
+    return np.maximum(up, -down)
+
+
+def _soir(held: list[_Factor], j: int) -> tuple[list[_Factor], list[_Factor]]:
+    """SOIR of the pair {i, j} on the pieces of h that hold x_j.
+
+    x_i h becomes x_i mean_j(h) plus (x_j/2 - 1/4)(h1 - h0), piece by
+    piece: returns each piece's mean over the j axis, and its residual as
+    a factor over the piece's scope (x_i is not in it).
+    """
+    means, residuals = [], []
+    for scope, table in held:
+        rest, d0, d1 = _split(scope, table, j)
+        means.append((rest, 0.5 * (d0 + d1)))
+        quarter = (0.25 * (d1 - d0)).reshape(-1, 1, 1 << scope.index(j))
+        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape(-1)))
+    return means, residuals
+
+
+def _clamp(held: list[_Factor], j: int, reduce, table_cap: int) -> tuple[list[_Factor], int]:
+    """A one-sided removal of the pair {i, j} on the pieces of h that hold x_j.
+
+    x_i h becomes x_i max_j(h) for an upper bound (``reduce`` np.maximum),
+    x_i min_j(h) for a lower one.  The pieces are summed into one table
+    first when together they span at most ``table_cap`` variables besides
+    j; otherwise each is clamped on its own, which is looser.  Returns the
+    clamped pieces and the number of clamps beyond one (the splits).
+    """
+    span = sorted(set().union(*(scope for scope, _ in held)))
+    if len(held) > 1 and len(span) - 1 <= table_cap:
+        held = [(tuple(span), _sum_over(span, held).reshape(-1))]
+    clamped = []
+    for scope, table in held:
+        rest, d0, d1 = _split(scope, table, j)
+        clamped.append((rest, reduce(d0, d1)))
+    return clamped, len(held) - 1
 
 
 def _expit(h: np.ndarray) -> np.ndarray:
@@ -256,6 +313,14 @@ def _energy_of(target) -> PseudoBooleanFunction:
     raise TypeError(f"expected an MRF or PseudoBooleanFunction, got {type(target)!r}")
 
 
+def _check_width(context: str, m: int) -> None:
+    if m > DENSE_TABLE_CAP:
+        raise ResourceCapError(
+            f"{context}: eta {m - 1} needs a joint table "
+            f"of 2^{m} entries, cap is 2^{DENSE_TABLE_CAP}"
+        )
+
+
 # -- the engine ---------------------------------------------------------------
 
 # A step's record: the variable, its sorted neighbours, and its local table
@@ -263,140 +328,110 @@ def _energy_of(target) -> PseudoBooleanFunction:
 _Record = tuple[int, list[int], np.ndarray]
 
 
-def _eliminate_dense(
+def _eliminate(
     energy: PseudoBooleanFunction, order: tuple[int, ...], cfg: EliminationConfig
 ) -> tuple[float, list[_Record], list[StepDiagnostics]]:
-    """Exact elimination on per-bucket lists of dense value factors.
+    """Variable elimination on per-bucket lists of dense factors, in every mode.
 
-    A factor is (scope, table): a sorted scope and its 2^m values in the
-    :func:`pbmrf.pbf.tabulate` bit convention.  The input's nonzero sets are
-    tabulated once per bucket, at its step.  The step sums its factors onto
-    the joint scope (x_i and its neighbours), folds the x_i axis, and files
-    the message under its first remaining variable.
+    Bucket r holds the input's sets and the factors whose earliest variable
+    is ``order[r]``, so a step reads one bucket and touches no other.
     """
     summing = cfg.marginal == "sum"
     fold = np.logaddexp if summing else np.maximum
+    clamp = np.maximum if cfg.mode == "upper_bound" else np.minimum
+    table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
     record = not summing or cfg.pomm_variant != "none"
-    rank, inputs = _file_terms(energy.terms(), order)
-    buckets: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in inputs]
+    record_pre = cfg.pomm_variant == "pre_approximation"
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    inputs: list[dict[InteractionSet, float]] = [{} for _ in range(len(order) + 1)]
+    for key, b in energy.terms().items():
+        inputs[_first(rank, key)][key] = b
+    buckets: list[list[_Factor]] = [[] for _ in inputs]
+
+    def file(scope, table) -> None:
+        """File a factor of a capped step, without the axes it is constant along."""
+        if table.any():  # an exact zero adds nothing
+            scope, table = _squeeze(scope, table)
+            buckets[_first(rank, scope)].append((scope, table))
 
     records: list[_Record] = []
     steps: list[StepDiagnostics] = []
     for step_no, i in enumerate(order):
+        context = f"step {step_no}, variable {i}"
         pairs = [(key, b) for key, b in inputs[step_no].items() if b != 0.0]
         factors = buckets[step_no]
         inputs[step_no], buckets[step_no] = {}, []  # free the consumed bucket
         own = tuple(sorted({v for key, _ in pairs for v in key}))
         joint = sorted({i, *own}.union(*(scope for scope, _ in factors)))
         eta = len(joint) - 1
-        if len(joint) > DENSE_TABLE_CAP:
-            raise ResourceCapError(
-                f"step {step_no}, variable {i}: eta {eta} needs a joint table "
-                f"of 2^{len(joint)} entries, cap is 2^{DENSE_TABLE_CAP}"
-            )
-        if pairs:
-            table = tabulate(pairs, own, f"step {step_no}, variable {i}")
-            factors.insert(0, (own, table))
-        # C order puts the last variable of the joint scope on axis 0.
-        axes = joint[::-1]
-        total = np.zeros((2,) * len(joint))
-        for scope, table in factors:
-            total += table.reshape([2 if v in scope else 1 for v in axes])
-        t0, t1 = np.moveaxis(total, axes.index(i), 0)
-        extras = [v for v in joint if v != i]
-        if record:
-            h = (t1 - t0).reshape(-1)
+        if cfg.mode == "exact" or eta <= cfg.nu:
+            _check_width(context, len(joint))
+            if pairs:
+                factors.insert(0, (own, tabulate(pairs, own, context)))
+            extras, t0, t1 = _split(tuple(joint), _sum_over(joint, factors).reshape(-1), i)
+            if record:
+                h = t1 - t0
+                records.append((i, list(extras), h if summing else h > 0.0))
+            buckets[_first(rank, extras)].append((extras, fold(t0, t1)))
+            steps.append(StepDiagnostics(variable=i, eta_before=eta, eta_after=eta))
+            continue
+
+        # Over the cap: x_i's energy is x_i h + r.  Each input set is a
+        # factor of its own, nonzero at its all-ones entry.
+        for key, b in pairs:
+            monomial = np.zeros(1 << len(key))
+            monomial[-1] = b
+            factors.append((key, monomial))
+        neighbours = [v for v in joint if v != i]
+        slot = {v: k for k, v in enumerate(neighbours)}
+        pieces = []
+        for scope, table in _merge_nested(factors):
+            rest, t0, t1 = _split(scope, table, i)
+            file(rest, t0)  # a part of r
+            pieces.append([rest, t1 - t0, None])
+        if record_pre:
+            _check_width(context, len(joint))
+            records.append((i, neighbours, _sum_over(neighbours, pieces).reshape(-1)))
+
+        partners: list[int] = []
+        fallbacks = splits = 0
+        alive = np.ones(eta, dtype=bool)
+        while len(partners) < eta - cfg.nu:
+            scores = _partner_scores(pieces, slot)
+            scores[~alive] = np.inf
+            k = int(np.argmin(scores))  # ties go to the smallest index
+            j = neighbours[k]
+            if scores[alive].max() == 0.0:
+                fallbacks += 1
+                logger.debug("step %d: every partner score of %d vanished; "
+                             "taking the smallest index %d", step_no, i, j)
+            held = [(scope, table) for scope, table, _ in pieces if j in scope]
+            pieces = [p for p in pieces if j not in p[0]]
+            if cfg.mode == "approximate":
+                reduced, residuals = _soir(held, j)
+                for scope, table in residuals:
+                    file(scope, table)
+            else:
+                reduced, extra = _clamp(held, j, clamp, table_cap)
+                splits += extra
+            pieces += [[scope, table, None] for scope, table in reduced]
+            alive[k] = False
+            partners.append(j)
+
+        extras = [v for v, live in zip(neighbours, alive) if live]
+        h = _sum_over(extras, pieces).reshape(-1)
+        if record and not record_pre:
             records.append((i, extras, h if summing else h > 0.0))
-        message = fold(t0, t1).reshape(-1)
-        buckets[_first(rank, extras)].append((tuple(extras), message))
-        steps.append(StepDiagnostics(variable=i, eta_before=eta, eta_after=eta))
-    log_value = 0.0 + inputs[-1][()]  # a -0.0 constant gives 0.0
+        file(tuple(extras), fold(0.0, h))
+        steps.append(
+            StepDiagnostics(i, eta, len(extras), tuple(partners), fallbacks, splits)
+        )
+    log_value = 0.0 + inputs[-1].get((), 0.0)  # a -0.0 constant gives 0.0
     for _, message in buckets[-1]:
         log_value += float(message[0])
     return log_value, records, steps
-
-
-def _eliminate_capped(
-    energy: PseudoBooleanFunction, order: tuple[int, ...], cfg: EliminationConfig
-) -> tuple[float, list[_Record], list[StepDiagnostics]]:
-    """Capped elimination on per-bucket coefficient maps (approximate and bounds)."""
-    rank, buckets = _file_terms(energy.terms(), order)
-    direction = {"lower_bound": "lower", "upper_bound": "upper"}.get(cfg.mode)
-    table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
-    summing = cfg.marginal == "sum"
-
-    records: list[_Record] = []
-    record_folds = not summing or cfg.pomm_variant == "post_approximation"
-    steps: list[StepDiagnostics] = []
-
-    for step_no, i in enumerate(order):
-        context = f"step {step_no}, variable {i}"
-        # x_i's sets, sorted: every float sum below runs in this order.
-        bucket = _take(buckets, step_no)
-        neighbours = sorted({v for key, _ in bucket for v in key if v != i})
-        eta_before = len(neighbours)
-        if cfg.pomm_variant == "pre_approximation":
-            records.append((i, neighbours, tabulate(bucket, neighbours, context)))
-
-        partners: list[int] = []
-        fallbacks = 0
-        splits = 0
-        while len(neighbours) > cfg.nu:
-            scores = fstar_scores((i,), neighbours, bucket)
-            j = min(neighbours, key=lambda r: (scores[r], r))
-            if max(scores.values()) == 0.0:
-                fallbacks += 1
-                logger.debug(
-                    "step %d: truncated error score vanished for every "
-                    "partner of %d; falling back to smallest index %d",
-                    step_no,
-                    i,
-                    j,
-                )
-            pair_sets = [(key, b) for key, b in bucket if j in key]
-            kept = {key: b for key, b in bucket if j not in key}
-            if cfg.mode == "approximate":
-                updates = soir_removal_updates(pair_sets, i, j)
-            else:
-                updates, n_splits = bound_removal_updates(
-                    pair_sets, i, j, direction, table_cap
-                )
-                splits += n_splits
-            size = len(kept)
-            for key, delta in sorted(updates.items()):
-                if i in key:
-                    kept[key] = kept.get(key, 0.0) + delta
-                else:
-                    # SOIR's residual: a subset of a set just taken, so
-                    # it is filed already (the family is closed under subsets)
-                    buckets[_first(rank, key)][key] += delta
-            # Only a clamp adds sets to the bucket; re-sort only then.
-            bucket = list(kept.items()) if len(kept) == size else sorted(kept.items())
-            # The bucket is closed under subsets, so L minus j keeps every
-            # other variable of a removed set L in the neighbourhood.
-            neighbours = [v for v in neighbours if v != j]
-            partners.append(j)
-
-        h = tabulate(bucket, neighbours, context)
-        if record_folds:
-            records.append((i, neighbours, h if summing else h > 0.0))
-        folded = np.logaddexp(0.0, h) if summing else np.maximum(0.0, h)
-        _add_table(buckets, rank, neighbours, moebius_transform(folded))
-        steps.append(
-            StepDiagnostics(
-                variable=i,
-                eta_before=eta_before,
-                eta_after=len(neighbours),
-                partners=tuple(partners),
-                fallback_partners=fallbacks,
-                splits=splits,
-            )
-        )
-
-    leftovers = [key for bucket in buckets[:-1] for key in bucket]
-    if leftovers:
-        raise RuntimeError(f"internal error: sets {leftovers} survived elimination")
-    return buckets[-1][()], records, steps
 
 
 def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
@@ -407,8 +442,7 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all variable indices")
 
-    run = _eliminate_dense if cfg.mode == "exact" else _eliminate_capped
-    log_value, records, steps = run(energy, order, cfg)
+    log_value, records, steps = _eliminate(energy, order, cfg)
 
     argmax = None
     if cfg.marginal == "max":

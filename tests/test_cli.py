@@ -321,6 +321,19 @@ def test_map_honours_table_cap(ising_config, tmp_path):
     assert run(argv + ["--nu", "2", "--table-cap", "26"]) == 3
 
 
+@pytest.mark.parametrize("command", ["sample", "map"])
+def test_config_mode_outside_the_cli_names_is_a_usage_error(tmp_path, capsys, command):
+    ypath = tmp_path / "y.txt"
+    ypath.write_text(" ".join(["0.3"] * 9))
+    model = {"family": "ising", "rows": 3, "cols": 3, "params": [0.4]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model, "y": str(ypath), "mode": "approximate"}))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'approximate'" in err
+    assert all(name in err for name in ("approx", "exact", "lower", "upper"))
+
+
 @pytest.mark.parametrize("count, n", [(0, 9), (1, 1), (7, 13), (40, 65), (3, 0)])
 def test_state_texts_match_per_bit_join(count, n):
     states = (np.random.default_rng(n).random((count, n)) < 0.5).astype(np.uint8)

@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     all_states,
     brute_log_c,
     eval_pbf,
+    eval_terms,
     log_sum_exp,
     random_dense_pbf,
     random_test_model,
@@ -23,6 +24,7 @@ from pbmrf import (
     ResourceCapError,
     build_higher_order,
     build_independence,
+    bound_remove_pair,
     build_ising,
     eliminate,
     eliminate_approx,
@@ -30,9 +32,11 @@ from pbmrf import (
     eliminate_exact_sum,
     eliminate_max,
     moment,
+    soir,
 )
 from pbmrf import elimination
-from pbmrf.pbf import prune_dead, table_rows
+from pbmrf.approx import fstar_scores
+from pbmrf.pbf import table_rows, tabulate
 from pbmrf.pomm import log_density_many
 
 
@@ -320,6 +324,107 @@ def test_capped_runs_ignore_dead_zeros_and_sandwich_the_truth(case):
                 assert truth[marginal] <= res.log_value + 1e-12
 
 
+# -- table-form removals -----------------------------------------------------
+
+
+@st.composite
+def pieces_of_h(draw):
+    """A random dense function of at most 7 variables, x_0's part in pieces.
+
+    Its sets holding 0 are dealt into one to three groups.  Each group,
+    tabulated over its own variables and split on x_0, gives one piece of
+    h, x_0's coefficient, as a capped step that removes partners of 0 has.
+    """
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 6)))
+    dealt = [{} for _ in range(draw(st.integers(1, 3)))]
+    for key, b in f.terms().items():
+        if 0 in key:
+            dealt[int(rng.integers(len(dealt)))][key] = b
+    pieces = []
+    for terms in dealt:
+        scope = tuple(sorted({v for key in terms for v in key}))
+        if scope:
+            rest, t0, t1 = elimination._split(scope, tabulate(terms.items(), scope, "piece"), 0)
+            pieces.append((rest, t1 - t0))
+    neighbours = sorted(set().union(*(scope for scope, _ in pieces)))
+    assume(neighbours)
+    return f, pieces, neighbours
+
+
+def energy_values(f, pieces, factors=()):
+    """x_0 times the pieces' sum, f's sets without 0 and the factors, at every state."""
+    states = all_states(f.n)
+    columns = states.T
+
+    def total(tables):
+        return sum((t[table_rows(columns, scope)] for scope, t in tables), np.zeros(len(states)))
+
+    rest = {key: b for key, b in f.terms().items() if 0 not in key}
+    return states[:, 0] * total(pieces) + eval_terms(rest, states) + total(factors)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(pieces_of_h())
+def test_table_scores_match_fstar_on_the_coefficients_of_h(case):
+    f, pieces, neighbours = case
+    slot = {v: k for k, v in enumerate(neighbours)}
+    scores = elimination._partner_scores([[s, t, None] for s, t in pieces], slot)
+    members = sorted((key, b) for key, b in f.terms().items() if 0 in key)
+    want = fstar_scores((0,), neighbours, members)
+    assert np.abs(scores - [want[r] for r in neighbours]).max() <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(pieces_of_h())
+def test_table_soir_matches_soir(case):
+    f, pieces, neighbours = case
+    for j in neighbours:
+        held = [p for p in pieces if j in p[0]]
+        means, residuals = elimination._soir(held, j)
+        kept = [p for p in pieces if j not in p[0]] + means
+        got = energy_values(f, kept, residuals)
+        want = eval_pbf(soir(f, 0, j)[0], all_states(f.n))
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(pieces_of_h())
+def test_table_clamps_bound_the_energy(case):
+    f, pieces, neighbours = case
+    values = eval_pbf(f, all_states(f.n))
+    for j in neighbours:
+        held = [p for p in pieces if j in p[0]]
+        kept = [p for p in pieces if j not in p[0]]
+        for direction, reduce, sign in (("upper", np.maximum, 1), ("lower", np.minimum, -1)):
+            # a table_cap of n covers every merge: the clamp of the summed pieces
+            merged, splits = elimination._clamp(held, j, reduce, f.n)
+            assert splits == 0
+            got = energy_values(f, kept + merged)
+            want = eval_pbf(bound_remove_pair(f, 0, j, direction, f.n), all_states(f.n))
+            assert np.abs(got - want).max() <= 1e-12
+            # a table_cap of 0 clamps each piece on its own: looser, still a bound
+            apart, _ = elimination._clamp(held, j, reduce, 0)
+            loose = energy_values(f, kept + apart)
+            assert (sign * (loose - values) >= -1e-12).all()
+            assert (sign * (loose - got) >= -1e-12).all()
+
+
+def test_capped_max_message_drops_the_axes_it_ignores():
+    # x_0's coefficient -1 + 2 x_1 - x_2/2 + x_1 x_2/2 (+ x_3/4) is negative
+    # whenever x_1 = 0 and ignores x_2 when x_1 = 1, so once the pair (0, 3)
+    # is removed the max fold of step 0 ignores x_2, and variable 1 is left
+    # with no neighbour
+    terms = {(0,): -1.0, (0, 1): 2.0, (0, 2): -0.5, (0, 1, 2): 0.5, (0, 3): 0.25}
+    f = PseudoBooleanFunction(4, terms)
+    for mode, want in (("approximate", 1.1875), ("lower_bound", 1.0), ("upper_bound", 1.25)):
+        res = eliminate(f, EliminationConfig(mode=mode, marginal="max", nu=2))
+        assert res.per_step[0].partners == (3,)
+        assert res.per_step[1].eta_before == 0
+        assert res.log_value == want
+
+
 # -- moments --------------------------------------------------------------------
 
 
@@ -433,7 +538,7 @@ def test_partner_fallback_when_scores_vanish():
     assert abs(res.log_value - want) < 1e-12
 
 
-# -- bucket prune -----------------------------------------------------------------
+# -- dead zero leaves ------------------------------------------------------------
 
 
 def lattice_orders(rows, cols, seed=31):
@@ -446,53 +551,26 @@ def lattice_orders(rows, cols, seed=31):
     }
 
 
-@pytest.fixture
-def checked_prune(monkeypatch):
-    """Check each bucket take against a ``prune_dead`` pass over all buckets.
-
-    The bucket ``_take`` returns must be, sorted, what ``prune_dead`` keeps
-    of it in a merged copy of all buckets; the other buckets must be left
-    as they were, and every remaining set must be filed in the bucket of
-    its earliest-eliminated variable.  Returns the list of set counts each
-    take's prune dropped, one entry per step.
-    """
-    file_terms, take = elimination._file_terms, elimination._take
-    ranks: list[list[int]] = []
-    dropped: list[int] = []
-
-    def recording_file_terms(terms, order):
-        rank, buckets = file_terms(terms, order)
-        ranks.append(rank)
-        return rank, buckets
-
-    def checked_take(buckets, r):
-        rank = ranks[-1]
-
-        def first(key):
-            return min((rank[v] for v in key), default=len(rank))
-
-        merged = {key: b for bucket in buckets for key, b in bucket.items()}
-        want = dict(merged)
-        prune_dead(want, bool)
-        taken = take(buckets, r)
-        assert taken == sorted((k, b) for k, b in want.items() if first(k) == r)
-        filed = [(key, b) for b, bucket in enumerate(buckets) for key in bucket]
-        assert all(first(key) == b for key, b in filed)
-        assert sorted(key for key, _ in filed) == sorted(
-            key for key in merged if first(key) != r
-        )
-        dropped.append(len(merged) - len(taken) - len(filed))
-        return taken
-
-    monkeypatch.setattr(elimination, "_file_terms", recording_file_terms)
-    monkeypatch.setattr(elimination, "_take", checked_take)
-    return dropped
+def assert_same_runs(dead, pruned, orders, modes):
+    """Every mode and marginal gives the same result on both inputs, per order."""
+    for order in orders:
+        for mode, nu in modes:
+            for marginal in ("sum", "max"):
+                cfg = EliminationConfig(
+                    mode=mode, marginal=marginal, nu=nu, order=order, table_cap=1
+                )
+                got, want = eliminate(dead, cfg), eliminate(pruned, cfg)
+                assert got.log_value == want.log_value
+                assert got.per_step == want.per_step
+                if marginal == "max":
+                    assert (got.argmax == want.argmax).all()
 
 
 @pytest.mark.parametrize(
     "mode, nu",
     [
-        # nu = n saturates the cap: the capped engine folds every step with no removal
+        pytest.param("exact", None, id="exact"),
+        # nu = n saturates the cap: the capped modes fold every step with no removal
         pytest.param("approximate", 16, id="saturated"),
         pytest.param("approximate", 2, id="approximate"),
         pytest.param("lower_bound", 2, id="lower_bound"),
@@ -500,91 +578,35 @@ def checked_prune(monkeypatch):
     ],
 )
 @pytest.mark.parametrize("seed", range(3))
-def test_incremental_prune_matches_full_prune(checked_prune, mode, nu, seed):
+def test_incremental_prune_matches_full_prune(mode, nu, seed):
+    # an unpruned input with dead zero leaves runs as its pruned copy does
     rng = np.random.default_rng(900 + seed)
     m = build_higher_order(LatticeSpec(4, 4), rng.uniform(-1, 1, size=10))
-    for order in lattice_orders(4, 4).values():
-        checked_prune.clear()
-        cfg = EliminationConfig(mode=mode, nu=nu, order=order, table_cap=1)
-        res = eliminate(m, cfg)
-        assert len(checked_prune) == m.n
-        if nu == m.n:
-            assert abs(res.log_value - brute_log_c(m, 4, 4)) < 1e-9
+    live = [set(key) for key, b in m.energy.terms().items() if b != 0.0]
+    zeros = {
+        key: 0.0
+        for key in (tuple(sorted(rng.choice(16, size=k, replace=False))) for k in (2, 2, 3, 4))
+        if not any(set(key) <= other for other in live)
+    }
+    assert zeros
+    dead = PseudoBooleanFunction(16, {**m.energy.terms(), **zeros}, prune=False)
+    assert len(dead) > len(m.energy)
+    assert_same_runs(dead, m.energy, lattice_orders(4, 4).values(), [(mode, nu)])
+    if nu == m.n:
+        res = eliminate(dead, EliminationConfig(mode=mode, nu=nu))
+        assert abs(res.log_value - brute_log_c(m, 4, 4)) < 1e-9
 
 
-def test_incremental_prune_drops_zero_leaves_of_unpruned_input(checked_prune):
-    f = PseudoBooleanFunction(
-        4,
-        {(0, 1): 0.5, (1, 2, 3): 0.0, (0, 3): 0.0, (2,): 0.25},
-        prune=False,
-    )
-    for name, order in lattice_orders(2, 2).items():
-        for mode, nu in (("approximate", 3), ("approximate", 1), ("upper_bound", 1)):
-            checked_prune.clear()
-            eliminate(f, EliminationConfig(mode=mode, nu=nu, order=order))
-            assert sum(checked_prune) > 0
-            if name == "row-major":
-                # the zero leaf (0, 3) is dead in the bucket of 0, which
-                # step 0 prunes as it takes it; the zero leaf (1, 2, 3) goes
-                # with the bucket of 1 at step 1
-                assert checked_prune[0] > 0
-                assert checked_prune[1] > 0
-
-
-@pytest.mark.parametrize(
-    "terms, cfg, drops",
-    [
-        # step 1 removes the pair (0, 2) by SOIR; (0, 1, 2) hands +0.5 to
-        # (1, 2), which cancels its -0.5 and leaves it with no superset, so
-        # it goes with the bucket of 1 when step 2 takes it
-        pytest.param(
-            {(0, 1): 2.0, (0, 1, 2): 1.0, (0, 2): -0.5, (1, 2): -0.5, (3,): 0.7},
-            EliminationConfig(mode="approximate", nu=1, order=(3, 0, 1, 2)),
-            [0, 0, 1, 0],
-            id="soir-cancels",
-        ),
-        # step 1 removes the pair (0, 2) by an upper clamp, which changes only
-        # sets containing 0: the zero (1, 2) loses its one superset (0, 1, 2)
-        # and goes with the bucket of 1 at step 2; (2,) has then lost its
-        # last superset too and goes with the bucket of 2 at step 3
-        pytest.param(
-            {(0, 1): 1.0, (0, 2): 0.5, (0, 1, 2): 0.3, (1, 2): 0.0, (3,): 0.7},
-            EliminationConfig(mode="upper_bound", nu=1, order=(3, 0, 1, 2)),
-            [0, 0, 1, 1],
-            id="clamp-orphans",
-        ),
-        # summing out 3 at step 0 leaves two dead zeros in the bucket of 2,
-        # which go at step 1; eliminating 1 at step 2 folds the coefficient
-        # of (0,) back to 0, and it goes with the bucket of 0 at step 3
-        pytest.param(
-            {(0, 1, 3): -0.5, (3,): 1.0, (1, 3): 0.5, (0, 2, 3): 0.5},
-            EliminationConfig(mode="approximate", nu=3, order=(3, 2, 1, 0)),
-            [0, 2, 0, 1],
-            id="fold-cancels",
-        ),
-    ],
-)
-def test_incremental_prune_drops_what_a_later_step_kills(
-    checked_prune, terms, cfg, drops
-):
-    eliminate(PseudoBooleanFunction(4, terms), cfg)
-    assert checked_prune == drops
-
-
-def test_store_prune_cascades_from_a_zeroed_set():
-    rank, buckets = elimination._file_terms(
-        {(1, 2): 0.5, (1,): 0.0, (2,): 0.0, (3,): 0.0}, (0, 1, 2, 3)
-    )
-    assert rank == [0, 1, 2, 3]
-    taken = elimination._take(buckets, 1)
-    assert taken == [((1,), 0.0), ((1, 2), 0.5)]  # (1, 2) needs the zero (1,)
-    buckets[1] = dict(taken)
-    buckets[1][(1, 2)] += -0.5
-    # (1, 2) dies and takes (1,) with it; the zeros (2,) and (3,) wait for
-    # the takes of their own buckets
-    assert elimination._take(buckets, 1) == []
-    assert buckets == [{}, {}, {(2,): 0.0}, {(3,): 0.0}, {(): 0.0}]
-    assert elimination._take(buckets, 2) == []
-    assert buckets == [{}, {}, {}, {(3,): 0.0}, {(): 0.0}]
-    assert elimination._take(buckets, 3) == []
-    assert buckets == [{}, {}, {}, {}, {(): 0.0}]
+def test_incremental_prune_drops_zero_leaves_of_unpruned_input():
+    terms = {(0, 1): 0.5, (1, 2, 3): 0.0, (0, 3): 0.0, (2,): 0.25}
+    dead = PseudoBooleanFunction(4, terms, prune=False)
+    pruned = PseudoBooleanFunction(4, terms)
+    assert len(dead) > len(pruned)
+    modes = [
+        ("exact", None),
+        ("approximate", 3),
+        ("approximate", 1),
+        ("lower_bound", 1),
+        ("upper_bound", 1),
+    ]
+    assert_same_runs(dead, pruned, lattice_orders(2, 2).values(), modes)
