@@ -52,6 +52,7 @@ from .elimination import (
     eliminate_bound,
     eliminate_exact_sum,
     eliminate_max,
+    eliminate_many,
     moment,
 )
 from .pomm import (

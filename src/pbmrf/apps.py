@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elimination import EliminationConfig, _expit, eliminate, eliminate_max
+from .elimination import EliminationConfig, _expit, eliminate, eliminate_many, eliminate_max
 from .models import MarkovRandomField
 from .pbf import (
     PRUNE_TOL,
@@ -125,12 +125,19 @@ def mle_bracket(
     the survivors form an interval; the retained interval spans the
     outermost surviving grid points (conservative widening, since the
     crossing point lies between grid values).  The next round re-grids the
-    interval with ``grid_points`` values and a larger nu.
+    interval with ``grid_points`` values (at least 3) and a larger nu.
+
+    A round bounds ln c over its whole grid with two calls of
+    :func:`pbmrf.elimination.eliminate_many`, one per bound, whose grid
+    members share engine steps while they take the same decisions; each
+    bound equals its own single run byte for byte.
 
     A later round can only be trusted inside the previous interval, so
     grids never leave it; an empty survivor set would mean the concavity
     assumption failed and raises instead of clamping.
     """
+    if grid_points < 3:
+        raise ValueError(f"grid_points must be at least 3, got {grid_points}")
     observed = np.asarray(observed, dtype=np.uint8).reshape(1, -1)
     grid = [float(t) for t in theta_grid]
     if sorted(grid) != grid or len(grid) < 3:
@@ -141,18 +148,7 @@ def mle_bracket(
 
     rounds: list[MleRound] = []
     for nu in schedule:
-        lo_cfg = EliminationConfig(mode="lower_bound", nu=nu, table_cap=table_cap)
-        hi_cfg = EliminationConfig(mode="upper_bound", nu=nu, table_cap=table_cap)
-
-        ell_lower: list[float] = []
-        ell_upper: list[float] = []
-        for theta in grid:
-            model = model_builder(theta)
-            energy = float(evaluate_many(model.energy, observed)[0])
-            ln_c_lower = eliminate(model, lo_cfg).log_value
-            ln_c_upper = eliminate(model, hi_cfg).log_value
-            ell_lower.append(energy - ln_c_upper)
-            ell_upper.append(energy - ln_c_lower)
+        ell_lower, ell_upper = _bound_curves(observed, model_builder, grid, nu, table_cap)
         cut = max(ell_lower)
         survivors = [k for k, e in enumerate(ell_upper) if e >= cut]
         if not survivors:
@@ -176,12 +172,31 @@ def mle_bracket(
                 theta_hi=hi,
             )
         )
-        grid = list(np.linspace(lo, hi, grid_points))
+        grid = [float(t) for t in np.linspace(lo, hi, grid_points)]
     return MleBracket(
         theta_lo=rounds[-1].theta_lo,
         theta_hi=rounds[-1].theta_hi,
         rounds=tuple(rounds),
         nu_schedule=tuple(schedule),
+    )
+
+
+def _bound_curves(observed, model_builder, grid, nu, table_cap) -> tuple[list, list]:
+    """ell(theta) bounded from below and above at each grid theta.
+
+    One batched elimination per bound covers the whole grid.
+    """
+    lo_cfg, hi_cfg = (
+        EliminationConfig(mode=mode, nu=nu, table_cap=table_cap)
+        for mode in ("lower_bound", "upper_bound")
+    )
+    models = [model_builder(theta) for theta in grid]
+    energies = [float(evaluate_many(model.energy, observed)[0]) for model in models]
+    ln_c_lower = eliminate_many(models, lo_cfg)
+    ln_c_upper = eliminate_many(models, hi_cfg)
+    return (
+        [e - r.log_value for e, r in zip(energies, ln_c_upper)],
+        [e - r.log_value for e, r in zip(energies, ln_c_lower)],
     )
 
 

@@ -33,13 +33,30 @@ max marginal reads its maximising state backwards from h > 0; a
 partially ordered Markov model takes expit(h) as x_i's conditional, with
 h from before the removals (closest to the target) or, like the max
 marginal, the table the step folds (dependency sets at most nu).
+
+:func:`eliminate_many` runs B energies over the same variables through
+the same step loop in lockstep: each factor keeps one (2^m, B) table
+with the members on a last axis, so a step costs one pass of numpy calls
+for the whole batch.  The members stay together while every
+data-dependent decision agrees: the step's nonzero input sets (and their
+order), whether a filed factor is all zero and which axes it is constant
+along, each partner argmin and whether its scores vanished, and whether
+B * 2^m joint entries fit the dense-table cap.  At the first
+disagreement the step is abandoned (a step commits only at its end) and
+the batch splits into groups of agreeing members, in the order of their
+first members (for the cap, consecutive groups that fit); each group
+redoes that step and goes on alone, and a group of one drops the batch
+axis.  Every member's result is byte-identical to its own run:
+:func:`eliminate` is the batch of one.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +79,7 @@ __all__ = [
     "StepDiagnostics",
     "EliminationResult",
     "eliminate",
+    "eliminate_many",
     "eliminate_exact_sum",
     "eliminate_approx",
     "eliminate_bound",
@@ -166,6 +184,8 @@ class EliminationResult:
 
 # A dense factor: a sorted scope and its 2^m values, entry ``mask`` the value
 # where bit k gives ``scope[k]`` (the :func:`pbmrf.pbf.tabulate` convention).
+# A batch of B members keeps one (2^m, B) table per factor, the members on
+# the last axis; a run of one keeps the flat (2^m,) table.
 _Factor = tuple[tuple[int, ...], np.ndarray]
 
 
@@ -174,22 +194,89 @@ def _first(rank: list[int], key) -> int:
     return min(map(rank.__getitem__, key), default=len(rank))
 
 
-def _sum_over(joint, factors) -> np.ndarray:
-    """The sum of factors whose scopes lie in ``joint``, as a table over it.
+class _Split(Exception):
+    """The members of a batch disagree on a decision of the current step.
 
-    C order puts the last variable of a scope on axis 0.
+    ``groups`` holds the agreeing members (positions in the batch), in the
+    order of their first members.
     """
-    total = np.zeros((2,) * len(joint))
+
+    def __init__(self, labels):
+        groups: dict[object, list[int]] = {}
+        for member, label in enumerate(labels):
+            groups.setdefault(label, []).append(member)
+        self.groups = list(groups.values())
+        super().__init__(self.groups)
+
+
+def _agreed(decision: np.ndarray) -> np.ndarray:
+    """A decision made per member (the last axis), if every member made it the same."""
+    first = decision[..., :1]
+    if (decision == first).all():
+        return first[..., 0]
+    raise _Split(column.tobytes() for column in decision.reshape(-1, decision.shape[-1]).T)
+
+
+class _Inputs(NamedTuple):
+    """One energy's nonzero sets and their coefficients, bucket by bucket.
+
+    Bucket r holds ``keys[starts[r]:starts[r + 1]]``, in the energy's own
+    order, with their coefficients at the same positions of ``values``.
+    """
+
+    keys: list[InteractionSet]
+    values: list[float]
+    starts: list[int]
+
+    @classmethod
+    def of(cls, energy: PseudoBooleanFunction, bucket: dict[InteractionSet, int]) -> _Inputs:
+        """Its sets filed by ``bucket[key]``, from 0 to n (the constant)."""
+        buckets: list[list[InteractionSet]] = [[] for _ in range(energy.n + 1)]
+        for key, b in energy._beta.items():
+            if b != 0.0:
+                buckets[bucket[key]].append(key)
+        keys = list(itertools.chain.from_iterable(buckets))
+        values = [energy._beta[key] for key in keys]
+        return cls(keys, values, list(itertools.accumulate(map(len, buckets), initial=0)))
+
+    def pairs(self, r: int) -> list:
+        at, end = self.starts[r], self.starts[r + 1]
+        return list(zip(self.keys[at:end], self.values[at:end]))
+
+
+def _agreed_pairs(inputs: list[_Inputs], r: int) -> list:
+    """Bucket r's input sets, each with its coefficients per member.
+
+    The members must hold the same sets in the same order, the order a
+    run of one would tabulate and merge them in.
+    """
+    keys = [tuple(inp.keys[inp.starts[r] : inp.starts[r + 1]]) for inp in inputs]
+    if keys.count(keys[0]) < len(keys):
+        raise _Split(keys)
+    values = np.array([inp.values[inp.starts[r] : inp.starts[r + 1]] for inp in inputs])
+    return list(zip(keys[0], values.T))
+
+
+def _sum_over(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
+    """The sum of factors whose scopes lie in ``joint``, as a flat table over it.
+
+    C order puts the last variable of a scope on axis 0.  Tables are flat
+    over their scopes, then ``tail``: () in a run of one, (B,) in a batch.
+    """
+    total = np.zeros((2,) * len(joint) + tail)
+    members = [*tail]
     for scope, table, *_ in factors:
-        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)])
-    return total
+        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)] + members)
+    return total.reshape((-1,) + tail)
 
 
 def _split(scope: tuple[int, ...], table: np.ndarray, v: int):
     """(scope without v, the table at x_v = 0, the table at x_v = 1)."""
     k = scope.index(v)
-    halves = table.reshape(-1, 2, 1 << k)
-    return scope[:k] + scope[k + 1 :], halves[:, 0].reshape(-1), halves[:, 1].reshape(-1)
+    tail = table.shape[1:]
+    halves = table.reshape((-1, 2, 1 << k) + tail)
+    flat = (-1,) + tail
+    return scope[:k] + scope[k + 1 :], halves[:, 0].reshape(flat), halves[:, 1].reshape(flat)
 
 
 @functools.cache
@@ -210,11 +297,14 @@ def _squeeze(scope: tuple[int, ...], table: np.ndarray) -> _Factor:
     """Drop every variable along which the table is exactly constant."""
     clear, set_ = _masks(len(scope))[4:]
     flat = (table[clear] == table[set_]).all(axis=1)
-    if not flat.any():
+    if table.ndim > 1:
+        flat = _agreed(flat)
+    if not np.count_nonzero(flat):
         return scope, table
+    tail = table.shape[1:]
     at = tuple(0 if f else slice(None) for f in flat[::-1])  # x_k = 0 where flat
     kept = tuple(v for v, f in zip(scope, flat) if not f)
-    return kept, table.reshape((2,) * len(scope))[at].reshape(-1)
+    return kept, table.reshape((2,) * len(scope) + tail)[at].reshape((-1,) + tail)
 
 
 def _merge_nested(factors: list[_Factor]) -> list[_Factor]:
@@ -223,7 +313,8 @@ def _merge_nested(factors: list[_Factor]) -> list[_Factor]:
     for scope, table in sorted(factors, key=lambda f: len(f[0]), reverse=True):
         for k, (outer, _) in enumerate(merged):
             if set(scope).issubset(outer):
-                merged[k] = (outer, _sum_over(outer, [merged[k], (scope, table)]).reshape(-1))
+                tail = table.shape[1:]
+                merged[k] = (outer, _sum_over(outer, [merged[k], (scope, table)], tail))
                 break
         else:
             merged.append((scope, table))
@@ -238,9 +329,12 @@ def _partner_scores(pieces: list[list], slot: dict[int, int]) -> np.ndarray:
     differences or None]; h's order-1 and order-2 Moebius coefficients are
     the sums of the pieces' b_r = t(e_r) - t(0) and, for a < b,
     b_ab = (t(e_a+e_b) - t(e_b)) - (t(e_a) - t(0)), in the operation order
-    of a Moebius transform.  A piece keeps its differences once read.
+    of a Moebius transform.  A piece keeps its differences once read.  A
+    batch's scores have the members on a last axis.
     """
     size = len(slot)
+    tail = pieces[0][1].shape[1:]
+    width = tail[0] if tail else 1
     for piece in pieces:
         if piece[2] is None:
             scope, table, _ = piece
@@ -250,10 +344,15 @@ def _partner_scores(pieces: list[list], slot: dict[int, int]) -> np.ndarray:
             order1 = single - table[0]
             order2 = (table[both] - single[b]) - order1[a]
             # b_ab at (a, b) and (b, a) of a size x size block, b_r in a last row
-            slots = (at[a] * size + at[b], at[b] * size + at[a], size * size + at)
-            piece[2] = (np.concatenate(slots), np.concatenate((order2, order2, order1)))
+            slots = np.concatenate((at[a] * size + at[b], at[b] * size + at[a], size * size + at))
+            values = np.concatenate((order2, order2, order1))
+            if tail:  # member m of slot s counts at s * width + m
+                slots = (slots[:, None] * width + np.arange(width)).reshape(-1)
+                values = values.reshape(-1)
+            piece[2] = (slots, values)
     slots, values = map(np.concatenate, zip(*(p[2] for p in pieces)))
-    total = np.bincount(slots, values, size * (size + 1)).reshape(size + 1, size)
+    total = np.bincount(slots, values, size * (size + 1) * width)
+    total = total.reshape((size + 1, size) + tail)
     order1, order2 = total[size], total[:size]
     up = order1 + np.maximum(order2, 0.0).sum(axis=0)
     down = order1 + np.minimum(order2, 0.0).sum(axis=0)
@@ -270,9 +369,10 @@ def _soir(held: list[_Factor], j: int) -> tuple[list[_Factor], list[_Factor]]:
     means, residuals = [], []
     for scope, table in held:
         rest, d0, d1 = _split(scope, table, j)
+        tail = table.shape[1:]
         means.append((rest, 0.5 * (d0 + d1)))
-        quarter = (0.25 * (d1 - d0)).reshape(-1, 1, 1 << scope.index(j))
-        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape(-1)))
+        quarter = (0.25 * (d1 - d0)).reshape((-1, 1, 1 << scope.index(j)) + tail)
+        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape((-1,) + tail)))
     return means, residuals
 
 
@@ -287,7 +387,8 @@ def _clamp(held: list[_Factor], j: int, reduce, table_cap: int) -> tuple[list[_F
     """
     span = sorted(set().union(*(scope for scope, _ in held)))
     if len(held) > 1 and len(span) - 1 <= table_cap:
-        held = [(tuple(span), _sum_over(span, held).reshape(-1))]
+        tail = held[0][1].shape[1:]
+        held = [(tuple(span), _sum_over(span, held, tail))]
     clamped = []
     for scope, table in held:
         rest, d0, d1 = _split(scope, table, j)
@@ -313,12 +414,19 @@ def _energy_of(target) -> PseudoBooleanFunction:
     raise TypeError(f"expected an MRF or PseudoBooleanFunction, got {type(target)!r}")
 
 
-def _check_width(context: str, m: int) -> None:
+def _check_width(context: str, m: int, width: int) -> None:
+    """Refuse a joint table over m variables past the dense cap.
+
+    A batch of ``width`` members needs width * 2^m entries: past the cap it
+    splits into consecutive groups that fit, down to runs of one.
+    """
     if m > DENSE_TABLE_CAP:
         raise ResourceCapError(
             f"{context}: eta {m - 1} needs a joint table "
             f"of 2^{m} entries, cap is 2^{DENSE_TABLE_CAP}"
         )
+    if width > 1 and width << m > 1 << DENSE_TABLE_CAP:
+        raise _Split(k >> (DENSE_TABLE_CAP - m) for k in range(width))
 
 
 # -- the engine ---------------------------------------------------------------
@@ -328,13 +436,82 @@ def _check_width(context: str, m: int) -> None:
 _Record = tuple[int, list[int], np.ndarray]
 
 
+@dataclass
+class _Batch:
+    """Energies that run in lockstep, at the start of step ``start``.
+
+    ``members`` are the energies' positions in the call, ``inputs`` each
+    member's input sets by bucket.  Factor tables and records carry the
+    members on a last axis, unless there is just one member.
+    """
+
+    members: list[int]
+    inputs: list[_Inputs]
+    buckets: list[list[_Factor]]
+    records: list[_Record] = field(default_factory=list)
+    steps: list[StepDiagnostics] = field(default_factory=list)
+    start: int = 0
+
+    def take(self, group: list[int]) -> _Batch:
+        """The members at positions ``group``, at the same step."""
+
+        def pick(table):
+            return table[..., group[0]].copy() if len(group) == 1 else table[..., group]
+
+        return _Batch(
+            [self.members[m] for m in group],
+            [self.inputs[m] for m in group],
+            [[(scope, pick(table)) for scope, table in bucket] for bucket in self.buckets],
+            [(i, extras, pick(h)) for i, extras, h in self.records],
+            list(self.steps),
+            self.start,
+        )
+
+
 def _eliminate(
-    energy: PseudoBooleanFunction, order: tuple[int, ...], cfg: EliminationConfig
-) -> tuple[float, list[_Record], list[StepDiagnostics]]:
-    """Variable elimination on per-bucket lists of dense factors, in every mode.
+    energies: list[PseudoBooleanFunction], order: tuple[int, ...], cfg: EliminationConfig
+) -> list[tuple[float, list[_Record], list[StepDiagnostics]]]:
+    """Variable elimination of energies over the same variables, in every mode.
 
     Bucket r holds the input's sets and the factors whose earliest variable
-    is ``order[r]``, so a step reads one bucket and touches no other.
+    is ``order[r]``, so a step reads one bucket and touches no other.  The
+    energies start as one batch; a batch whose members disagree on a step's
+    decision splits, and each group of agreeing members redoes that step.
+    """
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    keys = set().union(*(energy._beta for energy in energies))
+    bucket = {key: _first(rank, key) for key in keys}
+    inputs = [_Inputs.of(energy, bucket) for energy in energies]
+    runs: list = [None] * len(energies)
+    pending = [_Batch(list(range(len(energies))), inputs, [[] for _ in range(len(order) + 1)])]
+    while pending:
+        batch = pending.pop()
+        try:
+            _run(batch, order, rank, cfg)
+        except _Split as split:
+            groups = [[batch.members[m] for m in group] for group in split.groups]
+            logger.debug("step %d: batch splits into %s", batch.start, groups)
+            pending += [batch.take(group) for group in reversed(split.groups)]
+            continue
+        one = len(batch.members) == 1
+        for k, member in enumerate(batch.members):
+            log_value = 0.0
+            for _, b in batch.inputs[k].pairs(len(order)):  # the constant, if nonzero
+                log_value += b
+            for _, message in batch.buckets[-1]:
+                log_value += float(message[0] if one else message[0, k])
+            records = [(i, e, h if one else h[:, k]) for i, e, h in batch.records]
+            runs[member] = (log_value, records, batch.steps)
+    return runs
+
+
+def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: EliminationConfig) -> None:
+    """Run a batch's steps from ``batch.start`` on.
+
+    A step works on locals and commits at its end, so a _Split raised
+    within it leaves the batch at the step's start.
     """
     summing = cfg.marginal == "sum"
     fold = np.logaddexp if summing else np.maximum
@@ -342,108 +519,109 @@ def _eliminate(
     table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
     record = not summing or cfg.pomm_variant != "none"
     record_pre = cfg.pomm_variant == "pre_approximation"
-    rank = [0] * len(order)
-    for r, v in enumerate(order):
-        rank[v] = r
-    inputs: list[dict[InteractionSet, float]] = [{} for _ in range(len(order) + 1)]
-    for key, b in energy.terms().items():
-        inputs[_first(rank, key)][key] = b
-    buckets: list[list[_Factor]] = [[] for _ in inputs]
+    width = len(batch.members)
+    batched = width > 1
+    tail = (width,) if batched else ()
+    buckets = batch.buckets
+    filed: list[_Factor] = []
 
     def file(scope, table) -> None:
         """File a factor of a capped step, without the axes it is constant along."""
-        if table.any():  # an exact zero adds nothing
-            scope, table = _squeeze(scope, table)
-            buckets[_first(rank, scope)].append((scope, table))
+        # an exact zero adds nothing
+        if _agreed(table.any(axis=0)) if batched else np.count_nonzero(table):
+            filed.append(_squeeze(scope, table))
 
-    records: list[_Record] = []
-    steps: list[StepDiagnostics] = []
-    for step_no, i in enumerate(order):
+    for step_no in range(batch.start, len(order)):
+        batch.start = step_no
+        i = order[step_no]
         context = f"step {step_no}, variable {i}"
-        pairs = [(key, b) for key, b in inputs[step_no].items() if b != 0.0]
+        if batched:
+            pairs = _agreed_pairs(batch.inputs, step_no)
+        else:
+            pairs = batch.inputs[0].pairs(step_no)
         factors = buckets[step_no]
-        inputs[step_no], buckets[step_no] = {}, []  # free the consumed bucket
         own = tuple(sorted({v for key, _ in pairs for v in key}))
         joint = sorted({i, *own}.union(*(scope for scope, _ in factors)))
         eta = len(joint) - 1
+        filed = []
+        kept = None  # the step's record
         if cfg.mode == "exact" or eta <= cfg.nu:
-            _check_width(context, len(joint))
+            _check_width(context, len(joint), width)
             if pairs:
-                factors.insert(0, (own, tabulate(pairs, own, context)))
-            extras, t0, t1 = _split(tuple(joint), _sum_over(joint, factors).reshape(-1), i)
+                factors = [(own, tabulate(pairs, own, context, tail)), *factors]
+            extras, t0, t1 = _split(tuple(joint), _sum_over(joint, factors, tail), i)
             if record:
                 h = t1 - t0
-                records.append((i, list(extras), h if summing else h > 0.0))
-            buckets[_first(rank, extras)].append((extras, fold(t0, t1)))
-            steps.append(StepDiagnostics(variable=i, eta_before=eta, eta_after=eta))
-            continue
+                kept = (i, list(extras), h if summing else h > 0.0)
+            filed.append((extras, fold(t0, t1)))
+            step = StepDiagnostics(variable=i, eta_before=eta, eta_after=eta)
+        else:
+            # Over the cap: x_i's energy is x_i h + r.  Each input set is a
+            # factor of its own, nonzero at its all-ones entry.
+            factors = list(factors)
+            for key, b in pairs:
+                monomial = np.zeros((1 << len(key),) + tail)
+                monomial[-1] = b
+                factors.append((key, monomial))
+            neighbours = [v for v in joint if v != i]
+            slot = {v: k for k, v in enumerate(neighbours)}
+            pieces = []
+            for scope, table in _merge_nested(factors):
+                rest, t0, t1 = _split(scope, table, i)
+                file(rest, t0)  # a part of r
+                pieces.append([rest, t1 - t0, None])
+            if record_pre:
+                _check_width(context, len(joint), width)
+                kept = (i, neighbours, _sum_over(neighbours, pieces, tail))
 
-        # Over the cap: x_i's energy is x_i h + r.  Each input set is a
-        # factor of its own, nonzero at its all-ones entry.
-        for key, b in pairs:
-            monomial = np.zeros(1 << len(key))
-            monomial[-1] = b
-            factors.append((key, monomial))
-        neighbours = [v for v in joint if v != i]
-        slot = {v: k for k, v in enumerate(neighbours)}
-        pieces = []
-        for scope, table in _merge_nested(factors):
-            rest, t0, t1 = _split(scope, table, i)
-            file(rest, t0)  # a part of r
-            pieces.append([rest, t1 - t0, None])
-        if record_pre:
-            _check_width(context, len(joint))
-            records.append((i, neighbours, _sum_over(neighbours, pieces).reshape(-1)))
+            partners: list[int] = []
+            fallbacks = splits = 0
+            alive = np.ones(eta, dtype=bool)
+            while len(partners) < eta - cfg.nu:
+                scores = _partner_scores(pieces, slot)
+                scores[~alive] = np.inf
+                if batched:
+                    decision = (scores.argmin(axis=0), scores[alive].max(axis=0) == 0.0)
+                    k, vanished = _agreed(np.array(decision))
+                else:
+                    k, vanished = scores.argmin(), scores[alive].max() == 0.0
+                k = int(k)  # ties go to the smallest index
+                j = neighbours[k]
+                if vanished:
+                    fallbacks += 1
+                    logger.debug("step %d: every partner score of %d vanished; "
+                                 "taking the smallest index %d", step_no, i, j)
+                held = [(scope, table) for scope, table, _ in pieces if j in scope]
+                pieces = [p for p in pieces if j not in p[0]]
+                if cfg.mode == "approximate":
+                    reduced, residuals = _soir(held, j)
+                    for scope, table in residuals:
+                        file(scope, table)
+                else:
+                    reduced, extra = _clamp(held, j, clamp, table_cap)
+                    splits += extra
+                pieces += [[scope, table, None] for scope, table in reduced]
+                alive[k] = False
+                partners.append(j)
 
-        partners: list[int] = []
-        fallbacks = splits = 0
-        alive = np.ones(eta, dtype=bool)
-        while len(partners) < eta - cfg.nu:
-            scores = _partner_scores(pieces, slot)
-            scores[~alive] = np.inf
-            k = int(np.argmin(scores))  # ties go to the smallest index
-            j = neighbours[k]
-            if scores[alive].max() == 0.0:
-                fallbacks += 1
-                logger.debug("step %d: every partner score of %d vanished; "
-                             "taking the smallest index %d", step_no, i, j)
-            held = [(scope, table) for scope, table, _ in pieces if j in scope]
-            pieces = [p for p in pieces if j not in p[0]]
-            if cfg.mode == "approximate":
-                reduced, residuals = _soir(held, j)
-                for scope, table in residuals:
-                    file(scope, table)
-            else:
-                reduced, extra = _clamp(held, j, clamp, table_cap)
-                splits += extra
-            pieces += [[scope, table, None] for scope, table in reduced]
-            alive[k] = False
-            partners.append(j)
+            extras = [v for v, live in zip(neighbours, alive) if live]
+            h = _sum_over(extras, pieces, tail)
+            if record and not record_pre:
+                kept = (i, extras, h if summing else h > 0.0)
+            file(tuple(extras), fold(0.0, h))
+            step = StepDiagnostics(i, eta, len(extras), tuple(partners), fallbacks, splits)
 
-        extras = [v for v, live in zip(neighbours, alive) if live]
-        h = _sum_over(extras, pieces).reshape(-1)
-        if record and not record_pre:
-            records.append((i, extras, h if summing else h > 0.0))
-        file(tuple(extras), fold(0.0, h))
-        steps.append(
-            StepDiagnostics(i, eta, len(extras), tuple(partners), fallbacks, splits)
-        )
-    log_value = 0.0 + inputs[-1].get((), 0.0)  # a -0.0 constant gives 0.0
-    for _, message in buckets[-1]:
-        log_value += float(message[0])
-    return log_value, records, steps
+        buckets[step_no] = []  # commit: free the consumed bucket, file the new factors
+        for scope, table in filed:
+            buckets[_first(rank, scope)].append((scope, table))
+        if kept is not None:
+            batch.records.append(kept)
+        batch.steps.append(step)
+    batch.start = len(order)
 
 
-def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
-    """Run variable elimination on an MRF or a raw energy polynomial."""
-    energy = _energy_of(target)
-    n = energy.n
-    order = cfg.order if cfg.order is not None else tuple(range(n))
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of all variable indices")
-
-    log_value, records, steps = _eliminate(energy, order, cfg)
-
+def _result(n: int, cfg: EliminationConfig, run) -> EliminationResult:
+    log_value, records, steps = run
     argmax = None
     if cfg.marginal == "max":
         argmax = np.zeros(n, dtype=np.uint8)
@@ -465,6 +643,30 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
         pomm=pomm,
         per_step=tuple(steps),
     )
+
+
+def eliminate_many(targets, cfg: EliminationConfig) -> list[EliminationResult]:
+    """Run variable elimination on several MRFs or energies over the same variables.
+
+    The runs share one step loop while they take the same decisions (see
+    the module docstring); each result equals its own :func:`eliminate`
+    run byte for byte.
+    """
+    energies = [_energy_of(target) for target in targets]
+    if not energies:
+        return []
+    n = energies[0].n
+    if any(energy.n != n for energy in energies):
+        raise ValueError("every target must have the same number of variables")
+    order = cfg.order if cfg.order is not None else tuple(range(n))
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of all variable indices")
+    return [_result(n, cfg, run) for run in _eliminate(energies, order, cfg)]
+
+
+def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
+    """Run variable elimination on an MRF or a raw energy polynomial."""
+    return eliminate_many([target], cfg)[0]
 
 
 # -- public entry points --------------------------------------------------------

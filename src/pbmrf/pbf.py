@@ -97,18 +97,20 @@ def zeta_transform(weights: np.ndarray) -> np.ndarray:
 
     ``out[mask] = sum of weights[sub] over sub subseteq mask`` where bit k
     of the index is the value of the k-th variable.  In place over a copy,
-    O(m 2^m).
+    O(m 2^m).  Trailing axes (one per member of a batch of tables) ride
+    along: the transform runs over the first axis.
     """
     v = np.array(weights, dtype=float)
-    size = v.size
+    shape = v.shape
+    size, tail = len(v), shape[1:]
     if size & (size - 1):
         raise ValueError(f"table length {size} is not a power of two")
     step = 1
     while step < size:
-        v = v.reshape(-1, 2 * step)
+        v = v.reshape((-1, 2 * step) + tail)
         v[:, step:] += v[:, :step]
         step *= 2
-    return v.reshape(size)
+    return v.reshape(shape)
 
 
 def moebius_transform(values: np.ndarray) -> np.ndarray:
@@ -313,17 +315,18 @@ def values_from_interactions(
     return DenseLocalFunction(variables, values)
 
 
-def tabulate(pairs, variables, context: str) -> np.ndarray:
+def tabulate(pairs, variables, context: str, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Values of sum of beta * prod_{k in L} x_k over ``(L, beta)`` pairs.
 
     Entry ``mask`` is the value at the assignment where bit k gives the
     value of ``variables[k]``; variables of L that are not listed count as
-    fixed at 1.  Raises ResourceCapError, prefixed by ``context``, when the
-    table would exceed the dense cap.
+    fixed at 1.  Each beta has shape ``batch``: ``(B,)`` tabulates B
+    functions at once, into a (2^m, B) table.  Raises ResourceCapError,
+    prefixed by ``context``, when the table would exceed the dense cap.
     """
     _check_table_size(len(variables), context)
     bit = {v: 1 << k for k, v in enumerate(variables)}
-    weights = np.zeros(1 << len(variables))
+    weights = np.zeros((1 << len(variables), *batch))
     for key, b in pairs:
         mask = 0
         for v in key:

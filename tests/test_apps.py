@@ -46,7 +46,7 @@ from pbmrf.apps import (
     pomm_log_density_polynomial,
 )
 from pbmrf.models import MODEL_FAMILIES
-from pbmrf.pbf import TERMS_TABLE_CAP
+from pbmrf.pbf import TERMS_TABLE_CAP, evaluate_many
 from pbmrf.pomm import (
     PartiallyOrderedMarkovModel,
     PommConditional,
@@ -130,6 +130,36 @@ def test_mle_bracket_rejects_bad_grid():
         mle_bracket(obs, lambda t: build_ising(lat, t), [0.3, 0.1, 0.6], [4])
     with pytest.raises(ValueError):
         mle_bracket(obs, lambda t: build_ising(lat, t), [0.1, 0.3], [4])
+
+
+@pytest.mark.parametrize("points", [0, 1, 2])
+def test_mle_bracket_rejects_fewer_than_three_grid_points(points):
+    # one point would certify a zero-width bracket, none would find no cut
+    lat = LatticeSpec(4, 4)
+    obs = observed_realization(lat, 0.5, 1)
+    with pytest.raises(ValueError, match="grid_points"):
+        mle_bracket(
+            obs, lambda t: build_ising(lat, t), np.linspace(0, 2, 5), [2, 3], grid_points=points
+        )
+
+
+def test_mle_bracket_curves_are_the_single_bounds():
+    # the batched bounds of each round equal single runs, on float grids
+    lat = LatticeSpec(4, 4)
+    obs = observed_realization(lat, 0.5, 1)
+    bracket = mle_bracket(
+        obs, lambda t: build_ising(lat, t), np.linspace(0, 2, 5), [2, 3], grid_points=5
+    )
+    for rnd in bracket.rounds:
+        assert all(type(t) is float for t in rnd.grid)
+        for t, lower, upper in zip(rnd.grid, rnd.ell_lower, rnd.ell_upper, strict=True):
+            model = build_ising(lat, t)
+            energy = float(evaluate_many(model.energy, obs.reshape(1, -1))[0])
+            ln_c = {
+                mode: eliminate(model, EliminationConfig(mode=mode, nu=rnd.nu)).log_value
+                for mode in ("lower_bound", "upper_bound")
+            }
+            assert (lower, upper) == (energy - ln_c["upper_bound"], energy - ln_c["lower_bound"])
 
 
 # -- MAP estimation ---------------------------------------------------------------

@@ -231,6 +231,14 @@ def test_mle_command_brackets_grid_mle(tmp_path):
     assert rows[best][4] == "1"
 
 
+def test_mle_command_needs_three_grid_points(ising_config, tmp_path, capsys):
+    x = tmp_path / "x.txt"
+    x.write_text("0" * 9)
+    argv = ["mle", "--config", ising_config, "--x", str(x), "--nu", "2,3", "--grid-points", "2"]
+    assert run(argv) == 2
+    assert "grid_points must be at least 3" in capsys.readouterr().err
+
+
 def test_reject_and_mh_rate_commands(ising_config, tmp_path):
     out = tmp_path / "r.csv"
     assert (

@@ -1,6 +1,7 @@
 """The elimination engine: exact, capped, bounded, max-marginal, moments."""
 
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from pbmrf import (
     LatticeSpec,
     PseudoBooleanFunction,
     ResourceCapError,
+    add_scaled,
     build_higher_order,
     build_independence,
     bound_remove_pair,
@@ -30,8 +32,10 @@ from pbmrf import (
     eliminate_approx,
     eliminate_bound,
     eliminate_exact_sum,
+    eliminate_many,
     eliminate_max,
     moment,
+    scale,
     soir,
 )
 from pbmrf import elimination
@@ -329,28 +333,41 @@ def test_capped_runs_ignore_dead_zeros_and_sandwich_the_truth(case):
 
 @st.composite
 def pieces_of_h(draw):
-    """A random dense function of at most 7 variables, x_0's part in pieces.
+    """Two to four random dense functions of at most 7 variables, x_0's part in pieces.
 
-    Its sets holding 0 are dealt into one to three groups.  Each group,
-    tabulated over its own variables and split on x_0, gives one piece of
-    h, x_0's coefficient, as a capped step that removes partners of 0 has.
+    The members share one family of sets, each with its own coefficients.
+    The sets holding 0 are dealt into one to three groups.  Each group,
+    tabulated for every member over its own variables and split on x_0,
+    gives one piece of h, x_0's coefficient, as a capped step of a batch
+    that removes partners of 0 has: a table with the members on a last axis.
     """
     n = draw(st.integers(2, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 6)))
-    dealt = [{} for _ in range(draw(st.integers(1, 3)))]
-    for key, b in f.terms().items():
+    fs = [f] + [
+        PseudoBooleanFunction(n, {key: rng.normal() for key in f.terms()}, prune=False)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    dealt = [[] for _ in range(draw(st.integers(1, 3)))]
+    for key in f.terms():
         if 0 in key:
-            dealt[int(rng.integers(len(dealt)))][key] = b
+            dealt[int(rng.integers(len(dealt)))].append(key)
     pieces = []
-    for terms in dealt:
-        scope = tuple(sorted({v for key in terms for v in key}))
+    for keys in dealt:
+        scope = tuple(sorted({v for key in keys for v in key}))
         if scope:
-            rest, t0, t1 = elimination._split(scope, tabulate(terms.items(), scope, "piece"), 0)
+            pairs = [(key, np.array([g.beta(key) for g in fs])) for key in keys]
+            table = tabulate(pairs, scope, "piece", (len(fs),))
+            rest, t0, t1 = elimination._split(scope, table, 0)
             pieces.append((rest, t1 - t0))
     neighbours = sorted(set().union(*(scope for scope, _ in pieces)))
     assume(neighbours)
-    return f, pieces, neighbours
+    return fs, pieces, neighbours
+
+
+def member(tables, m):
+    """Member m's factors of a batch's factors."""
+    return [(scope, t[:, m]) for scope, t in tables]
 
 
 def energy_values(f, pieces, factors=()):
@@ -368,47 +385,51 @@ def energy_values(f, pieces, factors=()):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(pieces_of_h())
 def test_table_scores_match_fstar_on_the_coefficients_of_h(case):
-    f, pieces, neighbours = case
+    fs, pieces, neighbours = case
     slot = {v: k for k, v in enumerate(neighbours)}
     scores = elimination._partner_scores([[s, t, None] for s, t in pieces], slot)
-    members = sorted((key, b) for key, b in f.terms().items() if 0 in key)
-    want = fstar_scores((0,), neighbours, members)
-    assert np.abs(scores - [want[r] for r in neighbours]).max() <= 1e-12
+    assert scores.shape == (len(neighbours), len(fs))
+    for m, f in enumerate(fs):
+        members = sorted((key, b) for key, b in f.terms().items() if 0 in key)
+        want = fstar_scores((0,), neighbours, members)
+        assert np.abs(scores[:, m] - [want[r] for r in neighbours]).max() <= 1e-12
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(pieces_of_h())
 def test_table_soir_matches_soir(case):
-    f, pieces, neighbours = case
+    fs, pieces, neighbours = case
     for j in neighbours:
         held = [p for p in pieces if j in p[0]]
         means, residuals = elimination._soir(held, j)
         kept = [p for p in pieces if j not in p[0]] + means
-        got = energy_values(f, kept, residuals)
-        want = eval_pbf(soir(f, 0, j)[0], all_states(f.n))
-        assert np.abs(got - want).max() <= 1e-12
+        for m, f in enumerate(fs):
+            got = energy_values(f, member(kept, m), member(residuals, m))
+            want = eval_pbf(soir(f, 0, j)[0], all_states(f.n))
+            assert np.abs(got - want).max() <= 1e-12
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(pieces_of_h())
 def test_table_clamps_bound_the_energy(case):
-    f, pieces, neighbours = case
-    values = eval_pbf(f, all_states(f.n))
+    fs, pieces, neighbours = case
     for j in neighbours:
         held = [p for p in pieces if j in p[0]]
         kept = [p for p in pieces if j not in p[0]]
         for direction, reduce, sign in (("upper", np.maximum, 1), ("lower", np.minimum, -1)):
             # a table_cap of n covers every merge: the clamp of the summed pieces
-            merged, splits = elimination._clamp(held, j, reduce, f.n)
+            merged, splits = elimination._clamp(held, j, reduce, fs[0].n)
             assert splits == 0
-            got = energy_values(f, kept + merged)
-            want = eval_pbf(bound_remove_pair(f, 0, j, direction, f.n), all_states(f.n))
-            assert np.abs(got - want).max() <= 1e-12
             # a table_cap of 0 clamps each piece on its own: looser, still a bound
             apart, _ = elimination._clamp(held, j, reduce, 0)
-            loose = energy_values(f, kept + apart)
-            assert (sign * (loose - values) >= -1e-12).all()
-            assert (sign * (loose - got) >= -1e-12).all()
+            for m, f in enumerate(fs):
+                values = eval_pbf(f, all_states(f.n))
+                got = energy_values(f, member(kept + merged, m))
+                want = eval_pbf(bound_remove_pair(f, 0, j, direction, f.n), all_states(f.n))
+                assert np.abs(got - want).max() <= 1e-12
+                loose = energy_values(f, member(kept + apart, m))
+                assert (sign * (loose - values) >= -1e-12).all()
+                assert (sign * (loose - got) >= -1e-12).all()
 
 
 def test_capped_max_message_drops_the_axes_it_ignores():
@@ -610,3 +631,146 @@ def test_incremental_prune_drops_zero_leaves_of_unpruned_input():
         ("upper_bound", 1),
     ]
     assert_same_runs(dead, pruned, lattice_orders(2, 2).values(), modes)
+
+
+# -- batches ----------------------------------------------------------------------
+
+CONFIGS = [
+    (mode, marginal, variant)
+    for mode in elimination.MODES
+    for marginal in elimination.MARGINALS
+    for variant in elimination.POMM_VARIANTS
+    if variant == "none" or marginal == "sum"
+]
+
+
+def assert_same_bytes(got, want):
+    """Two elimination results are equal byte for byte."""
+    assert got.log_value.hex() == want.log_value.hex()
+    assert got.per_step == want.per_step
+    if want.argmax is None:
+        assert got.argmax is None
+    else:
+        assert got.argmax.dtype == want.argmax.dtype
+        assert got.argmax.tobytes() == want.argmax.tobytes()
+    if want.pomm is None:
+        assert got.pomm is None
+        return
+    for c, d in zip(got.pomm.conditionals, want.pomm.conditionals, strict=True):
+        assert (c.variable, c.depends_on) == (d.variable, d.depends_on)
+        assert c.prob_one.tobytes() == d.prob_one.tobytes()
+
+
+def on_grid(rng, f):
+    """A polynomial on f's family, coefficients from -1, -1/2, 0, 1/2 and 1."""
+    return PseudoBooleanFunction(f.n, {key: rng.integers(-2, 3) / 2 for key in f.terms()})
+
+
+@st.composite
+def batches(draw):
+    """One to six polynomials on the same n <= 7 variables, a random order and caps.
+
+    Each member scales one random dense polynomial, by a factor that may be
+    0 or negative, or adds an independent one to it: on the same family, on
+    another, or a single monomial of the family.  Coefficients on a coarse
+    grid give members whose zero patterns, constant axes or partner-score
+    ties differ, so that batches split, at any step.
+    """
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        f = on_grid(rng, f)
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["scale", "same family", "monomial", "any family"]))
+        if kind == "scale":
+            members.append(scale(f, draw(st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0, 2.0]))))
+        elif kind == "same family":
+            members.append(add_scaled(f, on_grid(rng, f), 1.0, 1.0))
+        elif kind == "monomial":
+            key = draw(st.sampled_from(sorted(f.terms())))
+            g = PseudoBooleanFunction(n, {key: draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0]))})
+            members.append(add_scaled(f, g, 1.0, 1.0))
+        else:
+            g = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 3)))
+            members.append(add_scaled(f, g, 1.0, 1.0))
+    order = tuple(draw(st.permutations(range(n))))
+    return members, order, draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(batches())
+def test_eliminate_many_equals_its_single_runs_byte_for_byte(case):
+    members, order, nu, table_cap = case
+    for mode, marginal, variant in CONFIGS:
+        cfg = EliminationConfig(
+            mode=mode,
+            marginal=marginal,
+            nu=None if mode == "exact" else nu,
+            order=order,
+            pomm_variant=variant,
+            table_cap=table_cap,
+        )
+        singles = [eliminate(f, cfg) for f in members]
+        for got, want in zip(eliminate_many(members, cfg), singles, strict=True):
+            assert_same_bytes(got, want)
+
+
+def batch_splits(caplog):
+    """(step, groups of member positions) of each split the engine logged."""
+    return [r.args for r in caplog.records if r.msg.startswith("step %d: batch splits")]
+
+
+def test_batch_splits_mid_run_where_members_part(caplog):
+    # theta = 0 has no interactions and leaves at step 0; the partner
+    # choices of theta >= 0.8 part from those of theta 0.2-0.6 at step 16
+    lattice = LatticeSpec(12, 12)
+    models = [build_ising(lattice, t) for t in np.linspace(0.0, 2.0, 11)]
+    cfg = EliminationConfig(mode="upper_bound", nu=6)
+    with caplog.at_level(logging.DEBUG, logger="pbmrf.elimination"):
+        many = eliminate_many(models, cfg)
+    splits = batch_splits(caplog)
+    assert splits[0] == (0, [[0], list(range(1, 11))])
+    assert splits[1] == (16, [[1, 2, 3], list(range(4, 11))])
+    for got, model in zip(many, models, strict=True):
+        assert_same_bytes(got, eliminate(model, cfg))
+
+
+def test_batch_splits_where_a_message_drops_an_axis_for_some_members(caplog):
+    # the first member is the energy of the test above, whose max message of
+    # step 0 ignores x_2; with 3/4 on (0, 1, 2) the second member's does not
+    terms = {(0,): -1.0, (0, 1): 2.0, (0, 2): -0.5, (0, 1, 2): 0.5, (0, 3): 0.25}
+    members = [PseudoBooleanFunction(4, {**terms, (0, 1, 2): c}) for c in (0.5, 0.75)]
+    for mode in ("approximate", "lower_bound", "upper_bound"):
+        cfg = EliminationConfig(mode=mode, marginal="max", nu=2)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pbmrf.elimination"):
+            many = eliminate_many(members, cfg)
+        assert batch_splits(caplog) == [(0, [[0], [1]])]
+        assert [res.per_step[1].eta_before for res in many] == [0, 1]
+        for got, f in zip(many, members, strict=True):
+            assert_same_bytes(got, eliminate(f, cfg))
+
+
+def test_batch_splits_to_fit_the_table_cap(monkeypatch, caplog):
+    # under a cap of 2^6 entries, the 2^5-entry joint tables of Ising 4x4
+    # (eta 4) fit for two members at a time, not for four
+    monkeypatch.setattr(elimination, "DENSE_TABLE_CAP", 6)
+    models = [build_ising(LatticeSpec(4, 4), t) for t in (0.3, 0.6, 0.9, 1.2)]
+    for cfg in (EliminationConfig(), EliminationConfig(marginal="max")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pbmrf.elimination"):
+            many = eliminate_many(models, cfg)
+        assert [groups for _, groups in batch_splits(caplog)] == [[[0, 1], [2, 3]]]
+        for got, model in zip(many, models, strict=True):
+            assert_same_bytes(got, eliminate(model, cfg))
+
+
+def test_eliminate_many_takes_targets_over_the_same_variables():
+    assert eliminate_many([], EliminationConfig()) == []
+    with pytest.raises(ValueError):
+        eliminate_many(
+            [build_ising(LatticeSpec(2, 2), 0.4), build_ising(LatticeSpec(2, 3), 0.4)],
+            EliminationConfig(),
+        )

@@ -34,6 +34,12 @@ $P gibbs --config "$OUT/ho.json" --sweeps 60 --burn-in 10 --thin 5 --seed 6 --ch
 $P gibbs --family ising --rows 4 --cols 7 --params 0.7 --sweeps 80 --burn-in 20 --thin 3 --seed 7 --chains 2 --format json --out "$OUT/gibbs_4x7.json"
 $P mh-rate --config "$OUT/ho.json" --nu 4 --pairs 60 --burn-in 20 --thin 4 --seed 8 --out "$OUT/mh_ho.csv"
 $P mle --config "$OUT/small.json" --x "$OUT/x.txt" --nu 2,4 --grid-points 7 --out "$OUT/mle.csv" 2> "$OUT/mle.err"
+# The bench mle run on its seed-1 observed state, and a first round at nu 4
+# over the whole [0, 2] grid, where the grid's batched eliminations split.
+echo '{"family":"ising","rows":12,"cols":12,"params":[1.0]}' > "$OUT/ising12.json"
+echo 001010011000000000000111111100000100001000011101011100000101100010001100110011101001110111101110000111111000100010010100000000001000000011000001 > "$OUT/x12.txt"
+$P mle --config "$OUT/ising12.json" --x "$OUT/x12.txt" --theta-min 0 --theta-max 2 --nu 2,4,6 --grid-points 11 --out "$OUT/mle_bench.csv" 2> "$OUT/mle_bench.err"
+$P mle --config "$OUT/ising12.json" --x "$OUT/x12.txt" --theta-min 0 --theta-max 2 --nu 4,6 --grid-points 11 --out "$OUT/mle_wide.csv" 2> "$OUT/mle_wide.err"
 python3 - > "$OUT/lib.txt" <<'EOF'
 import numpy as np
 from pbmrf import (LatticeSpec, build_ising, build_higher_order, build_2x2_rotinv,
