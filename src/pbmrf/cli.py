@@ -43,7 +43,7 @@ from .apps import (
 )
 from .elimination import EliminationConfig, eliminate
 from .models import MODEL_FAMILIES, LatticeSpec, build_ising, model_from_config
-from .pbf import ResourceCapError
+from .pbf import ResourceCapError, as_int
 from .pomm import sample as pomm_sample, state_texts
 
 FORMATS = ("csv", "json")
@@ -100,6 +100,8 @@ def _setting(args, config, name, default=None, cast=None):
         value = config.get(name, default)
     if value is None:
         return None
+    if cast is int:
+        return as_int(name, value)
     return cast(value) if cast else value
 
 
@@ -139,11 +141,9 @@ def _nu_list(args, config) -> list[int]:
     raw = _setting(args, config, "nu")
     if raw is None:
         raise ValueError("this command needs --nu")
-    if isinstance(raw, (int, float)):
-        return [int(raw)]
     if isinstance(raw, str):
-        return [int(v) for v in raw.split(",")]
-    return [int(v) for v in raw]
+        raw = raw.split(",")
+    return [as_int("nu", v) for v in (raw if isinstance(raw, list) else [raw])]
 
 
 def _read_state(path, n: int) -> np.ndarray:
@@ -250,7 +250,7 @@ def _cmd_mle(args, config) -> int:
     model = _model(args, config)
     if model.label != "ising":
         raise ValueError("mle bracketing supports the scalar-parameter ising family")
-    lat = LatticeSpec(int(_setting(args, config, "rows")), int(_setting(args, config, "cols")))
+    lat = LatticeSpec(*(_setting(args, config, key, None, int) for key in ("rows", "cols")))
     observed = _read_state(_require_arg(args, config, "x"), lat.n)
     lo = _setting(args, config, "theta-min", 0.0, float)
     hi = _setting(args, config, "theta-max", 2.0, float)

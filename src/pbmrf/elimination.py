@@ -7,26 +7,26 @@ costs 2^eta for i's current neighbour count eta.
 
 One step loop serves every mode.  The working energy is a list of dense
 value factors (scope, table) per bucket, filed by earliest variable in
-the elimination order as in Dechter's bucket elimination (the constant
-in one extra last bucket), so i's bucket holds exactly the factors
-containing i; the input's sets are tabulated at their step.  A step
-within the cap nu (every step of exact mode) tabulates them as one
-factor, sums its factors onto (x_i, neighbours), folds the x_i axis and
-files the message.
+the elimination order as in Dechter's bucket elimination (the constant,
+a factor over no variables, in one extra last bucket), so i's bucket
+holds exactly the factors containing i; the input's sets are filed the
+same way and tabulated at their step.  A step within the cap nu (every
+step of exact mode) tabulates them as one factor, sums its factors onto
+(x_i, neighbours), folds the x_i axis and files the message.
 
 A step over the cap writes its energy as x_i h + r: it makes each input
 set a factor of its own, merges each factor whose scope lies inside
-another's into it, hands each factor's
-x_i = 0 slice on as part of r, and keeps the rest as the pieces of h.
-Each partner j is then removed by a reduction over the j axis of the
-pieces holding x_j: the least-squares SOIR update (approximate mode)
-takes their mean and files each piece's residual (x_j/2 - 1/4)(h1 - h0);
-a one-sided clamp (bound modes, certified lower/upper ln c) takes their
-max or min, over one summed table when they span at most ``table_cap``
-variables besides j, else piece by piece.  Partners minimise the f*
-score of :func:`pbmrf.approx.fstar_scores`, read from finite differences
-of h.  The fold of h, without the axes it is exactly constant along, is
-the step's message.
+another's into it, hands each factor's x_i = 0 slice on as part of r,
+and keeps the rest as the pieces of h.  Each partner j is then removed
+by a reduction over the j axis of the pieces holding x_j: the
+least-squares SOIR update (approximate mode) takes their mean and files
+each piece's residual (x_j/2 - 1/4)(h1 - h0); a one-sided clamp (bound
+modes, certified lower/upper ln c) takes their max or min, over one
+summed table when they span at most ``table_cap`` variables besides j,
+else piece by piece.  Partners minimise the f* score of
+:func:`pbmrf.approx.fstar_scores`, read from finite differences of h.
+The fold of h, without the axes it is exactly constant along, is the
+step's message.
 
 Each step keeps one record, its local table h over its neighbours: the
 max marginal reads its maximising state backwards from h > 0; a
@@ -37,35 +37,35 @@ marginal, the table the step folds (dependency sets at most nu).
 :func:`eliminate_many` runs B energies over the same variables through
 the same step loop in lockstep: each factor keeps one (2^m, B) table
 with the members on a last axis, so a step costs one pass of numpy calls
-for the whole batch.  The members stay together while every
-data-dependent decision agrees: the step's nonzero input sets (and their
-order), whether a filed factor is all zero and which axes it is constant
-along, each partner argmin and whether its scores vanished, and whether
-B * 2^m joint entries fit the dense-table cap.  At the first
-disagreement the step is abandoned (a step commits only at its end) and
-the batch splits into groups of agreeing members, in the order of their
-first members (for the cap, consecutive groups that fit); each group
-redoes that step and goes on alone, and a group of one drops the batch
-axis.  Every member's result is byte-identical to its own run:
-:func:`eliminate` is the batch of one.
+for the whole batch.  The input sets are compared once, before step 0:
+energies whose nonzero sets differ, or come in another order, start in
+batches of their own.  Every other decision depends on the data and is
+checked per step, and the members stay together while they agree:
+whether a filed factor is all zero and which axes it is constant along,
+each partner argmin and whether its scores vanished, and whether B * 2^m
+joint entries fit the dense-table cap.  At the first disagreement the
+step is abandoned (a step commits only at its end) and the batch splits
+into groups of agreeing members, in the order of their first members
+(for the cap, consecutive groups that fit); each group redoes that step
+and goes on alone, and a group of one drops the batch axis.  Every
+member's result is byte-identical to its own run: :func:`eliminate` is
+the batch of one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .pbf import (
     DENSE_TABLE_CAP,
-    InteractionSet,
     PseudoBooleanFunction,
     ResourceCapError,
     add_scaled,
+    as_int,
     table_rows,
     tabulate,
 )
@@ -120,11 +120,11 @@ class EliminationConfig:
         if self.pomm_variant not in POMM_VARIANTS:
             raise ValueError(f"unknown pomm_variant {self.pomm_variant!r}")
         if self.nu is not None:
-            object.__setattr__(self, "nu", int(self.nu))
+            object.__setattr__(self, "nu", as_int("nu", self.nu))
         if self.mode != "exact" and (self.nu is None or self.nu < 1):
             raise ValueError(f"mode {self.mode!r} needs nu >= 1, got {self.nu}")
         if self.table_cap is not None:
-            object.__setattr__(self, "table_cap", int(self.table_cap))
+            object.__setattr__(self, "table_cap", as_int("table_cap", self.table_cap))
             if self.table_cap < 0:
                 raise ValueError(f"table_cap must be >= 0, got {self.table_cap}")
             if self.table_cap > DENSE_TABLE_CAP:
@@ -194,6 +194,14 @@ def _first(rank: list[int], key) -> int:
     return min(map(rank.__getitem__, key), default=len(rank))
 
 
+def _groups(labels) -> list[list[int]]:
+    """Positions with equal labels, in the order of their first positions."""
+    groups: dict[object, list[int]] = {}
+    for member, label in enumerate(labels):
+        groups.setdefault(label, []).append(member)
+    return list(groups.values())
+
+
 class _Split(Exception):
     """The members of a batch disagree on a decision of the current step.
 
@@ -202,10 +210,7 @@ class _Split(Exception):
     """
 
     def __init__(self, labels):
-        groups: dict[object, list[int]] = {}
-        for member, label in enumerate(labels):
-            groups.setdefault(label, []).append(member)
-        self.groups = list(groups.values())
+        self.groups = _groups(labels)
         super().__init__(self.groups)
 
 
@@ -215,46 +220,6 @@ def _agreed(decision: np.ndarray) -> np.ndarray:
     if (decision == first).all():
         return first[..., 0]
     raise _Split(column.tobytes() for column in decision.reshape(-1, decision.shape[-1]).T)
-
-
-class _Inputs(NamedTuple):
-    """One energy's nonzero sets and their coefficients, bucket by bucket.
-
-    Bucket r holds ``keys[starts[r]:starts[r + 1]]``, in the energy's own
-    order, with their coefficients at the same positions of ``values``.
-    """
-
-    keys: list[InteractionSet]
-    values: list[float]
-    starts: list[int]
-
-    @classmethod
-    def of(cls, energy: PseudoBooleanFunction, bucket: dict[InteractionSet, int]) -> _Inputs:
-        """Its sets filed by ``bucket[key]``, from 0 to n (the constant)."""
-        buckets: list[list[InteractionSet]] = [[] for _ in range(energy.n + 1)]
-        for key, b in energy._beta.items():
-            if b != 0.0:
-                buckets[bucket[key]].append(key)
-        keys = list(itertools.chain.from_iterable(buckets))
-        values = [energy._beta[key] for key in keys]
-        return cls(keys, values, list(itertools.accumulate(map(len, buckets), initial=0)))
-
-    def pairs(self, r: int) -> list:
-        at, end = self.starts[r], self.starts[r + 1]
-        return list(zip(self.keys[at:end], self.values[at:end]))
-
-
-def _agreed_pairs(inputs: list[_Inputs], r: int) -> list:
-    """Bucket r's input sets, each with its coefficients per member.
-
-    The members must hold the same sets in the same order, the order a
-    run of one would tabulate and merge them in.
-    """
-    keys = [tuple(inp.keys[inp.starts[r] : inp.starts[r + 1]]) for inp in inputs]
-    if keys.count(keys[0]) < len(keys):
-        raise _Split(keys)
-    values = np.array([inp.values[inp.starts[r] : inp.starts[r + 1]] for inp in inputs])
-    return list(zip(keys[0], values.T))
 
 
 def _sum_over(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
@@ -440,13 +405,16 @@ _Record = tuple[int, list[int], np.ndarray]
 class _Batch:
     """Energies that run in lockstep, at the start of step ``start``.
 
-    ``members`` are the energies' positions in the call, ``inputs`` each
-    member's input sets by bucket.  Factor tables and records carry the
-    members on a last axis, unless there is just one member.
+    ``members`` are the energies' positions in the call; they hold the same
+    nonzero input sets in the same order.  ``inputs[r]`` lists the sets
+    filed in bucket r with their coefficients, each a (B,) array of the
+    members' values.  Factor tables and records carry the members on a
+    last axis likewise.  A batch of one keeps scalar coefficients and flat
+    tables.
     """
 
     members: list[int]
-    inputs: list[_Inputs]
+    inputs: list[list]
     buckets: list[list[_Factor]]
     records: list[_Record] = field(default_factory=list)
     steps: list[StepDiagnostics] = field(default_factory=list)
@@ -455,12 +423,12 @@ class _Batch:
     def take(self, group: list[int]) -> _Batch:
         """The members at positions ``group``, at the same step."""
 
-        def pick(table):
-            return table[..., group[0]].copy() if len(group) == 1 else table[..., group]
+        def pick(table):  # one member's column of a table, or its coefficient
+            return table.T[group[0]].copy() if len(group) == 1 else table[..., group]
 
         return _Batch(
             [self.members[m] for m in group],
-            [self.inputs[m] for m in group],
+            [[(key, pick(b)) for key, b in pairs] for pairs in self.inputs],
             [[(scope, pick(table)) for scope, table in bucket] for bucket in self.buckets],
             [(i, extras, pick(h)) for i, extras, h in self.records],
             list(self.steps),
@@ -468,24 +436,41 @@ class _Batch:
         )
 
 
+def _batch(members: list[int], keys: tuple, energies: list, rank: list[int]) -> _Batch:
+    """A batch of the ``members`` of ``energies``, whose nonzero sets are ``keys``.
+
+    Each set is filed by its earliest variable, the constant as a factor.
+    """
+    tail = (len(members),) if len(members) > 1 else ()
+    values = np.array([[energies[m]._beta[key] for key in keys] for m in members])
+    inputs: list[list] = [[] for _ in range(len(rank) + 1)]
+    for key, b in zip(keys, values.T.reshape((-1,) + tail)):
+        inputs[_first(rank, key)].append((key, b))
+    buckets: list[list[_Factor]] = [[] for _ in range(len(rank))]
+    buckets.append([((), np.array([b])) for _, b in inputs.pop()])
+    return _Batch(members, inputs, buckets)
+
+
 def _eliminate(
     energies: list[PseudoBooleanFunction], order: tuple[int, ...], cfg: EliminationConfig
 ) -> list[tuple[float, list[_Record], list[StepDiagnostics]]]:
     """Variable elimination of energies over the same variables, in every mode.
 
-    Bucket r holds the input's sets and the factors whose earliest variable
+    Bucket r holds the input sets and the factors whose earliest variable
     is ``order[r]``, so a step reads one bucket and touches no other.  The
-    energies start as one batch; a batch whose members disagree on a step's
-    decision splits, and each group of agreeing members redoes that step.
+    energies start as one batch per tuple of nonzero input sets (in the
+    energy's order); a batch whose members disagree on a step's decision
+    splits, and each group of agreeing members redoes that step.
     """
     rank = [0] * len(order)
     for r, v in enumerate(order):
         rank[v] = r
-    keys = set().union(*(energy._beta for energy in energies))
-    bucket = {key: _first(rank, key) for key in keys}
-    inputs = [_Inputs.of(energy, bucket) for energy in energies]
+    keys = [tuple(key for key, b in energy._beta.items() if b != 0.0) for energy in energies]
+    groups = _groups(keys)
+    if len(groups) > 1:
+        logger.debug("step %d: batch splits into %s", 0, groups)
     runs: list = [None] * len(energies)
-    pending = [_Batch(list(range(len(energies))), inputs, [[] for _ in range(len(order) + 1)])]
+    pending = [_batch(group, keys[group[0]], energies, rank) for group in reversed(groups)]
     while pending:
         batch = pending.pop()
         try:
@@ -498,9 +483,7 @@ def _eliminate(
         one = len(batch.members) == 1
         for k, member in enumerate(batch.members):
             log_value = 0.0
-            for _, b in batch.inputs[k].pairs(len(order)):  # the constant, if nonzero
-                log_value += b
-            for _, message in batch.buckets[-1]:
+            for _, message in batch.buckets[-1]:  # the constant first, then the messages
                 log_value += float(message[0] if one else message[0, k])
             records = [(i, e, h if one else h[:, k]) for i, e, h in batch.records]
             runs[member] = (log_value, records, batch.steps)
@@ -535,10 +518,7 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
         batch.start = step_no
         i = order[step_no]
         context = f"step {step_no}, variable {i}"
-        if batched:
-            pairs = _agreed_pairs(batch.inputs, step_no)
-        else:
-            pairs = batch.inputs[0].pairs(step_no)
+        pairs = batch.inputs[step_no]
         factors = buckets[step_no]
         own = tuple(sorted({v for key, _ in pairs for v in key}))
         joint = sorted({i, *own}.union(*(scope for scope, _ in factors)))

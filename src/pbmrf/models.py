@@ -33,6 +33,7 @@ from .pbf import (
     PRUNE_TOL,
     InteractionSet,
     PseudoBooleanFunction,
+    as_int,
     interaction_set,
     moebius_transform,
     subset_keys,
@@ -395,7 +396,7 @@ def model_from_config(config: dict) -> MarkovRandomField:
     """Build a model from {"family", "rows", "cols", "params"}."""
     try:
         family = config["family"]
-        lat = LatticeSpec(int(config["rows"]), int(config["cols"]))
+        lat = LatticeSpec(as_int("rows", config["rows"]), as_int("cols", config["cols"]))
         params = [float(p) for p in config["params"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad model config: {exc}") from exc

@@ -71,6 +71,20 @@ class ResourceCapError(RuntimeError):
     """An operation would materialise a table beyond its size cap."""
 
 
+def as_int(name: str, value) -> int:
+    """The setting ``name`` as an int: integral numbers and digit strings pass.
+
+    A boolean, or a number with a fractional part, raises ValueError.
+    """
+    try:
+        number = int(value)
+        if isinstance(value, (bool, np.bool_)) or (not isinstance(value, str) and number != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    return number
+
+
 def interaction_set(indices) -> InteractionSet:
     """Canonicalise ``indices`` into a strictly increasing tuple.
 
@@ -187,7 +201,7 @@ class PseudoBooleanFunction:
             if key and key[-1] >= self.n:
                 raise ValueError(f"interaction {key} out of range for n={self.n}")
             beta[key] = beta.get(key, 0.0) + float(value)
-        close_subsets(beta, beta)
+        close_subsets(beta)
         beta.setdefault((), 0.0)
         if prune:
             prune_dead(beta, lambda b: abs(b) >= PRUNE_TOL)
@@ -227,33 +241,25 @@ class PseudoBooleanFunction:
         return f"PseudoBooleanFunction(n={self.n}, sets={len(self._beta)})"
 
 
-def close_subsets(beta: dict[InteractionSet, float], keys) -> list[InteractionSet]:
-    """Insert every missing subset of ``keys`` into ``beta`` at zero.
-
-    Returns the inserted sets, in insertion order.
-    """
-    added: list[InteractionSet] = []
-    stack = list(keys)
+def close_subsets(beta: dict[InteractionSet, float]) -> None:
+    """Insert every missing subset of ``beta``'s sets into it at zero."""
+    stack = list(beta)
     while stack:
         key = stack.pop()
         for k in range(len(key)):
             sub = key[:k] + key[k + 1 :]
             if sub not in beta:
                 beta[sub] = 0.0
-                added.append(sub)
                 stack.append(sub)
-    return added
 
 
-def prune_dead(beta: dict[InteractionSet, float], keep) -> list[InteractionSet]:
+def prune_dead(beta: dict[InteractionSet, float], keep) -> None:
     """Drop sets whose coefficient fails ``keep`` and that no kept set needs.
 
     Processing by decreasing size keeps the family dense: a set is kept
     whenever a kept superset needs it.  The constant term always stays.
-    Returns the dropped sets.
     """
     needed: set[InteractionSet] = set()
-    dropped: list[InteractionSet] = []
     for key in sorted(beta, key=len, reverse=True):
         if not key:
             continue
@@ -262,8 +268,6 @@ def prune_dead(beta: dict[InteractionSet, float], keep) -> list[InteractionSet]:
                 needed.add(key[:k] + key[k + 1 :])
         else:
             del beta[key]
-            dropped.append(key)
-    return dropped
 
 
 # -- evaluation and transforms -----------------------------------------

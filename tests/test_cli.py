@@ -297,6 +297,36 @@ def test_exit_code_on_config_errors(tmp_path):
     assert run(["norm", "--config", str(incomplete), "--nu", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "settings, key",
+    [({"nu": 2.7}, "nu"), ({"count": 3.9}, "count"), ({"seed": 1.5}, "seed"),
+     ({"nu": [2, 2.5]}, "nu"), ({"seed": True}, "seed"), ({"rows": 3.5}, "rows")],
+)
+def test_config_file_refuses_non_integral_settings(tmp_path, capsys, settings, key):
+    path = tmp_path / "model.json"
+    model = {"family": "ising", "rows": 3, "cols": 3, "params": [0.4], "nu": 2}
+    path.write_text(json.dumps({**model, **settings}))
+    assert run(["sample", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_config_file_takes_integral_floats(tmp_path):
+    model = {"family": "ising", "rows": 3.0, "cols": 3, "params": [0.4]}
+    outputs = []
+    for settings in ({"nu": 2.0, "count": 5.0, "seed": 1.0}, {"nu": 2, "count": 5, "seed": 1}):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**model, **settings}))
+        out = tmp_path / f"out{len(outputs)}.csv"
+        assert run(["sample", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 6
+
+
+def test_nu_flag_refuses_a_fraction(ising_config, capsys):
+    assert run(["norm", "--config", ising_config, "--nu", "2,2.5"]) == 2
+    assert "nu must be an integer, got '2.5'" in capsys.readouterr().err
+
+
 def test_exit_code_on_resource_cap(ising_config):
     # a canonicalisation cap beyond the dense-table limit can never run
     assert run(["norm", "--config", ising_config, "--nu", "1", "--table-cap", "30"]) == 3

@@ -105,6 +105,20 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "key, value", [("nu", 2.9), ("nu", True), ("table_cap", 2.5), ("table_cap", False)]
+)
+def test_config_refuses_non_integral_settings(key, value):
+    with pytest.raises(ValueError, match=key):
+        EliminationConfig(**{"mode": "approximate", "nu": 3, key: value})
+
+
+def test_config_takes_integral_floats():
+    cfg = EliminationConfig(mode="approximate", nu=6.0, table_cap=np.int64(2))
+    assert (cfg.nu, cfg.table_cap) == (6, 2)
+    assert type(cfg.nu) is int and type(cfg.table_cap) is int
+
+
 # -- approximate mode ---------------------------------------------------------
 
 
@@ -765,6 +779,33 @@ def test_batch_splits_to_fit_the_table_cap(monkeypatch, caplog):
         assert [groups for _, groups in batch_splits(caplog)] == [[[0, 1], [2, 3]]]
         for got, model in zip(many, models, strict=True):
             assert_same_bytes(got, eliminate(model, cfg))
+
+
+def reversed_sets(f):
+    """f with its sets in reversed dict order: tabulated and merged in another order."""
+    return PseudoBooleanFunction(f.n, dict(reversed(f.terms().items())))
+
+
+def last_singleton_zeroed(f):
+    """f without its last variable's singleton, a set only step n-1 reads."""
+    return PseudoBooleanFunction(f.n, {**f.terms(), (f.n - 1,): 0.0})
+
+
+@pytest.mark.parametrize("other", [reversed_sets, last_singleton_zeroed])
+def test_members_with_other_input_sets_part_before_step_0(caplog, other):
+    # the members never share a step: they part when their nonzero sets are
+    # grouped, not when a step reads the bucket where they differ
+    f = build_ising(LatticeSpec(4, 4), 0.6).energy
+    members = [f, other(f)]
+    for mode, marginal, variant in CONFIGS:
+        cfg = EliminationConfig(mode=mode, marginal=marginal, pomm_variant=variant,
+                                nu=None if mode == "exact" else 2)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pbmrf.elimination"):
+            many = eliminate_many(members, cfg)
+        assert batch_splits(caplog) == [(0, [[0], [1]])]
+        for got, g in zip(many, members, strict=True):
+            assert_same_bytes(got, eliminate(g, cfg))
 
 
 def test_eliminate_many_takes_targets_over_the_same_variables():

@@ -280,3 +280,14 @@ def test_model_config_validation():
         model_from_config({"family": "ising", "rows": 0, "cols": 2, "params": [1]})
     with pytest.raises(ValueError):
         model_from_config({"family": "higher_order", "rows": 3, "cols": 3, "params": [1]})
+
+
+@pytest.mark.parametrize("rows, cols, key", [(4.5, 3, "rows"), (4, 3.7, "cols"), (True, 3, "rows")])
+def test_model_config_refuses_non_integral_sizes(rows, cols, key):
+    with pytest.raises(ValueError, match=key):
+        model_from_config({"family": "ising", "rows": rows, "cols": cols, "params": [0.4]})
+
+
+def test_model_config_takes_integral_float_sizes():
+    m = model_from_config({"family": "ising", "rows": 4.0, "cols": 3, "params": [0.4]})
+    assert m.n == 12

@@ -138,3 +138,27 @@ for label, side, model, nu, cap in (("ising 30x30", 30, ising, 8, None),
                 print(label + name, r.to_json(),
                       None if r.argmax is None else r.argmax.tolist(), r.per_step)
 EOF
+python3 - > "$OUT/batch_groups.txt" <<'EOF'
+# One batched call whose 12x12 Ising members hold different nonzero input
+# sets: theta 0 (no interactions), theta 0.6 with and without the last
+# variable's singleton, the same energy with its sets in reversed order, and
+# theta 0.9.  Every member must come out as its own run would.  A POMM
+# table is printed as the SHA-256 of its bytes: the exact ones are wide.
+import hashlib
+from pbmrf import LatticeSpec, build_ising, EliminationConfig, eliminate_many, PseudoBooleanFunction
+lattice = LatticeSpec(12, 12)
+base = build_ising(lattice, 0.6).energy
+late = PseudoBooleanFunction(lattice.n, {**base.terms(), (lattice.n - 1,): 0.0})
+reordered = PseudoBooleanFunction(lattice.n, dict(reversed(base.terms().items())))
+members = [build_ising(lattice, 0.0), base, late, reordered, build_ising(lattice, 0.9)]
+for mode, marg, variant in (("exact", "sum", "pre_approximation"),
+                            ("approximate", "sum", "post_approximation"),
+                            ("approximate", "max", "none"),
+                            ("upper_bound", "sum", "none")):
+    cfg = EliminationConfig(mode=mode, marginal=marg, pomm_variant=variant,
+                            nu=None if mode == "exact" else 6)
+    for k, r in enumerate(eliminate_many(members, cfg)):
+        print(k, r.to_json(), None if r.argmax is None else r.argmax.tolist(), r.per_step)
+        for c in r.pomm.conditionals if r.pomm else ():
+            print(c.variable, c.depends_on, hashlib.sha256(c.prob_one.tobytes()).hexdigest())
+EOF
