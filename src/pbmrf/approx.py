@@ -2,16 +2,19 @@
 
 Removing interactions from a dense family and re-fitting the remaining
 coefficients by least squares has closed-form solutions in two important
-cases: removing a single maximal interaction, and removing every
-interaction containing a given variable pair (second-order interaction
-removal, SOIR).  Both are implemented here as coefficient updates.
+cases: removing a single maximal interaction (a coefficient update), and
+removing every interaction containing a variable pair {i, j} (second-order
+interaction removal, SOIR).  A one-sided bound f_U >= f (or f_L <= f)
+with no interaction over the pair clamps the pair's part instead.
 
-The module also builds one-sided bounds: a function f can be replaced by
-f_U >= f (or f_L <= f) carrying no interaction over a chosen pair {i,j},
-by clamping the pair's interaction sum through a max/min with zero.
-Canonicalising the clamp needs a dense table over the extra variables it
-mentions; when that table would be too large the sum is split on a pivot
-variable and each part is bounded separately, recursively.
+A pair removal is an operation on tables: f = x_i h + r, with x_i's
+coefficient h in pieces (:func:`coefficient_pieces`), and the pieces that
+hold x_j are reduced over the j axis, to their mean plus residual factors
+for SOIR (:func:`soir_removal_updates`), to their max or min for a bound
+(:func:`bound_removal_updates`).  :func:`fstar_scores` and
+:func:`fstar_choice` pick the partner j.  The elimination engine runs
+these kernels at each step over its cap; :func:`soir` and
+:func:`bound_remove_pair` run them on one function.
 """
 
 from __future__ import annotations
@@ -23,14 +26,18 @@ import numpy as np
 
 from .pbf import (
     DENSE_TABLE_CAP,
+    DenseLocalFunction,
     InteractionSet,
     PseudoBooleanFunction,
     ResourceCapError,
+    _Factor,
+    _masks,
+    _split,
+    _sum_over,
     extract_subset_family,
     interaction_set,
-    moebius_transform,
+    interactions_from_values,
     subset_keys,
-    tabulate,
     values_from_interactions,
 )
 
@@ -41,8 +48,11 @@ __all__ = [
     "soir",
     "sse",
     "bound_remove_pair",
+    "coefficient_pieces",
     "fstar_scores",
     "fstar_choice",
+    "soir_removal_updates",
+    "bound_removal_updates",
 ]
 
 BoundDirection = Literal["upper", "lower"]
@@ -68,145 +78,136 @@ class ApproximationReport:
         return f'{{"removed": [{removed}], "sse": {sse}, "partner": {partner}}}'
 
 
-# -- pair-removal kernels on coefficient maps -----------------------------
+# -- pair-removal kernels on tables ---------------------------------------
 
 
-def soir_removal_updates(
-    pair_sets: list[tuple[InteractionSet, float]], i: int, j: int
-) -> dict[InteractionSet, float]:
-    """Coefficient deltas that least-squares-remove all sets containing {i,j}.
+def _merge_nested(factors: list[_Factor]) -> list[_Factor]:
+    """Add each factor whose scope lies inside another's into the first such one."""
+    merged: list[_Factor] = []
+    for scope, table in sorted(factors, key=lambda f: len(f[0]), reverse=True):
+        for k, (outer, _) in enumerate(merged):
+            if set(scope).issubset(outer):
+                tail = table.shape[1:]
+                merged[k] = (outer, _sum_over(outer, [merged[k], (scope, table)], tail))
+                break
+        else:
+            merged.append((scope, table))
+    return merged
 
-    For each removed set L the three subsets L\\{i,j}, L\\{i}, L\\{j} pick up
-    -beta/4, +beta/2 and +beta/2 respectively; every other coefficient is
-    untouched.  The caller deletes the removed sets and applies the deltas.
+
+def coefficient_pieces(
+    i: int, factors: list[_Factor], pairs, tail: tuple[int, ...] = ()
+) -> tuple[list[_Factor], list[_Factor]]:
+    """x_i's energy x_i h + r, as (the pieces of h, the parts of r).
+
+    ``factors`` all hold x_i; each ``(set, beta)`` of ``pairs`` (sets
+    holding i, beta of shape ``tail``) becomes a factor of its own, nonzero
+    at its all-ones entry.  Each factor whose scope lies inside another's is
+    merged into it, and each merged factor splits on x_i into a part of r
+    (its x_i = 0 slice) and a piece of h (the difference of its slices),
+    both over its scope without i.
     """
-    updates: dict[InteractionSet, float] = {}
-
-    def bump(key: InteractionSet, delta: float) -> None:
-        updates[key] = updates.get(key, 0.0) + delta
-
-    for key, b in pair_sets:
-        if b == 0.0:
-            continue
-        without_i = tuple(v for v in key if v != i)
-        without_j = tuple(v for v in key if v != j)
-        without_ij = tuple(v for v in without_i if v != j)
-        bump(without_ij, -0.25 * b)
-        bump(without_i, 0.5 * b)
-        bump(without_j, 0.5 * b)
-    return updates
+    factors = list(factors)
+    for key, b in pairs:
+        monomial = np.zeros((1 << len(key),) + tail)
+        monomial[-1] = b
+        factors.append((key, monomial))
+    pieces, rest = [], []
+    for scope, table in _merge_nested(factors):
+        scope, t0, t1 = _split(scope, table, i)
+        rest.append((scope, t0))
+        pieces.append((scope, t1 - t0))
+    return pieces, rest
 
 
-def soir_sse(
-    pair_sets: list[tuple[InteractionSet, float]], i: int, j: int, n: int
-) -> float | None:
-    """Closed-form SOIR error sum of squares, None when the table is too big.
+def fstar_scores(pieces: list[list], slot: dict[int, int]) -> np.ndarray:
+    """The f* score of each neighbour r (at ``slot[r]``), read from h's pieces.
 
-    The pointwise error has constant magnitude |inner|/4, where inner is the
-    pair's interaction sum at x_i = x_j = 1, so the SSE over all 2^n states
-    collapses to a sum over the extra-variable assignments.
+    The score is max over x of |b_r + sum_l b_rl x_l|, the worst-case error
+    after zeroing every interaction of x_i's coefficient h of order above 2
+    that holds r; choosing x_l independently per sign makes the maximum a
+    sum of clamped terms.  A piece is [scope, table t, its differences or
+    None]; h's order-1 and order-2 Moebius coefficients are the sums of the
+    pieces' b_r = t(e_r) - t(0) and, for a < b,
+    b_ab = (t(e_a+e_b) - t(e_b)) - (t(e_a) - t(0)), in the operation order
+    of a Moebius transform.  A piece keeps its differences once read.  A
+    batch's scores have the members on a last axis.
     """
-    extras = sorted({v for key, _ in pair_sets for v in key if v != i and v != j})
-    if len(extras) > DENSE_TABLE_CAP:
-        return None
-    inner = tabulate(pair_sets, extras, f"pair ({i},{j})")
-    return 0.25 * float(2 ** (n - 2 - len(extras))) * float(np.sum(inner * inner))
+    size = len(slot)
+    tail = pieces[0][1].shape[1:]
+    width = tail[0] if tail else 1
+    for piece in pieces:
+        if piece[2] is None:
+            scope, table, _ = piece
+            bits, a, b, both = _masks(len(scope))[:4]
+            at = np.array([slot[v] for v in scope], dtype=np.intp)
+            single = table[bits]
+            order1 = single - table[0]
+            order2 = (table[both] - single[b]) - order1[a]
+            # b_ab at (a, b) and (b, a) of a size x size block, b_r in a last row
+            slots = np.concatenate((at[a] * size + at[b], at[b] * size + at[a], size * size + at))
+            values = np.concatenate((order2, order2, order1))
+            if tail:  # member m of slot s counts at s * width + m
+                slots = (slots[:, None] * width + np.arange(width)).reshape(-1)
+                values = values.reshape(-1)
+            piece[2] = (slots, values)
+    slots, values = map(np.concatenate, zip(*(p[2] for p in pieces)))
+    total = np.bincount(slots, values, size * (size + 1) * width)
+    total = total.reshape((size + 1, size) + tail)
+    order1, order2 = total[size], total[:size]
+    up = order1 + np.maximum(order2, 0.0).sum(axis=0)
+    down = order1 + np.minimum(order2, 0.0).sum(axis=0)
+    return np.maximum(up, -down)
+
+
+def fstar_choice(scores: np.ndarray, alive: np.ndarray):
+    """Per member, the live neighbour of least score and whether every live score vanished.
+
+    ``scores`` are :func:`fstar_scores` (the members on a last axis, if
+    any); the dead neighbours' scores are set to infinity in place.  Ties
+    go to the smallest index.
+    """
+    scores[~alive] = np.inf
+    return scores.argmin(axis=0), scores[alive].max(axis=0) == 0.0
+
+
+def soir_removal_updates(held: list[_Factor], j: int) -> tuple[list[_Factor], list[_Factor]]:
+    """SOIR of the pair {i, j} on the pieces of h that hold x_j.
+
+    x_i h becomes x_i mean_j(h) plus (x_j/2 - 1/4)(h1 - h0), piece by
+    piece: returns each piece's mean over the j axis, and its residual as
+    a factor over the piece's scope (x_i is not in it).
+    """
+    means, residuals = [], []
+    for scope, table in held:
+        rest, d0, d1 = _split(scope, table, j)
+        tail = table.shape[1:]
+        means.append((rest, 0.5 * (d0 + d1)))
+        quarter = (0.25 * (d1 - d0)).reshape((-1, 1, 1 << scope.index(j)) + tail)
+        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape((-1,) + tail)))
+    return means, residuals
 
 
 def bound_removal_updates(
-    pair_sets: list[tuple[InteractionSet, float]],
-    i: int,
-    j: int,
-    direction: BoundDirection,
-    table_cap: int,
-) -> tuple[dict[InteractionSet, float], int]:
-    """Coefficient deltas replacing the {i,j} interactions by a one-sided bound.
+    held: list[_Factor], j: int, reduce, table_cap: int
+) -> tuple[list[_Factor], int]:
+    """A one-sided removal of the pair {i, j} on the pieces of h that hold x_j.
 
-    The pair's interaction sum g(x) = x_i x_j * inner(x) is bounded by
-    x_i * max{0, inner(x)} (min for a lower bound) and the clamp is
-    canonicalised through a dense table.  Groups whose clamp would mention
-    more than ``table_cap`` extra variables are split on the pivot of
-    :func:`fstar_choice` and each part bounded separately; splitting
-    repeats until every table fits.  Returns (deltas, number of splits performed).
+    x_i h becomes x_i max_j(h) for an upper bound (``reduce`` np.maximum),
+    x_i min_j(h) for a lower one.  The pieces are summed into one table
+    first when together they span at most ``table_cap`` variables besides
+    j; otherwise each is clamped on its own, which is looser.  Returns the
+    clamped pieces and the number of clamps beyond one (the splits).
     """
-    if table_cap < 0:
-        raise ValueError(f"table_cap must be >= 0, got {table_cap}")
-    if table_cap > DENSE_TABLE_CAP:
-        raise ResourceCapError(
-            f"table_cap {table_cap} exceeds dense cap {DENSE_TABLE_CAP}"
-        )
-    clamp = np.maximum if direction == "upper" else np.minimum
-    updates: dict[InteractionSet, float] = {}
-    n_splits = 0
-    stack: list[tuple[InteractionSet, list[tuple[InteractionSet, float]]]] = [
-        (interaction_set((i, j)), list(pair_sets))
-    ]
-    while stack:
-        base, members = stack.pop()
-        baseset = set(base)
-        extras = sorted({v for key, _ in members for v in key if v not in baseset})
-        if len(extras) <= table_cap:
-            inner = tabulate(members, extras, f"pair ({i},{j})")
-            coeffs = moebius_transform(clamp(0.0, inner))
-            for key, value in zip(subset_keys(extras), coeffs):
-                key = tuple(sorted(key + (i,)))
-                updates[key] = updates.get(key, 0.0) + value
-        else:
-            pivot = fstar_choice(base, extras, members)
-            n_splits += 1
-            with_pivot = [(k, b) for k, b in members if pivot in k]
-            without = [(k, b) for k, b in members if pivot not in k]
-            if with_pivot:
-                stack.append((interaction_set(base + (pivot,)), with_pivot))
-            if without:
-                stack.append((base, without))
-    return updates, n_splits
-
-
-# -- pivot / partner scoring ---------------------------------------------
-
-
-def fstar_scores(
-    base: InteractionSet,
-    candidates: list[int],
-    members: list[tuple[InteractionSet, float]],
-) -> dict[int, float]:
-    """Truncated worst-case error scores for extending ``base`` by one variable.
-
-    The score of candidate r is the exact maximum over assignments of
-    |beta[base+r] + sum_l beta[base+r+l] x_l|, i.e. the error bound after
-    zeroing every interaction of order above |base|+2.  Choosing x_l
-    independently per sign makes the maximum a sum of clamped terms, so no
-    enumeration is needed.
-    """
-    size1 = len(base) + 1
-    baseset = set(base)
-    b0 = dict.fromkeys(candidates, 0.0)
-    pos = dict.fromkeys(candidates, 0.0)
-    neg = dict.fromkeys(candidates, 0.0)
-    # One pass in member order adds each candidate's terms in the same order
-    # as a separate scan per candidate would.
-    for key, b in members:
-        if len(key) not in (size1, size1 + 1) or not baseset.issubset(key):
-            continue
-        if len(key) == size1:
-            (r,) = (v for v in key if v not in baseset)
-            if r in b0:
-                b0[r] = b
-        else:
-            up = max(b, 0.0)
-            down = min(b, 0.0)
-            for r in key:
-                if r in pos and r not in baseset:
-                    pos[r] += up
-                    neg[r] += down
-    return {r: max(b0[r] + pos[r], -(b0[r] + neg[r])) for r in candidates}
-
-
-def fstar_choice(base, candidates, members) -> int:
-    """Pivot minimising the truncated error score; ties go to the smallest index."""
-    scores = fstar_scores(base, candidates, members)
-    return min(candidates, key=lambda r: (scores[r], r))
+    span = sorted(set().union(*(scope for scope, _ in held)))
+    if len(held) > 1 and len(span) - 1 <= table_cap:
+        tail = held[0][1].shape[1:]
+        held = [(tuple(span), _sum_over(span, held, tail))]
+    clamped = []
+    for scope, table in held:
+        rest, d0, d1 = _split(scope, table, j)
+        clamped.append((rest, reduce(d0, d1)))
+    return clamped, len(held) - 1
 
 
 # -- public operators ------------------------------------------------------
@@ -239,15 +240,38 @@ def remove_single_interaction(
     return PseudoBooleanFunction(f.n, terms), ApproximationReport((lam,), err)
 
 
+def _pair_pieces(f: PseudoBooleanFunction, i: int, j: int):
+    """The pieces of x_i's coefficient in f: (those holding x_j, the others).
+
+    They are built as an elimination step over the cap builds them, from
+    f's nonzero sets holding i; every such set holds x_i, so r is zero.
+    """
+    pairs = [(key, b) for key, b in f.terms().items() if i in key and b != 0.0]
+    pieces, _ = coefficient_pieces(i, [], pairs)
+    return [p for p in pieces if j in p[0]], [p for p in pieces if j not in p[0]]
+
+
+def _rebuilt(f: PseudoBooleanFunction, i: int, pieces, factors=()) -> PseudoBooleanFunction:
+    """f with x_i's part replaced by x_i times the pieces' sum, plus the factors."""
+    terms = {key: b for key, b in f.terms().items() if i not in key}
+    lifted = [(scope + (i,), np.concatenate((np.zeros_like(t), t))) for scope, t in pieces]
+    for scope, table in lifted + list(factors):
+        local = interactions_from_values(DenseLocalFunction(scope, table), f.n)
+        for key, b in local.terms().items():
+            terms[key] = terms.get(key, 0.0) + b
+    return PseudoBooleanFunction(f.n, terms)
+
+
 def soir(
     f: PseudoBooleanFunction, i: int, j: int
 ) -> tuple[PseudoBooleanFunction, ApproximationReport]:
     """Second-order interaction removal: project onto sets avoiding {i,j}.
 
-    The closed-form coefficient updates agree with sequentially removing
-    every set containing both i and j; the pointwise error is
-    (x_i x_j + 1/4 - x_i/2 - x_j/2) times the pair's interaction sum, so
-    its magnitude never depends on x_i or x_j.
+    The result agrees with sequentially removing every set containing both
+    i and j; the pointwise error is (x_i - 1/2)(x_j - 1/2) g, where g, the
+    pair's interaction sum, is the sum over the pieces holding x_j of
+    h1 - h0.  Its magnitude |g|/4 never depends on x_i or x_j, so the SSE
+    over all 2^n states is 1/4 2^(n-2-e) sum g^2 for g over e variables.
     """
     if i == j:
         raise ValueError("SOIR needs two distinct variables")
@@ -255,16 +279,17 @@ def soir(
     if pair not in f:
         # Nothing to remove: the projection onto S is f itself.
         return f, ApproximationReport((), 0.0, partner=j)
-    pair_sets = extract_subset_family(f, pair, "containing")
-    terms = f.terms()
-    for key, _ in pair_sets:
-        del terms[key]
-    for key, delta in soir_removal_updates(pair_sets, i, j).items():
-        terms[key] = terms.get(key, 0.0) + delta
-    report = ApproximationReport(
-        tuple(k for k, _ in pair_sets), soir_sse(pair_sets, i, j, f.n), partner=j
-    )
-    return PseudoBooleanFunction(f.n, terms), report
+    removed = tuple(k for k, _ in extract_subset_family(f, pair, "containing"))
+    held, kept = _pair_pieces(f, i, j)
+    means, residuals = soir_removal_updates(held, j)
+    extras = sorted(set().union(*(scope for scope, _ in held)) - {j})
+    error = None
+    if len(extras) <= DENSE_TABLE_CAP:
+        diffs = [(rest, d1 - d0) for rest, d0, d1 in (_split(*p, j) for p in held)]
+        g = _sum_over(extras, diffs, ())
+        error = 0.25 * 2.0 ** (f.n - 2 - len(extras)) * float(g @ g)
+    report = ApproximationReport(removed, error, partner=j)
+    return _rebuilt(f, i, kept + means, residuals), report
 
 
 def sse(f: PseudoBooleanFunction, g: PseudoBooleanFunction) -> float:
@@ -290,10 +315,11 @@ def bound_remove_pair(
     """One-sided bound of f with no interaction containing both i and j.
 
     Upper: f(x) <= result(x) everywhere; lower: result(x) <= f(x).  Sets
-    avoiding the pair keep their coefficients; the pair part is replaced by
-    x_i-linear clamp terms, split recursively on the pivot of
-    :func:`fstar_choice` while the clamp table would exceed ``table_cap``
-    variables.
+    avoiding i keep their coefficients; x_i's part is rebuilt from the
+    pieces of its coefficient, those holding x_j clamped by
+    :func:`bound_removal_updates` (summed first when they span at most
+    ``table_cap`` variables besides j, else one by one), as an elimination
+    step over the cap removes a partner.
     """
     if i == j:
         raise ValueError("bound removal needs two distinct variables")
@@ -302,11 +328,11 @@ def bound_remove_pair(
     pair = interaction_set((i, j))
     if pair not in f:
         raise ValueError(f"pair {pair} is not represented in f")
-    pair_sets = extract_subset_family(f, pair, "containing")
-    terms = f.terms()
-    for key, _ in pair_sets:
-        del terms[key]
-    updates, _ = bound_removal_updates(pair_sets, i, j, direction, table_cap)
-    for key, delta in updates.items():
-        terms[key] = terms.get(key, 0.0) + delta
-    return PseudoBooleanFunction(f.n, terms)
+    if table_cap < 0:
+        raise ValueError(f"table_cap must be >= 0, got {table_cap}")
+    if table_cap > DENSE_TABLE_CAP:
+        raise ResourceCapError(f"table_cap {table_cap} exceeds dense cap {DENSE_TABLE_CAP}")
+    held, kept = _pair_pieces(f, i, j)
+    reduce = np.maximum if direction == "upper" else np.minimum
+    clamped, _ = bound_removal_updates(held, j, reduce, table_cap)
+    return _rebuilt(f, i, kept + clamped)

@@ -28,6 +28,7 @@ from .pbf import (
     PseudoBooleanFunction,
     _check_table_size,
     _table_terms,
+    as_int,
     evaluate_many,
     prune_dead,
 )
@@ -302,6 +303,7 @@ def rejection_sampler(
     Aborts when the empirical rate stays under ``rate_floor`` after
     ``trial_budget`` trials, which signals that nu is too small.
     """
+    count = as_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     cfg = EliminationConfig(
@@ -486,6 +488,10 @@ def gibbs_sampler(
     The returned log_densities hold the unnormalised log target U(x);
     the true sampling density of a Gibbs draw is not available.
     """
+    sweeps = as_int("sweeps", sweeps)
+    burn_in = as_int("burn_in", burn_in)
+    thin = as_int("thin", thin)
+    chains = as_int("chains", chains)
     if sweeps < 1 or burn_in < 0 or thin < 1 or chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, thin >= 1, chains >= 1")
     n = mrf.n

@@ -14,19 +14,12 @@ same way and tabulated at their step.  A step within the cap nu (every
 step of exact mode) tabulates them as one factor, sums its factors onto
 (x_i, neighbours), folds the x_i axis and files the message.
 
-A step over the cap writes its energy as x_i h + r: it makes each input
-set a factor of its own, merges each factor whose scope lies inside
-another's into it, hands each factor's x_i = 0 slice on as part of r,
-and keeps the rest as the pieces of h.  Each partner j is then removed
-by a reduction over the j axis of the pieces holding x_j: the
-least-squares SOIR update (approximate mode) takes their mean and files
-each piece's residual (x_j/2 - 1/4)(h1 - h0); a one-sided clamp (bound
-modes, certified lower/upper ln c) takes their max or min, over one
-summed table when they span at most ``table_cap`` variables besides j,
-else piece by piece.  Partners minimise the f* score of
-:func:`pbmrf.approx.fstar_scores`, read from finite differences of h.
-The fold of h, without the axes it is exactly constant along, is the
-step's message.
+A step over the cap writes its energy as x_i h + r, with h in pieces,
+and removes partners from h with the pair-removal kernels of
+:mod:`pbmrf.approx`: SOIR in approximate mode, a one-sided clamp in the
+bound modes (certified lower/upper ln c), each partner the live
+neighbour of least f* score.  The fold of h, without the axes it is
+exactly constant along, is the step's message.
 
 Each step keeps one record, its local table h over its neighbours: the
 max marginal reads its maximising state backwards from h > 0; a
@@ -54,16 +47,26 @@ the batch of one.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .approx import (
+    bound_removal_updates,
+    coefficient_pieces,
+    fstar_choice,
+    fstar_scores,
+    soir_removal_updates,
+)
 from .pbf import (
     DENSE_TABLE_CAP,
     PseudoBooleanFunction,
     ResourceCapError,
+    _Factor,
+    _masks,
+    _split,
+    _sum_over,
     add_scaled,
     as_int,
     table_rows,
@@ -182,12 +185,6 @@ class EliminationResult:
 
 # -- factors ------------------------------------------------------------------
 
-# A dense factor: a sorted scope and its 2^m values, entry ``mask`` the value
-# where bit k gives ``scope[k]`` (the :func:`pbmrf.pbf.tabulate` convention).
-# A batch of B members keeps one (2^m, B) table per factor, the members on
-# the last axis; a run of one keeps the flat (2^m,) table.
-_Factor = tuple[tuple[int, ...], np.ndarray]
-
 
 def _first(rank: list[int], key) -> int:
     """The bucket of a set: its earliest position in the order (the constant last)."""
@@ -222,42 +219,6 @@ def _agreed(decision: np.ndarray) -> np.ndarray:
     raise _Split(column.tobytes() for column in decision.reshape(-1, decision.shape[-1]).T)
 
 
-def _sum_over(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
-    """The sum of factors whose scopes lie in ``joint``, as a flat table over it.
-
-    C order puts the last variable of a scope on axis 0.  Tables are flat
-    over their scopes, then ``tail``: () in a run of one, (B,) in a batch.
-    """
-    total = np.zeros((2,) * len(joint) + tail)
-    members = [*tail]
-    for scope, table, *_ in factors:
-        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)] + members)
-    return total.reshape((-1,) + tail)
-
-
-def _split(scope: tuple[int, ...], table: np.ndarray, v: int):
-    """(scope without v, the table at x_v = 0, the table at x_v = 1)."""
-    k = scope.index(v)
-    tail = table.shape[1:]
-    halves = table.reshape((-1, 2, 1 << k) + tail)
-    flat = (-1,) + tail
-    return scope[:k] + scope[k + 1 :], halves[:, 0].reshape(flat), halves[:, 1].reshape(flat)
-
-
-@functools.cache
-def _masks(m: int) -> tuple[np.ndarray, ...]:
-    """Entry masks of a table over m variables.
-
-    The unit masks e_k; for each pair a < b, a, b and e_a + e_b; and per k
-    (one row each) the masks with bit k clear and the same with bit k set.
-    """
-    bits = np.left_shift(1, np.arange(m))
-    a, b = np.triu_indices(m, 1)
-    every = np.arange(1 << m)
-    clear = np.array([every[every & bit == 0] for bit in bits]).reshape(m, len(every) // 2)
-    return bits, a, b, bits[a] | bits[b], clear, clear + bits[:, None]
-
-
 def _squeeze(scope: tuple[int, ...], table: np.ndarray) -> _Factor:
     """Drop every variable along which the table is exactly constant."""
     clear, set_ = _masks(len(scope))[4:]
@@ -270,95 +231,6 @@ def _squeeze(scope: tuple[int, ...], table: np.ndarray) -> _Factor:
     at = tuple(0 if f else slice(None) for f in flat[::-1])  # x_k = 0 where flat
     kept = tuple(v for v, f in zip(scope, flat) if not f)
     return kept, table.reshape((2,) * len(scope) + tail)[at].reshape((-1,) + tail)
-
-
-def _merge_nested(factors: list[_Factor]) -> list[_Factor]:
-    """Add each factor whose scope lies inside another's into the first such one."""
-    merged: list[_Factor] = []
-    for scope, table in sorted(factors, key=lambda f: len(f[0]), reverse=True):
-        for k, (outer, _) in enumerate(merged):
-            if set(scope).issubset(outer):
-                tail = table.shape[1:]
-                merged[k] = (outer, _sum_over(outer, [merged[k], (scope, table)], tail))
-                break
-        else:
-            merged.append((scope, table))
-    return merged
-
-
-def _partner_scores(pieces: list[list], slot: dict[int, int]) -> np.ndarray:
-    """The f* score of each neighbour r (at ``slot[r]``), read from h's pieces.
-
-    The score is max over x of |b_r + sum_l b_rl x_l|, as in
-    :func:`pbmrf.approx.fstar_scores`.  A piece is [scope, table t, its
-    differences or None]; h's order-1 and order-2 Moebius coefficients are
-    the sums of the pieces' b_r = t(e_r) - t(0) and, for a < b,
-    b_ab = (t(e_a+e_b) - t(e_b)) - (t(e_a) - t(0)), in the operation order
-    of a Moebius transform.  A piece keeps its differences once read.  A
-    batch's scores have the members on a last axis.
-    """
-    size = len(slot)
-    tail = pieces[0][1].shape[1:]
-    width = tail[0] if tail else 1
-    for piece in pieces:
-        if piece[2] is None:
-            scope, table, _ = piece
-            bits, a, b, both = _masks(len(scope))[:4]
-            at = np.array([slot[v] for v in scope], dtype=np.intp)
-            single = table[bits]
-            order1 = single - table[0]
-            order2 = (table[both] - single[b]) - order1[a]
-            # b_ab at (a, b) and (b, a) of a size x size block, b_r in a last row
-            slots = np.concatenate((at[a] * size + at[b], at[b] * size + at[a], size * size + at))
-            values = np.concatenate((order2, order2, order1))
-            if tail:  # member m of slot s counts at s * width + m
-                slots = (slots[:, None] * width + np.arange(width)).reshape(-1)
-                values = values.reshape(-1)
-            piece[2] = (slots, values)
-    slots, values = map(np.concatenate, zip(*(p[2] for p in pieces)))
-    total = np.bincount(slots, values, size * (size + 1) * width)
-    total = total.reshape((size + 1, size) + tail)
-    order1, order2 = total[size], total[:size]
-    up = order1 + np.maximum(order2, 0.0).sum(axis=0)
-    down = order1 + np.minimum(order2, 0.0).sum(axis=0)
-    return np.maximum(up, -down)
-
-
-def _soir(held: list[_Factor], j: int) -> tuple[list[_Factor], list[_Factor]]:
-    """SOIR of the pair {i, j} on the pieces of h that hold x_j.
-
-    x_i h becomes x_i mean_j(h) plus (x_j/2 - 1/4)(h1 - h0), piece by
-    piece: returns each piece's mean over the j axis, and its residual as
-    a factor over the piece's scope (x_i is not in it).
-    """
-    means, residuals = [], []
-    for scope, table in held:
-        rest, d0, d1 = _split(scope, table, j)
-        tail = table.shape[1:]
-        means.append((rest, 0.5 * (d0 + d1)))
-        quarter = (0.25 * (d1 - d0)).reshape((-1, 1, 1 << scope.index(j)) + tail)
-        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape((-1,) + tail)))
-    return means, residuals
-
-
-def _clamp(held: list[_Factor], j: int, reduce, table_cap: int) -> tuple[list[_Factor], int]:
-    """A one-sided removal of the pair {i, j} on the pieces of h that hold x_j.
-
-    x_i h becomes x_i max_j(h) for an upper bound (``reduce`` np.maximum),
-    x_i min_j(h) for a lower one.  The pieces are summed into one table
-    first when together they span at most ``table_cap`` variables besides
-    j; otherwise each is clamped on its own, which is looser.  Returns the
-    clamped pieces and the number of clamps beyond one (the splits).
-    """
-    span = sorted(set().union(*(scope for scope, _ in held)))
-    if len(held) > 1 and len(span) - 1 <= table_cap:
-        tail = held[0][1].shape[1:]
-        held = [(tuple(span), _sum_over(span, held, tail))]
-    clamped = []
-    for scope, table in held:
-        rest, d0, d1 = _split(scope, table, j)
-        clamped.append((rest, reduce(d0, d1)))
-    return clamped, len(held) - 1
 
 
 def _expit(h: np.ndarray) -> np.ndarray:
@@ -536,20 +408,12 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
             filed.append((extras, fold(t0, t1)))
             step = StepDiagnostics(variable=i, eta_before=eta, eta_after=eta)
         else:
-            # Over the cap: x_i's energy is x_i h + r.  Each input set is a
-            # factor of its own, nonzero at its all-ones entry.
-            factors = list(factors)
-            for key, b in pairs:
-                monomial = np.zeros((1 << len(key),) + tail)
-                monomial[-1] = b
-                factors.append((key, monomial))
             neighbours = [v for v in joint if v != i]
             slot = {v: k for k, v in enumerate(neighbours)}
-            pieces = []
-            for scope, table in _merge_nested(factors):
-                rest, t0, t1 = _split(scope, table, i)
-                file(rest, t0)  # a part of r
-                pieces.append([rest, t1 - t0, None])
+            pieces, rest = coefficient_pieces(i, factors, pairs, tail)
+            for scope, table in rest:
+                file(scope, table)
+            pieces = [[scope, table, None] for scope, table in pieces]
             if record_pre:
                 _check_width(context, len(joint), width)
                 kept = (i, neighbours, _sum_over(neighbours, pieces, tail))
@@ -558,14 +422,9 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
             fallbacks = splits = 0
             alive = np.ones(eta, dtype=bool)
             while len(partners) < eta - cfg.nu:
-                scores = _partner_scores(pieces, slot)
-                scores[~alive] = np.inf
-                if batched:
-                    decision = (scores.argmin(axis=0), scores[alive].max(axis=0) == 0.0)
-                    k, vanished = _agreed(np.array(decision))
-                else:
-                    k, vanished = scores.argmin(), scores[alive].max() == 0.0
-                k = int(k)  # ties go to the smallest index
+                choice = fstar_choice(fstar_scores(pieces, slot), alive)
+                k, vanished = _agreed(np.array(choice)) if batched else choice
+                k = int(k)
                 j = neighbours[k]
                 if vanished:
                     fallbacks += 1
@@ -574,11 +433,11 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
                 held = [(scope, table) for scope, table, _ in pieces if j in scope]
                 pieces = [p for p in pieces if j not in p[0]]
                 if cfg.mode == "approximate":
-                    reduced, residuals = _soir(held, j)
+                    reduced, residuals = soir_removal_updates(held, j)
                     for scope, table in residuals:
                         file(scope, table)
                 else:
-                    reduced, extra = _clamp(held, j, clamp, table_cap)
+                    reduced, extra = bound_removal_updates(held, j, clamp, table_cap)
                     splits += extra
                 pieces += [[scope, table, None] for scope, table in reduced]
                 alive[k] = False

@@ -70,6 +70,8 @@ class LatticeSpec:
     cols: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", as_int("rows", self.rows))
+        object.__setattr__(self, "cols", as_int("cols", self.cols))
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"lattice must be at least 1x1, got {self.rows}x{self.cols}")
 
@@ -396,7 +398,7 @@ def model_from_config(config: dict) -> MarkovRandomField:
     """Build a model from {"family", "rows", "cols", "params"}."""
     try:
         family = config["family"]
-        lat = LatticeSpec(as_int("rows", config["rows"]), as_int("cols", config["cols"]))
+        lat = LatticeSpec(config["rows"], config["cols"])
         params = [float(p) for p in config["params"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad model config: {exc}") from exc

@@ -16,11 +16,15 @@ Every conversion between coefficients and values goes through one
 table kernel: :func:`tabulate` (coefficients to values by zeta
 transform) and :func:`subset_keys` with :func:`moebius_transform`
 (values back to coefficients).  :func:`table_rows` reads a table at given
-states, with the same bit convention.
+states, with the same bit convention, and so do the factor-table
+primitives (sum of factors over a joint scope, the two halves of a table
+along one variable, entry masks) that the removal kernels of
+:mod:`pbmrf.approx` and the elimination engine share.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -359,6 +363,51 @@ def table_rows(values: np.ndarray, variables):
     """
     bits = np.left_shift(1, np.arange(len(variables), dtype=np.int64))
     return bits @ values[list(variables)].astype(np.int64)
+
+
+# -- factor tables ---------------------------------------------------------
+
+# A dense factor: a sorted scope and its 2^m values, entry ``mask`` the value
+# where bit k gives ``scope[k]`` (the :func:`tabulate` convention).  A batch
+# of B members keeps one (2^m, B) table per factor, the members on the last
+# axis; a run of one keeps the flat (2^m,) table.
+_Factor = tuple[tuple[int, ...], np.ndarray]
+
+
+def _sum_over(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
+    """The sum of factors whose scopes lie in ``joint``, as a flat table over it.
+
+    C order puts the last variable of a scope on axis 0.  Tables are flat
+    over their scopes, then ``tail``: () in a run of one, (B,) in a batch.
+    """
+    total = np.zeros((2,) * len(joint) + tail)
+    members = [*tail]
+    for scope, table, *_ in factors:
+        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)] + members)
+    return total.reshape((-1,) + tail)
+
+
+def _split(scope: tuple[int, ...], table: np.ndarray, v: int):
+    """(scope without v, the table at x_v = 0, the table at x_v = 1)."""
+    k = scope.index(v)
+    tail = table.shape[1:]
+    halves = table.reshape((-1, 2, 1 << k) + tail)
+    flat = (-1,) + tail
+    return scope[:k] + scope[k + 1 :], halves[:, 0].reshape(flat), halves[:, 1].reshape(flat)
+
+
+@functools.cache
+def _masks(m: int) -> tuple[np.ndarray, ...]:
+    """Entry masks of a table over m variables.
+
+    The unit masks e_k; for each pair a < b, a, b and e_a + e_b; and per k
+    (one row each) the masks with bit k clear and the same with bit k set.
+    """
+    bits = np.left_shift(1, np.arange(m))
+    a, b = np.triu_indices(m, 1)
+    every = np.arange(1 << m)
+    clear = np.array([every[every & bit == 0] for bit in bits]).reshape(m, len(every) // 2)
+    return bits, a, b, bits[a] | bits[b], clear, clear + bits[:, None]
 
 
 def interactions_from_values(

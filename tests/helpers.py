@@ -10,6 +10,8 @@ implementations that a faster library routine must reproduce bit for bit.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from pbmrf import (
@@ -47,15 +49,8 @@ def eval_terms(terms: dict, states: np.ndarray) -> np.ndarray:
     """Direct monomial-by-monomial evaluation of a coefficient map."""
     out = np.zeros(states.shape[0])
     for key, b in terms.items():
-        if b == 0.0:
-            continue
-        if key:
-            mask = np.ones(states.shape[0], dtype=bool)
-            for v in key:
-                mask &= states[:, v] == 1
-            out += b * mask
-        else:
-            out += b
+        if b != 0.0:
+            out += b * states[:, list(key)].all(axis=1)
     return out
 
 
@@ -177,6 +172,18 @@ def random_dense_subfamily(rng: np.random.Generator, f: PseudoBooleanFunction):
             break
         keep.discard(options[int(rng.integers(len(options)))])
     return sorted(keep, key=lambda s: (len(s), s))
+
+
+def brute_fstar(base, r, members):
+    """max over x of |beta[base+r] + sum_l beta[base+r+l] x_l|, by enumeration."""
+    beta = dict(members)
+    withr = set(base) | {r}
+    b0 = beta.get(tuple(sorted(withr)), 0.0)
+    terms = [b for key, b in members if len(key) == len(withr) + 1 and withr <= set(key)]
+    return max(
+        abs(b0 + sum(b for b, x in zip(terms, xs) if x))
+        for xs in itertools.product((0, 1), repeat=len(terms))
+    )
 
 
 def pack_states(states: np.ndarray) -> np.ndarray:

@@ -220,7 +220,7 @@ def test_c05_bound_sandwich(model_pool, pool_brute):
             ).log_value
             if not (lower <= reference + slack and reference <= upper + slack):
                 violations.append((model.label, rows, cols, nu))
-    # pointwise sandwich on raw polynomials, including forced splitting
+    # pointwise sandwich on raw polynomials, including piece-by-piece clamps at cap 1
     rng = np.random.default_rng(55)
     worst_point = 0.0
     for _ in range(10):

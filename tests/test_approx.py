@@ -1,13 +1,12 @@
 """Approximation operators against the normal-equation oracle."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     all_states,
+    brute_fstar,
     eval_pbf,
     least_squares_project,
     random_dense_pbf,
@@ -22,7 +21,7 @@ from pbmrf import (
     soir,
     sse,
 )
-from pbmrf.approx import fstar_scores
+from pbmrf.approx import coefficient_pieces, fstar_scores
 
 
 def coeffs_close(f, g, tol=1e-10):
@@ -372,37 +371,25 @@ dyadic = st.integers(-16, 16).map(lambda k: k / 8)
 
 @st.composite
 def scored_members(draw):
-    """(base, members): distinct sets over variables 0..6, |base| in {1, 2}.
+    """(i, members): distinct sets over variables 0..6, at least one holding i.
 
-    Members are shuffled and mix sets that contain base with sets that do not.
+    Members are shuffled and mix sets that hold i with sets that do not.
     """
-    base = tuple(
-        sorted(draw(st.lists(st.integers(0, 6), unique=True, min_size=1, max_size=2)))
-    )
+    i = draw(st.integers(0, 6))
     beta = draw(st.dictionaries(interaction_keys, dyadic, max_size=16))
-    with_base = interaction_keys.map(lambda k: tuple(sorted(set(k) | set(base))))
-    beta.update(draw(st.dictionaries(with_base, dyadic, max_size=16)))
-    return base, draw(st.permutations(list(beta.items())))
-
-
-def brute_fstar(base, r, members):
-    """max over x of |beta[base+r] + sum_l beta[base+r+l] x_l|, by enumeration."""
-    beta = dict(members)
-    withr = set(base) | {r}
-    b0 = beta.get(tuple(sorted(withr)), 0.0)
-    terms = [b for key, b in members if len(key) == len(withr) + 1 and withr <= set(key)]
-    return max(
-        abs(b0 + sum(b for b, x in zip(terms, xs) if x))
-        for xs in itertools.product((0, 1), repeat=len(terms))
-    )
+    with_i = interaction_keys.map(lambda k: tuple(sorted(set(k) | {i})))
+    beta.update(draw(st.dictionaries(with_i, dyadic, min_size=1, max_size=16)))
+    return i, draw(st.permutations(list(beta.items())))
 
 
 @settings(derandomize=True, database=None)
 @given(scored_members())
 def test_fstar_scores_match_enumeration(drawn):
-    base, members = drawn
+    i, members = drawn
+    pieces, _ = coefficient_pieces(i, [], [(key, b) for key, b in members if i in key])
     # variable 7 appears in no member, so its score is 0
-    candidates = [v for v in range(8) if v not in base]
-    scores = fstar_scores(base, candidates, members)
-    assert scores == {r: brute_fstar(base, r, members) for r in candidates}
-    assert scores[7] == 0.0
+    candidates = [v for v in range(8) if v != i]
+    slot = {r: k for k, r in enumerate(candidates)}
+    scores = fstar_scores([[scope, table, None] for scope, table in pieces], slot)
+    assert scores.tolist() == [brute_fstar((i,), r, members) for r in candidates]
+    assert scores[-1] == 0.0

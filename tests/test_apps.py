@@ -239,6 +239,32 @@ def test_rejection_rate_floor_error():
         )
 
 
+def _gibbs_with(name, value):
+    settings = {"sweeps": 4, "burn_in": 0, "thin": 1, "chains": 1, name: value}
+    return gibbs_sampler(build_ising(LatticeSpec(2, 2), 0.4), seed=0, **settings)
+
+
+INTEGER_ARGUMENTS = {
+    "rows": lambda value: LatticeSpec(value, 3),
+    "cols": lambda value: LatticeSpec(3, value),
+    "sweeps": lambda value: _gibbs_with("sweeps", value),
+    "burn_in": lambda value: _gibbs_with("burn_in", value),
+    "thin": lambda value: _gibbs_with("thin", value),
+    "chains": lambda value: _gibbs_with("chains", value),
+    "count": lambda value: rejection_sampler(
+        build_ising(LatticeSpec(2, 2), 0.4), nu=1, seed=0, count=value
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_fractions_and_booleans(name, value):
+    with pytest.raises(ValueError, match=name):
+        INTEGER_ARGUMENTS[name](value)
+    INTEGER_ARGUMENTS[name](2.0)  # an integral float passes
+
+
 def test_pomm_log_density_polynomial_matches_tables():
     m = build_ising(LatticeSpec(3, 3), 0.5)
     cfg = EliminationConfig(mode="approximate", nu=2, pomm_variant="post_approximation")

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     all_states,
+    brute_fstar,
     brute_log_c,
     eval_pbf,
     eval_terms,
@@ -39,8 +40,13 @@ from pbmrf import (
     soir,
 )
 from pbmrf import elimination
-from pbmrf.approx import fstar_scores
-from pbmrf.pbf import table_rows, tabulate
+from pbmrf.approx import (
+    bound_removal_updates,
+    coefficient_pieces,
+    fstar_scores,
+    soir_removal_updates,
+)
+from pbmrf.pbf import _split, table_rows, tabulate
 from pbmrf.pomm import log_density_many
 
 
@@ -183,7 +189,7 @@ def test_bound_gap_trend_is_logged_not_asserted(caplog):
 
 def test_forced_splitting_with_table_cap_one():
     # higher-order cliques give pair removals with several extra variables,
-    # so table_cap=1 forces the recursive split path
+    # so table_cap=1 forces piece-by-piece clamps
     rng = np.random.default_rng(5)
     from pbmrf import build_higher_order
 
@@ -372,7 +378,7 @@ def pieces_of_h(draw):
         if scope:
             pairs = [(key, np.array([g.beta(key) for g in fs])) for key in keys]
             table = tabulate(pairs, scope, "piece", (len(fs),))
-            rest, t0, t1 = elimination._split(scope, table, 0)
+            rest, t0, t1 = _split(scope, table, 0)
             pieces.append((rest, t1 - t0))
     neighbours = sorted(set().union(*(scope for scope, _ in pieces)))
     assume(neighbours)
@@ -401,12 +407,12 @@ def energy_values(f, pieces, factors=()):
 def test_table_scores_match_fstar_on_the_coefficients_of_h(case):
     fs, pieces, neighbours = case
     slot = {v: k for k, v in enumerate(neighbours)}
-    scores = elimination._partner_scores([[s, t, None] for s, t in pieces], slot)
+    scores = fstar_scores([[s, t, None] for s, t in pieces], slot)
     assert scores.shape == (len(neighbours), len(fs))
     for m, f in enumerate(fs):
         members = sorted((key, b) for key, b in f.terms().items() if 0 in key)
-        want = fstar_scores((0,), neighbours, members)
-        assert np.abs(scores[:, m] - [want[r] for r in neighbours]).max() <= 1e-12
+        want = [brute_fstar((0,), r, members) for r in neighbours]
+        assert np.abs(scores[:, m] - want).max() <= 1e-12
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -415,7 +421,7 @@ def test_table_soir_matches_soir(case):
     fs, pieces, neighbours = case
     for j in neighbours:
         held = [p for p in pieces if j in p[0]]
-        means, residuals = elimination._soir(held, j)
+        means, residuals = soir_removal_updates(held, j)
         kept = [p for p in pieces if j not in p[0]] + means
         for m, f in enumerate(fs):
             got = energy_values(f, member(kept, m), member(residuals, m))
@@ -427,23 +433,37 @@ def test_table_soir_matches_soir(case):
 @given(pieces_of_h())
 def test_table_clamps_bound_the_energy(case):
     fs, pieces, neighbours = case
+    n = fs[0].n
+    states = all_states(n)
+    # the pieces of h that a capped step of the batch builds from the sets holding 0
+    pairs = [(key, np.array([g.beta(key) for g in fs])) for key in fs[0].terms() if 0 in key]
+    step_pieces, _ = coefficient_pieces(0, [], pairs, (len(fs),))
+    values = [eval_pbf(f, states) for f in fs]
     for j in neighbours:
         held = [p for p in pieces if j in p[0]]
         kept = [p for p in pieces if j not in p[0]]
+        step_held = [p for p in step_pieces if j in p[0]]
+        step_kept = [p for p in step_pieces if j not in p[0]]
         for direction, reduce, sign in (("upper", np.maximum, 1), ("lower", np.minimum, -1)):
             # a table_cap of n covers every merge: the clamp of the summed pieces
-            merged, splits = elimination._clamp(held, j, reduce, fs[0].n)
+            merged, splits = bound_removal_updates(held, j, reduce, n)
             assert splits == 0
             # a table_cap of 0 clamps each piece on its own: looser, still a bound
-            apart, _ = elimination._clamp(held, j, reduce, 0)
+            apart, _ = bound_removal_updates(held, j, reduce, 0)
             for m, f in enumerate(fs):
-                values = eval_pbf(f, all_states(f.n))
                 got = energy_values(f, member(kept + merged, m))
-                want = eval_pbf(bound_remove_pair(f, 0, j, direction, f.n), all_states(f.n))
+                want = eval_pbf(bound_remove_pair(f, 0, j, direction, n), states)
                 assert np.abs(got - want).max() <= 1e-12
                 loose = energy_values(f, member(kept + apart, m))
-                assert (sign * (loose - values) >= -1e-12).all()
+                assert (sign * (loose - values[m]) >= -1e-12).all()
                 assert (sign * (loose - got) >= -1e-12).all()
+            # at every cap the operator is the kernel on the step's pieces
+            for cap in range(n + 1):
+                clamped, _ = bound_removal_updates(step_held, j, reduce, cap)
+                for m, f in enumerate(fs):
+                    got = energy_values(f, member(step_kept + clamped, m))
+                    want = eval_pbf(bound_remove_pair(f, 0, j, direction, cap), states)
+                    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_capped_max_message_drops_the_axes_it_ignores():
