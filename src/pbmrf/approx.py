@@ -34,6 +34,7 @@ from .pbf import (
     _masks,
     _split,
     _sum_over,
+    as_table_cap,
     extract_subset_family,
     interaction_set,
     interactions_from_values,
@@ -328,10 +329,7 @@ def bound_remove_pair(
     pair = interaction_set((i, j))
     if pair not in f:
         raise ValueError(f"pair {pair} is not represented in f")
-    if table_cap < 0:
-        raise ValueError(f"table_cap must be >= 0, got {table_cap}")
-    if table_cap > DENSE_TABLE_CAP:
-        raise ResourceCapError(f"table_cap {table_cap} exceeds dense cap {DENSE_TABLE_CAP}")
+    table_cap = as_table_cap(table_cap)
     held, kept = _pair_pieces(f, i, j)
     reduce = np.maximum if direction == "upper" else np.minimum
     clamped, _ = bound_removal_updates(held, j, reduce, table_cap)

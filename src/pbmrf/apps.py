@@ -6,7 +6,8 @@
 * MAP estimation: a Gaussian observation model adds a linear term to the
   prior energy and max-marginal elimination returns the posterior mode.
 * Rejection sampling: a POMM proposal plus a certified bound on
-  min_x [ln proposal - ln target] gives exact draws from the MRF.
+  min_x [ln proposal - ln target], read from the SOIR removal errors of
+  the approximate run, gives exact draws from the MRF.
 * Metropolis-Hastings acceptance rate: measures how well a POMM mimics
   its MRF (normalising constants cancel in the ratio).
 * Gibbs sampling: the reference sampler for everything above.
@@ -23,15 +24,7 @@ import numpy as np
 
 from .elimination import EliminationConfig, _expit, eliminate, eliminate_many, eliminate_max
 from .models import MarkovRandomField
-from .pbf import (
-    PRUNE_TOL,
-    PseudoBooleanFunction,
-    _check_table_size,
-    _table_terms,
-    as_int,
-    evaluate_many,
-    prune_dead,
-)
+from .pbf import PseudoBooleanFunction, _check_table_size, as_int, evaluate_many
 from .pomm import (
     PartiallyOrderedMarkovModel,
     SampleBatch,
@@ -47,7 +40,6 @@ __all__ = [
     "MleBracket",
     "mle_bracket",
     "map_estimate",
-    "pomm_log_density_polynomial",
     "RejectionResult",
     "rejection_sampler",
     "mh_acceptance_rate",
@@ -242,32 +234,6 @@ def map_estimate(
 # -- rejection sampling -------------------------------------------------------
 
 
-def pomm_log_density_polynomial(
-    pomm: PartiallyOrderedMarkovModel,
-) -> PseudoBooleanFunction:
-    """ln of the POMM density as a pseudo-Boolean polynomial.
-
-    Each conditional adds the coefficients of its log table over the
-    variable and its dependencies, negligible leaves pruned.  Degenerate
-    probabilities (0 or 1) have no finite polynomial and are rejected, and
-    tables over more than TERMS_TABLE_CAP variables raise ResourceCapError.
-    """
-    total: dict = {}
-    for cond in pomm.conditionals:
-        p = cond.prob_one
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError(
-                f"conditional for variable {cond.variable} is degenerate; "
-                "its log has no polynomial representation"
-            )
-        variables = (cond.variable,) + cond.depends_on
-        local = _table_terms(cond.log_table(), variables, "pomm_log_density_polynomial")
-        prune_dead(local, lambda b: abs(b) >= PRUNE_TOL)
-        for key, value in local.items():
-            total[key] = total.get(key, 0.0) + value
-    return PseudoBooleanFunction(pomm.n, total)
-
-
 @dataclass(frozen=True)
 class RejectionResult:
     """Accepted exact samples plus the run's bookkeeping."""
@@ -287,7 +253,6 @@ def rejection_sampler(
     *,
     rate_floor: float = 1e-3,
     trial_budget: int | None = None,
-    table_cap: int | None = None,
 ) -> RejectionResult:
     """Exact samples from the MRF by rejection against a POMM proposal.
 
@@ -295,8 +260,12 @@ def rejection_sampler(
     conditional tables must be cheap to normalise, hence that variant).
     Candidates are accepted with probability
     alpha(x) = k * exp{U(x)} / proposal(x), with ln k a certified lower
-    bound on min_x [ln proposal(x) - U(x)] obtained by an upper-bound
-    max-elimination of the negated difference; alpha <= 1 is guaranteed.
+    bound on min_x [ln proposal(x) - U(x)].  Each SOIR removal k of the
+    run changes the energy by (x_i - 1/2)(x_j - 1/2) g_k, so
+    U(x) - ln proposal(x) = ln c~ + sum_k of those errors, and
+    ln k = -(ln c~ + soir_error), with ln c~ the run's log_value and
+    ``soir_error`` (see :class:`pbmrf.elimination.EliminationResult`) at
+    least sum_k max|g_k| / 4; alpha <= 1 is guaranteed.
 
     Trial t consumes uniform block t (n state draws plus one acceptance
     draw), so results are reproducible and independent of batch sizes.
@@ -306,22 +275,11 @@ def rejection_sampler(
     count = as_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    cfg = EliminationConfig(
-        mode="approximate",
-        nu=nu,
-        pomm_variant="post_approximation",
-        table_cap=table_cap,
-    )
-    pomm = eliminate(target, cfg).pomm
+    cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant="post_approximation")
+    result = eliminate(target, cfg)
+    pomm = result.pomm
     n = target.n
-    # U - ln proposal, whose certified maximum bounds -ln k.
-    terms = {k: -v for k, v in pomm_log_density_polynomial(pomm).terms().items()}
-    for key, value in target.energy.terms().items():
-        terms[key] = terms.get(key, 0.0) + value
-    bound_cfg = EliminationConfig(
-        mode="upper_bound", marginal="max", nu=nu, table_cap=table_cap
-    )
-    log_k = -eliminate_max(PseudoBooleanFunction(n, terms), bound_cfg).log_value
+    log_k = -(result.log_value + result.soir_error)
 
     budget = trial_budget if trial_budget is not None else max(10_000, 200 * count)
     rng = generator(seed, REJECT_STREAM)

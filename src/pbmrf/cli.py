@@ -292,7 +292,6 @@ def _cmd_reject(args, config) -> int:
         seed=_setting(args, config, "seed", 0, int),
         count=_setting(args, config, "count", 100, int),
         rate_floor=_setting(args, config, "rate-floor", 1e-3, float),
-        table_cap=_setting(args, config, "table-cap", None, int),
     )
     _write_rows(
         args.out, ["state", "log_density"], _state_rows(result.samples), args.format
@@ -400,10 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", type=float)
     p.add_argument("--grid-points", type=int)
 
-    p = command(
-        "reject", "exact samples by rejection", _cmd_reject,
-        "--nu", "--seed", "--table-cap",
-    )
+    p = command("reject", "exact samples by rejection", _cmd_reject, "--nu", "--seed")
     p.add_argument("--count", type=int)
     p.add_argument("--rate-floor", type=float)
 

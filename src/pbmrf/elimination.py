@@ -69,6 +69,7 @@ from .pbf import (
     _sum_over,
     add_scaled,
     as_int,
+    as_table_cap,
     table_rows,
     tabulate,
 )
@@ -127,14 +128,7 @@ class EliminationConfig:
         if self.mode != "exact" and (self.nu is None or self.nu < 1):
             raise ValueError(f"mode {self.mode!r} needs nu >= 1, got {self.nu}")
         if self.table_cap is not None:
-            object.__setattr__(self, "table_cap", as_int("table_cap", self.table_cap))
-            if self.table_cap < 0:
-                raise ValueError(f"table_cap must be >= 0, got {self.table_cap}")
-            if self.table_cap > DENSE_TABLE_CAP:
-                raise ResourceCapError(
-                    f"table_cap {self.table_cap} exceeds the dense-table "
-                    f"cap {DENSE_TABLE_CAP}"
-                )
+            object.__setattr__(self, "table_cap", as_table_cap(self.table_cap))
         if self.pomm_variant != "none" and self.marginal != "sum":
             raise ValueError("a POMM can only be recorded under the sum marginal")
         if self.order is not None:
@@ -160,6 +154,16 @@ class EliminationResult:
     ``log_value`` is ln of the computed quantity: the partition sum (or
     its bound) under the sum marginal, max_x exp{U(x)} under max.
     ``argmax`` is filled by the max marginal's backward pass.
+
+    ``soir_error`` bounds the error of the run's SOIR removals only: the
+    sum over every residual factor a removal files of its largest
+    magnitude, 1/4 max|h1 - h0| of one held piece.  Removal k changes the
+    energy by (x_i - 1/2)(x_j - 1/2) g_k, with g_k the sum of its held
+    pieces' h1 - h0, so in exact arithmetic the approximate energy U~
+    stays within ``soir_error`` of U at every state, and |ln c - ln c~|
+    and, for the post-approximation POMM q, max_x [U(x) - ln q(x)] - ln c~
+    are at most ``soir_error``.  It is 0.0 in exact and bound modes and
+    for a run without removals.
     """
 
     log_value: float
@@ -169,6 +173,7 @@ class EliminationResult:
     argmax: np.ndarray | None = None
     pomm: PartiallyOrderedMarkovModel | None = None
     per_step: tuple[StepDiagnostics, ...] = ()
+    soir_error: float = 0.0
 
     def eta_trace(self) -> tuple[int, ...]:
         return tuple(step.eta_after for step in self.per_step)
@@ -282,7 +287,7 @@ class _Batch:
     filed in bucket r with their coefficients, each a (B,) array of the
     members' values.  Factor tables and records carry the members on a
     last axis likewise.  A batch of one keeps scalar coefficients and flat
-    tables.
+    tables.  ``error`` is each member's SOIR error so far.
     """
 
     members: list[int]
@@ -291,6 +296,7 @@ class _Batch:
     records: list[_Record] = field(default_factory=list)
     steps: list[StepDiagnostics] = field(default_factory=list)
     start: int = 0
+    error: np.ndarray | float = 0.0
 
     def take(self, group: list[int]) -> _Batch:
         """The members at positions ``group``, at the same step."""
@@ -305,6 +311,7 @@ class _Batch:
             [(i, extras, pick(h)) for i, extras, h in self.records],
             list(self.steps),
             self.start,
+            pick(self.error),
         )
 
 
@@ -320,12 +327,12 @@ def _batch(members: list[int], keys: tuple, energies: list, rank: list[int]) -> 
         inputs[_first(rank, key)].append((key, b))
     buckets: list[list[_Factor]] = [[] for _ in range(len(rank))]
     buckets.append([((), np.array([b])) for _, b in inputs.pop()])
-    return _Batch(members, inputs, buckets)
+    return _Batch(members, inputs, buckets, error=np.zeros(tail))
 
 
 def _eliminate(
     energies: list[PseudoBooleanFunction], order: tuple[int, ...], cfg: EliminationConfig
-) -> list[tuple[float, list[_Record], list[StepDiagnostics]]]:
+) -> list[tuple[float, list[_Record], list[StepDiagnostics], float]]:
     """Variable elimination of energies over the same variables, in every mode.
 
     Bucket r holds the input sets and the factors whose earliest variable
@@ -358,7 +365,8 @@ def _eliminate(
             for _, message in batch.buckets[-1]:  # the constant first, then the messages
                 log_value += float(message[0] if one else message[0, k])
             records = [(i, e, h if one else h[:, k]) for i, e, h in batch.records]
-            runs[member] = (log_value, records, batch.steps)
+            error = float(batch.error if one else batch.error[k])
+            runs[member] = (log_value, records, batch.steps, error)
     return runs
 
 
@@ -397,6 +405,7 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
         eta = len(joint) - 1
         filed = []
         kept = None  # the step's record
+        error = 0.0  # the step's SOIR error
         if cfg.mode == "exact" or eta <= cfg.nu:
             _check_width(context, len(joint), width)
             if pairs:
@@ -435,6 +444,7 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
                 if cfg.mode == "approximate":
                     reduced, residuals = soir_removal_updates(held, j)
                     for scope, table in residuals:
+                        error = error + np.abs(table).max(axis=0)
                         file(scope, table)
                 else:
                     reduced, extra = bound_removal_updates(held, j, clamp, table_cap)
@@ -456,11 +466,12 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
         if kept is not None:
             batch.records.append(kept)
         batch.steps.append(step)
+        batch.error = batch.error + error
     batch.start = len(order)
 
 
 def _result(n: int, cfg: EliminationConfig, run) -> EliminationResult:
-    log_value, records, steps = run
+    log_value, records, steps, soir_error = run
     argmax = None
     if cfg.marginal == "max":
         argmax = np.zeros(n, dtype=np.uint8)
@@ -481,6 +492,7 @@ def _result(n: int, cfg: EliminationConfig, run) -> EliminationResult:
         argmax=argmax,
         pomm=pomm,
         per_step=tuple(steps),
+        soir_error=soir_error,
     )
 
 

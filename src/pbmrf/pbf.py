@@ -89,6 +89,20 @@ def as_int(name: str, value) -> int:
     return number
 
 
+def as_table_cap(value) -> int:
+    """A bound canonicalisation cap: an integer from 0 to DENSE_TABLE_CAP.
+
+    A boolean or fraction, or a negative cap, raises ValueError naming
+    ``table_cap``; a cap past DENSE_TABLE_CAP raises ResourceCapError.
+    """
+    cap = as_int("table_cap", value)
+    if cap < 0:
+        raise ValueError(f"table_cap must be >= 0, got {cap}")
+    if cap > DENSE_TABLE_CAP:
+        raise ResourceCapError(f"table_cap {cap} exceeds the dense-table cap {DENSE_TABLE_CAP}")
+    return cap
+
+
 def interaction_set(indices) -> InteractionSet:
     """Canonicalise ``indices`` into a strictly increasing tuple.
 
@@ -422,24 +436,15 @@ def interactions_from_values(
     variables = table.variables
     if n is None:
         n = max(variables) + 1 if variables else 0
-    terms = _table_terms(table.values, variables, "interactions_from_values")
-    return PseudoBooleanFunction(n, terms)
-
-
-def _table_terms(values, variables, context: str) -> dict[InteractionSet, float]:
-    """Moebius coefficient of each subset of ``variables``, keyed in mask order.
-
-    Keys are sorted interaction sets; a -0.0 coefficient is stored as 0.0.
-    Raises ResourceCapError, prefixed by ``context``, for tables over more
-    than TERMS_TABLE_CAP variables.
-    """
     if len(variables) > TERMS_TABLE_CAP:
         raise ResourceCapError(
-            f"{context}: table over {len(variables)} variables "
+            f"interactions_from_values: table over {len(variables)} variables "
             f"would become 2^{len(variables)} terms, cap is 2^{TERMS_TABLE_CAP}"
         )
-    coeffs = moebius_transform(values).tolist()
-    return {tuple(sorted(k)): 0.0 + c for k, c in zip(subset_keys(variables), coeffs)}
+    coeffs = moebius_transform(table.values).tolist()
+    # keys in mask order; a -0.0 coefficient is stored as 0.0
+    terms = {tuple(sorted(k)): 0.0 + c for k, c in zip(subset_keys(variables), coeffs)}
+    return PseudoBooleanFunction(n, terms)
 
 
 def add_scaled(

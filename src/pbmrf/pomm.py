@@ -50,13 +50,15 @@ class PommConditional:
     """P(x_variable = 1 | dependencies), tabulated over all 2^k assignments.
 
     Bit k of the table index is the value of ``depends_on[k]``.  Only the
-    probability of the "on" state is stored; the "off" probability is
-    derived, so the pair cannot drift apart.
+    probability of the "on" state is given; the "off" probability is
+    derived, so the pair cannot drift apart.  The log table is built once,
+    with the conditional, and is read-only like ``prob_one``.
     """
 
     variable: int
     depends_on: tuple[int, ...]
     prob_one: np.ndarray = field(repr=False)
+    _log: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         deps = tuple(int(v) for v in self.depends_on)
@@ -68,16 +70,18 @@ class PommConditional:
             )
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError(f"conditional for {self.variable} leaves [0, 1]")
+        with np.errstate(divide="ignore"):
+            log = np.stack([np.log1p(-probs), np.log(probs)], axis=1).reshape(-1)
         probs.setflags(write=False)
+        log.setflags(write=False)
         object.__setattr__(self, "variable", int(self.variable))
         object.__setattr__(self, "depends_on", deps)
         object.__setattr__(self, "prob_one", probs)
+        object.__setattr__(self, "_log", log)
 
     def log_table(self) -> np.ndarray:
         """ln P(x_variable | x_deps); bit 0 is x_variable, bit k+1 depends_on[k]."""
-        with np.errstate(divide="ignore"):
-            p = self.prob_one
-            return np.stack([np.log1p(-p), np.log(p)], axis=1).reshape(-1)
+        return self._log
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from pbmrf.models import (
     build_ising,
     clique_value_tables,
 )
-from pbmrf.pbf import DenseLocalFunction, evaluate_many, interactions_from_values
+from pbmrf.pbf import evaluate_many
 from pbmrf.pomm import SampleBatch
 from pbmrf.rng import GIBBS_STREAM, POMM_STREAM, generator
 
@@ -343,21 +343,3 @@ def pomm_log_density_row_major(pomm, states: np.ndarray) -> np.ndarray:
             on = states[:, cond.variable].astype(bool)
             out += np.where(on, np.log(p), np.log1p(-p))
     return out
-
-
-def pomm_log_density_polynomial_per_table(pomm) -> PseudoBooleanFunction:
-    """Reference for ``pomm_log_density_polynomial``: one polynomial per table.
-
-    Each conditional's log table goes through ``interactions_from_values``
-    (closure and prune included) and the coefficient maps are summed.
-    """
-    total: dict = {}
-    for cond in pomm.conditionals:
-        p = cond.prob_one
-        values = np.empty(2 * p.size)
-        values[0::2] = np.log1p(-p)
-        values[1::2] = np.log(p)
-        local = DenseLocalFunction((cond.variable,) + cond.depends_on, values)
-        for key, value in interactions_from_values(local, pomm.n).terms().items():
-            total[key] = total.get(key, 0.0) + value
-    return PseudoBooleanFunction(pomm.n, total)

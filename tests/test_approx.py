@@ -13,7 +13,9 @@ from helpers import (
     random_dense_subfamily,
 )
 from pbmrf import (
+    DENSE_TABLE_CAP,
     PseudoBooleanFunction,
+    ResourceCapError,
     add_scaled,
     bound_remove_pair,
     extract_subset_family,
@@ -357,6 +359,16 @@ def test_bound_rejects_missing_pair_and_bad_direction():
         bound_remove_pair(f, 0, 2, "upper", 25)
     with pytest.raises(ValueError):
         bound_remove_pair(f, 0, 1, "sideways", 25)
+
+
+@pytest.mark.parametrize("cap", [1.5, True, -1])
+def test_bound_refuses_a_table_cap_that_is_not_a_count(cap):
+    f = PseudoBooleanFunction(4, {(0, 1): 1.0, (0, 1, 2): 0.5, (1, 3): 0.25})
+    with pytest.raises(ValueError, match="table_cap"):
+        bound_remove_pair(f, 0, 1, "upper", cap)
+    with pytest.raises(ResourceCapError, match="table_cap"):
+        bound_remove_pair(f, 0, 1, "upper", DENSE_TABLE_CAP + 1)
+    bound_remove_pair(f, 0, 1, "upper", 1.0)  # an integral float passes
 
 
 # -- partner scoring ---------------------------------------------------------------

@@ -14,7 +14,6 @@ from helpers import (
     gibbs_site_by_site,
     log_sum_exp,
     pack_states,
-    pomm_log_density_polynomial_per_table,
     star_mrf,
     tv_distance,
 )
@@ -24,35 +23,21 @@ from pbmrf import (
     GaussianLikelihoodSpec,
     LatticeSpec,
     ResourceCapError,
-    add_scaled,
     build_higher_order,
     build_independence,
     build_ising,
     eliminate,
-    eliminate_max,
     gibbs_sampler,
     map_estimate,
     mh_acceptance_rate,
     mle_bracket,
     model_from_config,
     rejection_sampler,
-    scale,
-    to_json,
 )
-from pbmrf.apps import (
-    _gibbs_levels,
-    _site_conditionals,
-    gibbs_reference_sampler,
-    pomm_log_density_polynomial,
-)
+from pbmrf.apps import _gibbs_levels, _site_conditionals, gibbs_reference_sampler
 from pbmrf.models import MODEL_FAMILIES
-from pbmrf.pbf import TERMS_TABLE_CAP, evaluate_many
-from pbmrf.pomm import (
-    PartiallyOrderedMarkovModel,
-    PommConditional,
-    log_density_many,
-    sample,
-)
+from pbmrf.pbf import evaluate_many
+from pbmrf.pomm import log_density_many, sample
 
 
 def ising_distribution(lat, theta):
@@ -265,24 +250,6 @@ def test_integer_arguments_refuse_fractions_and_booleans(name, value):
     INTEGER_ARGUMENTS[name](2.0)  # an integral float passes
 
 
-def test_pomm_log_density_polynomial_matches_tables():
-    m = build_ising(LatticeSpec(3, 3), 0.5)
-    cfg = EliminationConfig(mode="approximate", nu=2, pomm_variant="post_approximation")
-    pomm = eliminate(m, cfg).pomm
-    poly = pomm_log_density_polynomial(pomm)
-    X = all_states(9)
-    assert np.abs(eval_pbf(poly, X) - log_density_many(pomm, X)).max() < 1e-9
-
-
-def test_pomm_log_density_polynomial_refuses_oversized_conditionals():
-    deps = tuple(range(1, TERMS_TABLE_CAP + 1))
-    wide = PommConditional(0, deps, np.full(1 << len(deps), 0.5))
-    rest = tuple(PommConditional(v, (), np.array([0.5])) for v in deps)
-    pomm = PartiallyOrderedMarkovModel(len(deps) + 1, (wide,) + rest)
-    with pytest.raises(ResourceCapError, match="pomm_log_density_polynomial"):
-        pomm_log_density_polynomial(pomm)
-
-
 @pytest.mark.parametrize(
     "model, nu",
     [
@@ -291,13 +258,13 @@ def test_pomm_log_density_polynomial_refuses_oversized_conditionals():
         (build_higher_order(LatticeSpec(3, 4), np.linspace(-0.6, 0.7, 10)), 3),
     ],
 )
-def test_rejection_bound_equals_the_scaled_gap_path(model, nu):
+def test_rejection_bound_is_the_soir_certificate(model, nu):
     res = rejection_sampler(model, nu=nu, seed=9, count=20)
     cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant="post_approximation")
-    log_prop = pomm_log_density_polynomial_per_table(eliminate(model, cfg).pomm)
-    gap = add_scaled(log_prop, model.energy, 1.0, -1.0)
-    bound_cfg = EliminationConfig(mode="upper_bound", marginal="max", nu=nu)
-    assert res.log_k_bound == -eliminate_max(scale(gap, -1.0), bound_cfg).log_value
+    run = eliminate(model, cfg)
+    assert run.soir_error > 0.0
+    assert res.log_k_bound == -(run.log_value + run.soir_error)
+    assert res.max_alpha <= 1 + 1e-12
 
 
 # -- MH acceptance rate -----------------------------------------------------------
@@ -461,16 +428,3 @@ def test_gibbs_caps_site_neighbourhoods_before_tabulating():
     with pytest.raises(ResourceCapError, match="site 0"):
         gibbs_sampler(star, sweeps=1, burn_in=0, thin=1, seed=0)
     assert time.perf_counter() - started < 2.0
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(
-    lattice_models(),
-    st.integers(1, 6),
-    st.sampled_from(["pre_approximation", "post_approximation"]),
-)
-def test_pomm_log_density_polynomial_equals_per_table_sum(model, nu, variant):
-    cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant=variant)
-    pomm = eliminate(model, cfg).pomm
-    want = pomm_log_density_polynomial_per_table(pomm)
-    assert to_json(pomm_log_density_polynomial(pomm)) == to_json(want)

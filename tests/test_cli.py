@@ -397,6 +397,7 @@ def test_gibbs_exit_code_on_neighbour_cap(monkeypatch):
         ("mle", "--mode", "exact"),
         ("mle", "--seed", "1"),
         ("reject", "--mode", "exact"),
+        ("reject", "--table-cap", "2"),
         ("mh-rate", "--mode", "exact"),
         ("mh-rate", "--table-cap", "2"),
     ],

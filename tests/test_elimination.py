@@ -681,6 +681,7 @@ CONFIGS = [
 def assert_same_bytes(got, want):
     """Two elimination results are equal byte for byte."""
     assert got.log_value.hex() == want.log_value.hex()
+    assert got.soir_error.hex() == want.soir_error.hex()
     assert got.per_step == want.per_step
     if want.argmax is None:
         assert got.argmax is None
@@ -693,6 +694,62 @@ def assert_same_bytes(got, want):
     for c, d in zip(got.pomm.conditionals, want.pomm.conditionals, strict=True):
         assert (c.variable, c.depends_on) == (d.variable, d.depends_on)
         assert c.prob_one.tobytes() == d.prob_one.tobytes()
+
+
+# -- the SOIR error certificate ---------------------------------------------------
+
+
+@st.composite
+def small_lattice_models(draw):
+    """A model of :func:`random_test_model` on at most 16 nodes, and a cap nu."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model, _, _ = random_test_model(rng, max_rows=4, max_cols=4)
+    return model, draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_lattice_models())
+def test_soir_error_bounds_the_approximation_and_the_rejection_gap(case):
+    model, nu = case
+    cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant="post_approximation")
+    res = eliminate(model, cfg)
+    states = all_states(model.n)
+    energy = eval_pbf(model.energy, states)
+    # U - ln q = ln c~ + the sum of the removal errors, each within its bound
+    gap = energy - log_density_many(res.pomm, states) - res.log_value
+    assert gap.max() <= res.soir_error + 1e-12
+    assert abs(log_sum_exp(energy) - res.log_value) <= res.soir_error + 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_lattice_models())
+def test_soir_error_is_zero_without_removals(case):
+    model, _ = case
+    nu = max(max(eliminate_exact_sum(model).eta_trace(), default=0), 1)
+    res = eliminate(model, EliminationConfig(mode="approximate", nu=nu))
+    assert all(not step.partners for step in res.per_step)
+    assert res.soir_error == 0.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    small_lattice_models(),
+    st.lists(st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0, 1.5]), min_size=2, max_size=4),
+)
+def test_eliminate_many_gives_each_member_its_own_soir_error(case, thetas):
+    model, nu = case
+    members = [scale(model.energy, theta) for theta in thetas]
+    cfg = EliminationConfig(mode="approximate", nu=nu)
+    for got, f in zip(eliminate_many(members, cfg), members, strict=True):
+        assert got.soir_error.hex() == eliminate(f, cfg).soir_error.hex()
+
+
+def test_soir_error_is_zero_outside_approximate_mode():
+    model = build_ising(LatticeSpec(4, 4), 0.7)
+    assert eliminate(model, EliminationConfig(mode="approximate", nu=2)).soir_error > 0.0
+    for mode in ("exact", "lower_bound", "upper_bound"):
+        cfg = EliminationConfig(mode=mode, nu=None if mode == "exact" else 2)
+        assert eliminate(model, cfg).soir_error == 0.0
 
 
 def on_grid(rng, f):

@@ -28,6 +28,9 @@ $P sample --config "$OUT/ho.json" --nu 5 --count 100 --seed 4 --pomm-variant pre
 $P sample --config "$OUT/small.json" --nu 3 --count 9000 --seed 10 --out "$OUT/sample_9000.csv"
 $P sample --config "$OUT/small.json" --mode exact --count 200 --seed 11 --out "$OUT/sample_exact.csv"
 $P reject --config "$OUT/small.json" --nu 4 --count 100 --seed 5 --out "$OUT/reject.csv" 2> "$OUT/reject.err"
+# Ising 30x30 theta 0.6 nu 6: many removals, so the rejection constant is
+# loosest here and its acceptance rate shows the certificate's slack.
+$P reject --family ising --rows 30 --cols 30 --params 0.6 --nu 6 --count 100 --seed 5 --out "$OUT/reject_30x30.csv" 2> "$OUT/reject_30x30.err"
 $P mh-rate --config "$OUT/small.json" --nu 3 --pairs 100 --seed 5 --out "$OUT/mh.csv"
 $P gibbs --config "$OUT/small.json" --sweeps 50 --burn-in 10 --thin 5 --seed 2 --out "$OUT/gibbs.csv"
 $P gibbs --config "$OUT/ho.json" --sweeps 60 --burn-in 10 --thin 5 --seed 6 --chains 3 --out "$OUT/gibbs_ho.csv"
@@ -46,7 +49,7 @@ from pbmrf import (LatticeSpec, build_ising, build_higher_order, build_2x2_rotin
     EliminationConfig, eliminate, eliminate_exact_sum, soir, bound_remove_pair,
     remove_single_interaction, to_json, values_from_interactions,
     interactions_from_values, extract_subset_family, add_scaled, scale)
-from pbmrf.apps import pomm_log_density_polynomial, rejection_sampler
+from pbmrf.apps import rejection_sampler
 from pbmrf.pomm import log_density_many, sample
 print(repr(eliminate_exact_sum(build_ising(LatticeSpec(8, 8), 0.6)).log_value))
 ho = build_higher_order(LatticeSpec(5, 5), np.random.default_rng(3).uniform(-1, 1, 10))
@@ -71,7 +74,6 @@ for mode in ("approximate", "lower_bound", "upper_bound"):
         r = eliminate(ho, EliminationConfig(mode=mode, marginal=marg, nu=3))
         print(r.to_json(), None if r.argmax is None else r.argmax.tolist(), r.per_step)
 pomm = eliminate(ho, EliminationConfig(mode="approximate", nu=4, pomm_variant="post_approximation")).pomm
-print(to_json(pomm_log_density_polynomial(pomm)))
 batch = sample(pomm, 12, 500)
 print(batch.log_densities.tolist())
 print(log_density_many(pomm, batch.states).tolist())
