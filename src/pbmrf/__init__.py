@@ -28,18 +28,15 @@ from .approx import (
     bound_remove_pair,
     remove_single_interaction,
     soir,
-    sse,
 )
 from .models import (
     LatticeSpec,
     MarkovRandomField,
-    NeighbourhoodSystem,
     build_2x2_rotinv,
     build_autologistic,
     build_higher_order,
     build_independence,
     build_ising,
-    lattice_neighbourhood,
     load_model_config,
     model_from_config,
 )

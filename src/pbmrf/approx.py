@@ -29,7 +29,6 @@ from .pbf import (
     DenseLocalFunction,
     InteractionSet,
     PseudoBooleanFunction,
-    ResourceCapError,
     _Factor,
     _masks,
     _split,
@@ -39,7 +38,6 @@ from .pbf import (
     interaction_set,
     interactions_from_values,
     subset_keys,
-    values_from_interactions,
 )
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "ApproximationReport",
     "remove_single_interaction",
     "soir",
-    "sse",
     "bound_remove_pair",
     "coefficient_pieces",
     "fstar_scores",
@@ -291,19 +288,6 @@ def soir(
         error = 0.25 * 2.0 ** (f.n - 2 - len(extras)) * float(g @ g)
     report = ApproximationReport(removed, error, partner=j)
     return _rebuilt(f, i, kept + means, residuals), report
-
-
-def sse(f: PseudoBooleanFunction, g: PseudoBooleanFunction) -> float:
-    """Error sum of squares between two functions, over all 2^n states."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    if f.n > DENSE_TABLE_CAP:
-        raise ResourceCapError(f"exhaustive SSE unsupported for n={f.n}")
-    listing = tuple(range(f.n))
-    fv = values_from_interactions(f, listing).values
-    gv = values_from_interactions(g, listing).values
-    diff = fv - gv
-    return float(diff @ diff)
 
 
 def bound_remove_pair(

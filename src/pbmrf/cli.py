@@ -75,7 +75,7 @@ def _write_rows(path, columns: list[str], rows: list[dict], fmt: str) -> None:
                 for c in columns
             )
             lines.append("{" + fields + "}")
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n" if lines else ""
     if path is None:
         sys.stdout.write(text)
     else:

@@ -1,9 +1,10 @@
 """Binary MRF energy functions on rectangular lattices.
 
-Every builder returns a :class:`MarkovRandomField`: a symmetric
-neighbourhood system plus the energy U(x) expanded into a pseudo-Boolean
-polynomial, so that p(x) = exp{U(x)} / c.  Nodes are numbered row-major
-and all lattices have free boundaries.
+Every builder returns a :class:`MarkovRandomField`: the energy U(x)
+expanded into a pseudo-Boolean polynomial, so that p(x) = exp{U(x)} / c.
+Its interaction sets are the cliques of the field's neighbourhood, so the
+energy is the whole model.  Nodes are numbered row-major and all lattices
+have free boundaries.
 
 Model families:
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pbf import (
-    PRUNE_TOL,
     InteractionSet,
     PseudoBooleanFunction,
     as_int,
@@ -41,12 +41,7 @@ from .pbf import (
 
 __all__ = [
     "LatticeSpec",
-    "NeighbourhoodSystem",
     "MarkovRandomField",
-    "lattice_neighbourhood",
-    "FIRST_ORDER_OFFSETS",
-    "SECOND_ORDER_OFFSETS",
-    "THIRD_ORDER_OFFSETS",
     "build_ising",
     "build_independence",
     "build_autologistic",
@@ -56,10 +51,6 @@ __all__ = [
     "load_model_config",
     "MODEL_FAMILIES",
 ]
-
-FIRST_ORDER_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-SECOND_ORDER_OFFSETS = FIRST_ORDER_OFFSETS + ((-1, -1), (-1, 1), (1, -1), (1, 1))
-THIRD_ORDER_OFFSETS = SECOND_ORDER_OFFSETS + ((-2, 0), (2, 0), (0, -2), (0, 2))
 
 
 @dataclass(frozen=True)
@@ -84,69 +75,19 @@ class LatticeSpec:
 
 
 @dataclass(frozen=True)
-class NeighbourhoodSystem:
-    """Symmetric neighbour lists, one sorted tuple per node."""
-
-    n: int
-    neighbours: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.neighbours) != self.n:
-            raise ValueError("neighbour list length does not match node count")
-        for i, nbrs in enumerate(self.neighbours):
-            if i in nbrs:
-                raise ValueError(f"node {i} is its own neighbour")
-            if tuple(sorted(nbrs)) != tuple(nbrs):
-                raise ValueError(f"neighbours of node {i} are not sorted")
-            for j in nbrs:
-                if i not in self.neighbours[j]:
-                    raise ValueError(f"asymmetric neighbourhood: {i} -> {j}")
-
-    def is_clique(self, indices) -> bool:
-        nodes = tuple(indices)
-        return all(
-            b in self.neighbours[a] for k, a in enumerate(nodes) for b in nodes[k + 1 :]
-        )
-
-
-@dataclass(frozen=True)
 class MarkovRandomField:
-    """Energy polynomial tied to a neighbourhood system.
+    """A binary MRF as its energy polynomial, with the family's name and parameters."""
 
-    Invariant: non-negligible interactions live only on cliques of the
-    graph (Hammersley-Clifford support).
-    """
-
-    graph: NeighbourhoodSystem
     energy: PseudoBooleanFunction
     label: str = ""
     params: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.energy.n != self.graph.n:
-            raise ValueError("energy and graph disagree on the node count")
-        for key, b in self.energy.terms().items():
-            if len(key) >= 2 and abs(b) > PRUNE_TOL and not self.graph.is_clique(key):
-                raise ValueError(f"interaction {key} is not a clique of the graph")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
     @property
     def n(self) -> int:
-        return self.graph.n
-
-
-def lattice_neighbourhood(lat: LatticeSpec, offsets) -> NeighbourhoodSystem:
-    """Neighbourhood system from a set of (dr, dc) offsets, free boundary."""
-    nbrs: list[tuple[int, ...]] = []
-    for r in range(lat.rows):
-        for c in range(lat.cols):
-            here = []
-            for dr, dc in offsets:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < lat.rows and 0 <= cc < lat.cols:
-                    here.append(lat.index(rr, cc))
-            nbrs.append(tuple(sorted(here)))
-    return NeighbourhoodSystem(lat.n, tuple(nbrs))
+        return self.energy.n
 
 
 def _lattice_edges(lat: LatticeSpec) -> list[tuple[int, int]]:
@@ -295,7 +236,6 @@ def build_ising(lat: LatticeSpec, theta: float) -> MarkovRandomField:
         terms[(j,)] = terms.get((j,), 0.0) - theta
         terms[(i, j)] = terms.get((i, j), 0.0) + 2.0 * theta
     return MarkovRandomField(
-        lattice_neighbourhood(lat, FIRST_ORDER_OFFSETS),
         PseudoBooleanFunction(lat.n, terms),
         label="ising",
         params=(theta,),
@@ -306,9 +246,8 @@ def build_independence(lat: LatticeSpec, theta: float) -> MarkovRandomField:
     """Independent sites: U(x) = theta * sum_i x_i, c = (1+e^theta)^n."""
     theta = float(theta)
     terms = {(i,): theta for i in range(lat.n)}
-    empty = lattice_neighbourhood(lat, ())
     return MarkovRandomField(
-        empty, PseudoBooleanFunction(lat.n, terms), label="independence", params=(theta,)
+        PseudoBooleanFunction(lat.n, terms), label="independence", params=(theta,)
     )
 
 
@@ -327,7 +266,6 @@ def build_autologistic(
         terms[(j,)] = terms.get((j,), 0.0) + theta0
         terms[(i, j)] = terms.get((i, j), 0.0) + theta1 - 2.0 * theta0
     return MarkovRandomField(
-        lattice_neighbourhood(lat, FIRST_ORDER_OFFSETS),
         PseudoBooleanFunction(lat.n, terms),
         label="autologistic",
         params=(theta0, theta1),
@@ -354,7 +292,6 @@ def build_higher_order(lat: LatticeSpec, potentials) -> MarkovRandomField:
         for c in range(1, lat.cols - 1):
             _accumulate_clique(terms, cross_cells(lat, r, c), cross_values)
     return MarkovRandomField(
-        lattice_neighbourhood(lat, THIRD_ORDER_OFFSETS),
         PseudoBooleanFunction(lat.n, terms),
         label="higher_order",
         params=pot,
@@ -378,7 +315,6 @@ def build_2x2_rotinv(lat: LatticeSpec, thetas) -> MarkovRandomField:
         for c in range(lat.cols - 1):
             _accumulate_clique(terms, block_cells(lat, r, c), values)
     return MarkovRandomField(
-        lattice_neighbourhood(lat, SECOND_ORDER_OFFSETS),
         PseudoBooleanFunction(lat.n, terms),
         label="rotinv2x2",
         params=th,
@@ -415,13 +351,3 @@ def model_from_config(config: dict) -> MarkovRandomField:
 def load_model_config(path) -> MarkovRandomField:
     with open(path, "r", encoding="utf-8") as handle:
         return model_from_config(json.load(handle))
-
-
-def clique_value_tables() -> dict[str, np.ndarray]:
-    """The class-index tables, exposed for independent cross-checking."""
-    return {
-        "block_full": _BLOCK_FULL_CLASS.copy(),
-        "cross": _CROSS_CLASS.copy(),
-        "block_rot": _BLOCK_ROT_CLASS.copy(),
-    }
-

@@ -17,17 +17,18 @@ import numpy as np
 from pbmrf import (
     LatticeSpec,
     MarkovRandomField,
-    NeighbourhoodSystem,
     PseudoBooleanFunction,
     interaction_set,
 )
 from pbmrf.elimination import _expit
 from pbmrf.models import (
+    _BLOCK_FULL_CLASS,
+    _BLOCK_ROT_CLASS,
+    _CROSS_CLASS,
     build_2x2_rotinv,
     build_autologistic,
     build_higher_order,
     build_ising,
-    clique_value_tables,
 )
 from pbmrf.pbf import evaluate_many
 from pbmrf.pomm import SampleBatch
@@ -61,6 +62,51 @@ def eval_pbf(f: PseudoBooleanFunction, states: np.ndarray) -> np.ndarray:
 def log_sum_exp(values: np.ndarray) -> float:
     m = float(np.max(values))
     return m + float(np.log(np.sum(np.exp(values - m))))
+
+
+def sse(f: PseudoBooleanFunction, g: PseudoBooleanFunction) -> float:
+    """Error sum of squares between two functions, over all 2^n states."""
+    if f.n != g.n:
+        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
+    states = all_states(f.n)
+    diff = eval_pbf(f, states) - eval_pbf(g, states)
+    return float(diff @ diff)
+
+
+# -- lattice neighbourhoods -------------------------------------------------
+#
+# A family's neighbourhood as (dr, dc) offsets on a free-boundary lattice:
+# its energy may hold a set only if every two of its nodes are neighbours.
+
+FIRST_ORDER_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+SECOND_ORDER_OFFSETS = FIRST_ORDER_OFFSETS + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+THIRD_ORDER_OFFSETS = SECOND_ORDER_OFFSETS + ((-2, 0), (2, 0), (0, -2), (0, 2))
+FAMILY_OFFSETS = {
+    "independence": (),
+    "ising": FIRST_ORDER_OFFSETS,
+    "autologistic": FIRST_ORDER_OFFSETS,
+    "rotinv2x2": SECOND_ORDER_OFFSETS,
+    "higher_order": THIRD_ORDER_OFFSETS,
+}
+
+
+def is_lattice_clique(nodes, cols: int, offsets) -> bool:
+    """Every two of the row-major ``nodes`` lie one of ``offsets`` apart."""
+    cells = [divmod(v, cols) for v in nodes]
+    return all(
+        (rb - ra, cb - ca) in offsets
+        for k, (ra, ca) in enumerate(cells)
+        for rb, cb in cells[k + 1 :]
+    )
+
+
+def clique_value_tables() -> dict[str, np.ndarray]:
+    """Copies of the builders' configuration-class tables, for cross-checking."""
+    return {
+        "block_full": _BLOCK_FULL_CLASS.copy(),
+        "cross": _CROSS_CLASS.copy(),
+        "block_rot": _BLOCK_ROT_CLASS.copy(),
+    }
 
 
 def lattice_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -224,9 +270,8 @@ def random_test_model(rng: np.random.Generator, max_rows=4, max_cols=5):
 def star_mrf(leaves: int) -> MarkovRandomField:
     """Hub 0 joined by a pair interaction to each of ``leaves`` leaves."""
     n = leaves + 1
-    graph = NeighbourhoodSystem(n, (tuple(range(1, n)),) + ((0,),) * leaves)
     terms = {(0, k): 0.1 for k in range(1, n)}
-    return MarkovRandomField(graph, PseudoBooleanFunction(n, terms), label="star")
+    return MarkovRandomField(PseudoBooleanFunction(n, terms), label="star")
 
 
 def least_squares_project(

@@ -21,6 +21,7 @@ from helpers import (
     pack_states,
     random_dense_pbf,
     random_test_model,
+    sse,
     tv_distance,
 )
 from pbmrf import (
@@ -38,7 +39,6 @@ from pbmrf import (
     remove_single_interaction,
     rejection_sampler,
     soir,
-    sse,
 )
 from pbmrf.cli import main as cli_main
 from pbmrf.pomm import log_density_many, sample

@@ -11,6 +11,7 @@ from helpers import (
     least_squares_project,
     random_dense_pbf,
     random_dense_subfamily,
+    sse,
 )
 from pbmrf import (
     DENSE_TABLE_CAP,
@@ -21,7 +22,6 @@ from pbmrf import (
     extract_subset_family,
     remove_single_interaction,
     soir,
-    sse,
 )
 from pbmrf.approx import coefficient_pieces, fstar_scores
 

@@ -129,6 +129,14 @@ def test_sample_json_format(ising_config, tmp_path):
     assert [row["log_density"] for row in rows] == batch.log_densities.tolist()
 
 
+@pytest.mark.parametrize("fmt, text", [("csv", "state,log_density\n"), ("json", "")])
+def test_sample_zero_count_writes_only_the_header(ising_config, tmp_path, fmt, text):
+    out = tmp_path / f"s.{fmt}"
+    args = ["sample", "--config", ising_config, "--nu", "2", "--count", "0"]
+    assert run(args + ["--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text() == text
+
+
 def test_gibbs_command(ising_config, tmp_path):
     out = tmp_path / "g.csv"
     argv = [

@@ -444,6 +444,9 @@ def test_table_clamps_bound_the_energy(case):
         kept = [p for p in pieces if j not in p[0]]
         step_held = [p for p in step_pieces if j in p[0]]
         step_kept = [p for p in step_pieces if j not in p[0]]
+        # the kernel's choice changes only between these caps
+        span = len(set().union(*(scope for scope, _ in step_held)))
+        caps = sorted({0, max(span - 2, 0), span - 1, n})
         for direction, reduce, sign in (("upper", np.maximum, 1), ("lower", np.minimum, -1)):
             # a table_cap of n covers every merge: the clamp of the summed pieces
             merged, splits = bound_removal_updates(held, j, reduce, n)
@@ -457,13 +460,29 @@ def test_table_clamps_bound_the_energy(case):
                 loose = energy_values(f, member(kept + apart, m))
                 assert (sign * (loose - values[m]) >= -1e-12).all()
                 assert (sign * (loose - got) >= -1e-12).all()
-            # at every cap the operator is the kernel on the step's pieces
-            for cap in range(n + 1):
+            # at those caps the operator is the kernel on the step's pieces
+            # (on the first member; the cap n check above covers every member)
+            for cap in caps:
                 clamped, _ = bound_removal_updates(step_held, j, reduce, cap)
-                for m, f in enumerate(fs):
-                    got = energy_values(f, member(step_kept + clamped, m))
-                    want = eval_pbf(bound_remove_pair(f, 0, j, direction, cap), states)
-                    assert np.abs(got - want).max() <= 1e-12
+                got = energy_values(fs[0], member(step_kept + clamped, 0))
+                at_cap = bound_remove_pair(fs[0], 0, j, direction, cap)
+                assert np.abs(got - eval_pbf(at_cap, states)).max() <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(pieces_of_h())
+def test_table_clamps_merge_only_within_the_cap(case):
+    _, pieces, neighbours = case
+    for j in neighbours:
+        held = [p for p in pieces if j in p[0]]
+        besides_j = len(set().union(*(scope for scope, _ in held)) - {j})
+        for cap in range(besides_j + 2):
+            clamped, splits = bound_removal_updates(held, j, np.maximum, cap)
+            assert len(clamped) == splits + 1
+            if len(held) > 1:
+                assert (len(clamped) == 1) == (besides_j <= cap)
+                if len(clamped) == 1:
+                    assert len(clamped[0][0]) <= cap
 
 
 def test_capped_max_message_drops_the_axes_it_ignores():

@@ -6,12 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import all_states, eval_pbf, lattice_edges, log_sum_exp, model_energy_direct
+from helpers import (
+    FAMILY_OFFSETS,
+    THIRD_ORDER_OFFSETS,
+    all_states,
+    clique_value_tables,
+    eval_pbf,
+    is_lattice_clique,
+    lattice_edges,
+    log_sum_exp,
+    model_energy_direct,
+)
 from pbmrf import (
     LatticeSpec,
-    NeighbourhoodSystem,
-    MarkovRandomField,
-    PseudoBooleanFunction,
     build_2x2_rotinv,
     build_autologistic,
     build_higher_order,
@@ -19,12 +26,6 @@ from pbmrf import (
     build_ising,
     eliminate_exact_sum,
     model_from_config,
-)
-from pbmrf.models import (
-    FIRST_ORDER_OFFSETS,
-    THIRD_ORDER_OFFSETS,
-    clique_value_tables,
-    lattice_neighbourhood,
 )
 
 MODEL1_POTENTIALS = (0.5, 0.0, 0.0, -1.0, 0.0, -1.5, 0.0, 0.0, -0.5, -0.5)
@@ -59,24 +60,10 @@ def test_free_boundary_edge_count(rows, cols):
     assert len(pairs) == rows * (cols - 1) + cols * (rows - 1)
 
 
-def test_neighbourhood_symmetry_validation():
-    with pytest.raises(ValueError):
-        NeighbourhoodSystem(2, ((1,), ()))
-    with pytest.raises(ValueError):
-        NeighbourhoodSystem(1, ((0,),))
-
-
 def test_third_order_neighbourhood_has_12_interior_neighbours():
-    ns = lattice_neighbourhood(LatticeSpec(5, 5), THIRD_ORDER_OFFSETS)
     centre = 2 * 5 + 2
-    assert len(ns.neighbours[centre]) == 12
-
-
-def test_mrf_rejects_non_clique_interaction():
-    graph = lattice_neighbourhood(LatticeSpec(1, 3), FIRST_ORDER_OFFSETS)
-    bad = PseudoBooleanFunction(3, {(0, 2): 1.0})  # nodes 0 and 2 not adjacent
-    with pytest.raises(ValueError):
-        MarkovRandomField(graph, bad)
+    neighbours = [v for v in range(25) if is_lattice_clique((centre, v), 5, THIRD_ORDER_OFFSETS)]
+    assert len(neighbours) == 12
 
 
 # -- analytic constants ---------------------------------------------------------
@@ -220,9 +207,10 @@ def test_clique_support_everywhere():
     rng = np.random.default_rng(77)
     for label, make in builders(rng):
         m = make(LatticeSpec(4, 4))
+        assert m.label == label
         for key, b in m.energy.terms().items():
             if len(key) >= 2 and abs(b) > 1e-12:
-                assert m.graph.is_clique(key), (label, key)
+                assert is_lattice_clique(key, 4, FAMILY_OFFSETS[label]), (label, key)
 
 
 def test_colour_inversion_symmetry():
