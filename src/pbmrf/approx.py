@@ -26,9 +26,10 @@ import numpy as np
 
 from .pbf import (
     DENSE_TABLE_CAP,
-    DenseLocalFunction,
     InteractionSet,
     PseudoBooleanFunction,
+    _add_table_terms,
+    _check_terms_size,
     _Factor,
     _masks,
     _split,
@@ -36,7 +37,7 @@ from .pbf import (
     as_table_cap,
     extract_subset_family,
     interaction_set,
-    interactions_from_values,
+    moebius_transform,
     subset_keys,
 )
 
@@ -250,13 +251,15 @@ def _pair_pieces(f: PseudoBooleanFunction, i: int, j: int):
 
 
 def _rebuilt(f: PseudoBooleanFunction, i: int, pieces, factors=()) -> PseudoBooleanFunction:
-    """f with x_i's part replaced by x_i times the pieces' sum, plus the factors."""
+    """f with x_i's part replaced by x_i times the pieces' sum, plus the factors.
+
+    Each table's Moebius coefficients go straight into f's coefficient map.
+    """
     terms = {key: b for key, b in f.terms().items() if i not in key}
     lifted = [(scope + (i,), np.concatenate((np.zeros_like(t), t))) for scope, t in pieces]
     for scope, table in lifted + list(factors):
-        local = interactions_from_values(DenseLocalFunction(scope, table), f.n)
-        for key, b in local.terms().items():
-            terms[key] = terms.get(key, 0.0) + b
+        _check_terms_size(len(scope), "pair removal")
+        _add_table_terms(terms, scope, moebius_transform(table).tolist())
     return PseudoBooleanFunction(f.n, terms)
 
 

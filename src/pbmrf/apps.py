@@ -275,6 +275,7 @@ def rejection_sampler(
     count = as_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    rng = generator(seed, REJECT_STREAM)
     cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant="post_approximation")
     result = eliminate(target, cfg)
     pomm = result.pomm
@@ -282,7 +283,6 @@ def rejection_sampler(
     log_k = -(result.log_value + result.soir_error)
 
     budget = trial_budget if trial_budget is not None else max(10_000, 200 * count)
-    rng = generator(seed, REJECT_STREAM)
     kept_states: list[np.ndarray] = []
     kept_dens: list[np.ndarray] = []
     accepted = 0
@@ -345,6 +345,7 @@ def mh_acceptance_rate(
     min{1, exp(U(x')) p~(x) / [exp(U(x)) p~(x')]}; the unknown normalising
     constants cancel.
     """
+    pairs = as_int("pairs", pairs)
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     current = np.asarray(reference_sampler(pairs, seed), dtype=np.uint8)

@@ -21,6 +21,10 @@ The configuration-class tables for the last two families are built at
 import time by explicit orbit enumeration under the stated symmetry
 groups; a wrong class count raises immediately rather than silently
 mislabelling potentials.
+
+Every builder adds one coefficient table per clique (an Ising edge's
+(theta, -theta, -theta, 2 theta), a block's class table by Moebius
+transform, once per build) through the accumulator of :mod:`pbmrf.pbf`.
 """
 
 from __future__ import annotations
@@ -31,12 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pbf import (
-    InteractionSet,
     PseudoBooleanFunction,
+    _add_table_terms,
     as_int,
-    interaction_set,
     moebius_transform,
-    subset_keys,
 )
 
 __all__ = [
@@ -106,7 +108,21 @@ def _lattice_edges(lat: LatticeSpec) -> list[tuple[int, int]]:
 #
 # A 2x2 block is read in cell order (TL, TR, BL, BR): bit k of a
 # configuration integer is the value of the k-th cell.  A five-node cross
-# is read (centre, N, E, S, W).
+# is read (centre, N, E, S, W).  The shapes list those cells as (dr, dc)
+# offsets from the block's top-left corner or the cross's centre.
+
+_BLOCK = ((0, 0), (0, 1), (1, 0), (1, 1))
+_CROSS = ((0, 0), (-1, 0), (0, 1), (1, 0), (0, -1))
+
+
+def _placements(lat: LatticeSpec, shape) -> list[tuple[int, ...]]:
+    """Node ids of each placement of ``shape`` inside the lattice, row-major."""
+    rows, cols = zip(*shape)
+    return [
+        tuple(lat.index(r + dr, c + dc) for dr, dc in shape)
+        for r in range(-min(rows), lat.rows - max(rows))
+        for c in range(-min(cols), lat.cols - max(cols))
+    ]
 
 
 def _permute_bits(config: int, perm: tuple[int, ...]) -> int:
@@ -187,38 +203,26 @@ _BLOCK_ROT_CLASS = _orbit_classes(
 )
 
 
-def _accumulate_clique(
-    terms: dict[InteractionSet, float], cells: tuple[int, ...], values: np.ndarray
-) -> None:
-    """Add a clique's value table to the energy, in interaction form."""
-    for key, value in zip(subset_keys(cells), moebius_transform(values)):
-        if value != 0.0:
-            key = interaction_set(key)
-            terms[key] = terms.get(key, 0.0) + value
-
-
-def block_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
-    """Node ids of the 2x2 block with top-left corner (r, c): TL, TR, BL, BR."""
-    return (
-        lat.index(r, c),
-        lat.index(r, c + 1),
-        lat.index(r + 1, c),
-        lat.index(r + 1, c + 1),
-    )
-
-
-def cross_cells(lat: LatticeSpec, r: int, c: int) -> tuple[int, ...]:
-    """Node ids of the five-node cross centred at (r, c): C, N, E, S, W."""
-    return (
-        lat.index(r, c),
-        lat.index(r - 1, c),
-        lat.index(r, c + 1),
-        lat.index(r + 1, c),
-        lat.index(r, c - 1),
-    )
-
-
 # -- builders ---------------------------------------------------------------
+
+
+def _field(lat: LatticeSpec, label: str, params, terms, shapes) -> MarkovRandomField:
+    """The field whose energy adds one coefficient table per clique into ``terms``.
+
+    ``shapes`` pairs a list of cliques (cell tuples) with the coefficient
+    table each of them contributes, in :func:`pbmrf.pbf.subset_keys`
+    order.  The cliques are added one after another, so the energy's term
+    order is ``terms``' keys, then each clique's new sets in turn.
+    """
+    for cliques, coeffs in shapes:
+        for cells in cliques:
+            _add_table_terms(terms, cells, coeffs)
+    return MarkovRandomField(PseudoBooleanFunction(lat.n, terms), label=label, params=params)
+
+
+def _class_coeffs(classes: np.ndarray, potentials) -> list[float]:
+    """Coefficients of the clique table whose entry k is ``potentials[classes[k]]``."""
+    return moebius_transform(np.array([potentials[k] for k in classes])).tolist()
 
 
 def build_ising(lat: LatticeSpec, theta: float) -> MarkovRandomField:
@@ -229,26 +233,15 @@ def build_ising(lat: LatticeSpec, theta: float) -> MarkovRandomField:
     +2 theta to the pair.
     """
     theta = float(theta)
-    terms: dict[InteractionSet, float] = {(): 0.0}
-    for i, j in _lattice_edges(lat):
-        terms[()] += theta
-        terms[(i,)] = terms.get((i,), 0.0) - theta
-        terms[(j,)] = terms.get((j,), 0.0) - theta
-        terms[(i, j)] = terms.get((i, j), 0.0) + 2.0 * theta
-    return MarkovRandomField(
-        PseudoBooleanFunction(lat.n, terms),
-        label="ising",
-        params=(theta,),
-    )
+    edge = [theta, -theta, -theta, 2.0 * theta]
+    return _field(lat, "ising", (theta,), {(): 0.0}, [(_lattice_edges(lat), edge)])
 
 
 def build_independence(lat: LatticeSpec, theta: float) -> MarkovRandomField:
     """Independent sites: U(x) = theta * sum_i x_i, c = (1+e^theta)^n."""
     theta = float(theta)
-    terms = {(i,): theta for i in range(lat.n)}
-    return MarkovRandomField(
-        PseudoBooleanFunction(lat.n, terms), label="independence", params=(theta,)
-    )
+    sites = [(i,) for i in range(lat.n)]
+    return _field(lat, "independence", (theta,), {}, [(sites, [0.0, theta])])
 
 
 def build_autologistic(
@@ -260,16 +253,8 @@ def build_autologistic(
     per edge the first term is x_i + x_j - 2 x_i x_j and the second x_i x_j.
     """
     theta0, theta1 = float(theta0), float(theta1)
-    terms: dict[InteractionSet, float] = {}
-    for i, j in _lattice_edges(lat):
-        terms[(i,)] = terms.get((i,), 0.0) + theta0
-        terms[(j,)] = terms.get((j,), 0.0) + theta0
-        terms[(i, j)] = terms.get((i, j), 0.0) + theta1 - 2.0 * theta0
-    return MarkovRandomField(
-        PseudoBooleanFunction(lat.n, terms),
-        label="autologistic",
-        params=(theta0, theta1),
-    )
+    edge = [0.0, theta0, theta0, theta1 - 2.0 * theta0]
+    return _field(lat, "autologistic", (theta0, theta1), {}, [(_lattice_edges(lat), edge)])
 
 
 def build_higher_order(lat: LatticeSpec, potentials) -> MarkovRandomField:
@@ -282,20 +267,11 @@ def build_higher_order(lat: LatticeSpec, potentials) -> MarkovRandomField:
     pot = tuple(float(p) for p in potentials)
     if len(pot) != 10:
         raise ValueError(f"higher-order model needs 10 potentials, got {len(pot)}")
-    block_values = np.array([pot[_BLOCK_FULL_CLASS[cfg]] for cfg in range(16)])
-    cross_values = np.array([pot[4 + _CROSS_CLASS[cfg]] for cfg in range(32)])
-    terms: dict[InteractionSet, float] = {(): 0.0}
-    for r in range(lat.rows - 1):
-        for c in range(lat.cols - 1):
-            _accumulate_clique(terms, block_cells(lat, r, c), block_values)
-    for r in range(1, lat.rows - 1):
-        for c in range(1, lat.cols - 1):
-            _accumulate_clique(terms, cross_cells(lat, r, c), cross_values)
-    return MarkovRandomField(
-        PseudoBooleanFunction(lat.n, terms),
-        label="higher_order",
-        params=pot,
-    )
+    shapes = [
+        (_placements(lat, _BLOCK), _class_coeffs(_BLOCK_FULL_CLASS, pot)),
+        (_placements(lat, _CROSS), _class_coeffs(_CROSS_CLASS, pot[4:])),
+    ]
+    return _field(lat, "higher_order", pot, {(): 0.0}, shapes)
 
 
 def build_2x2_rotinv(lat: LatticeSpec, thetas) -> MarkovRandomField:
@@ -308,17 +284,8 @@ def build_2x2_rotinv(lat: LatticeSpec, thetas) -> MarkovRandomField:
     th = tuple(float(t) for t in thetas)
     if len(th) != 5:
         raise ValueError(f"rotation-invariant model needs 5 parameters, got {len(th)}")
-    pot = (0.0,) + th
-    values = np.array([pot[_BLOCK_ROT_CLASS[cfg]] for cfg in range(16)])
-    terms: dict[InteractionSet, float] = {(): 0.0}
-    for r in range(lat.rows - 1):
-        for c in range(lat.cols - 1):
-            _accumulate_clique(terms, block_cells(lat, r, c), values)
-    return MarkovRandomField(
-        PseudoBooleanFunction(lat.n, terms),
-        label="rotinv2x2",
-        params=th,
-    )
+    shapes = [(_placements(lat, _BLOCK), _class_coeffs(_BLOCK_ROT_CLASS, (0.0,) + th))]
+    return _field(lat, "rotinv2x2", th, {(): 0.0}, shapes)
 
 
 MODEL_FAMILIES = {

@@ -14,12 +14,14 @@ operation in this module preserves it.
 
 Every conversion between coefficients and values goes through one
 table kernel: :func:`tabulate` (coefficients to values by zeta
-transform) and :func:`subset_keys` with :func:`moebius_transform`
-(values back to coefficients).  :func:`table_rows` reads a table at given
-states, with the same bit convention, and so do the factor-table
-primitives (sum of factors over a joint scope, the two halves of a table
-along one variable, entry masks) that the removal kernels of
-:mod:`pbmrf.approx` and the elimination engine share.
+transform) and :func:`moebius_transform` (values back to coefficients,
+which ``_add_table_terms`` adds into a coefficient map under the
+:func:`subset_keys` sets, as the model builders add their clique tables).
+:func:`table_rows` reads a table at given states, with the same bit
+convention, and so do the factor-table primitives (sum of factors over a
+joint scope, the two halves of a table along one variable, entry masks)
+that the removal kernels of :mod:`pbmrf.approx` and the elimination
+engine share.
 """
 
 from __future__ import annotations
@@ -121,6 +123,14 @@ def _check_table_size(m: int, context: str) -> None:
         raise ResourceCapError(
             f"{context}: table over {m} variables needs 2^{m} entries, "
             f"cap is 2^{DENSE_TABLE_CAP}"
+        )
+
+
+def _check_terms_size(m: int, context: str) -> None:
+    if m > TERMS_TABLE_CAP:
+        raise ResourceCapError(
+            f"{context}: table over {m} variables would become 2^{m} terms, "
+            f"cap is 2^{TERMS_TABLE_CAP}"
         )
 
 
@@ -369,6 +379,20 @@ def subset_keys(variables) -> list[tuple[int, ...]]:
     return keys
 
 
+def _add_table_terms(terms: dict[InteractionSet, float], cells, coeffs) -> None:
+    """Add a coefficient table over ``cells`` into the coefficient map ``terms``.
+
+    Entry ``mask`` of ``coeffs`` is the coefficient of the subset of
+    ``cells`` that :func:`subset_keys` lists at ``mask``.  Each nonzero entry
+    is added, in mask order, under its canonical (sorted) key; a key new to
+    the map goes after the keys already there.
+    """
+    for key, c in zip(subset_keys(cells), coeffs):
+        if c != 0.0:
+            key = tuple(sorted(key))
+            terms[key] = terms.get(key, 0.0) + c
+
+
 def table_rows(values: np.ndarray, variables):
     """Table entry of each assignment, bit k the value of ``variables[k]``.
 
@@ -436,14 +460,9 @@ def interactions_from_values(
     variables = table.variables
     if n is None:
         n = max(variables) + 1 if variables else 0
-    if len(variables) > TERMS_TABLE_CAP:
-        raise ResourceCapError(
-            f"interactions_from_values: table over {len(variables)} variables "
-            f"would become 2^{len(variables)} terms, cap is 2^{TERMS_TABLE_CAP}"
-        )
-    coeffs = moebius_transform(table.values).tolist()
-    # keys in mask order; a -0.0 coefficient is stored as 0.0
-    terms = {tuple(sorted(k)): 0.0 + c for k, c in zip(subset_keys(variables), coeffs)}
+    _check_terms_size(len(variables), "interactions_from_values")
+    terms: dict[InteractionSet, float] = {}
+    _add_table_terms(terms, variables, moebius_transform(table.values).tolist())
     return PseudoBooleanFunction(n, terms)
 
 

@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .pbf import table_rows
+from .pbf import as_int, table_rows
 from .rng import POMM_STREAM, generator
 
 __all__ = [
@@ -162,6 +162,7 @@ def sample(pomm: PartiallyOrderedMarkovModel, seed: int, count: int) -> SampleBa
     order), so identical seeds give bit-identical batches and extending a
     batch preserves its prefix.
     """
+    count = as_int("count", count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = generator(seed, POMM_STREAM)

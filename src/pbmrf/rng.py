@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .pbf import as_int
+
 POMM_STREAM = 0
 GIBBS_STREAM = 1
 REJECT_STREAM = 2
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
-    """Philox4x64-10 generator keyed by (seed, stream)."""
-    seed = int(seed)
+    """Philox4x64-10 generator keyed by (seed, stream); a fractional or boolean seed raises."""
+    seed = as_int("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be unsigned, got {seed}")
     key = np.array([seed, stream], dtype=np.uint64)

@@ -30,7 +30,7 @@ from pbmrf.models import (
     build_higher_order,
     build_ising,
 )
-from pbmrf.pbf import evaluate_many
+from pbmrf.pbf import evaluate_many, moebius_transform, subset_keys
 from pbmrf.pomm import SampleBatch
 from pbmrf.rng import GIBBS_STREAM, POMM_STREAM, generator
 
@@ -388,3 +388,64 @@ def pomm_log_density_row_major(pomm, states: np.ndarray) -> np.ndarray:
             on = states[:, cond.variable].astype(bool)
             out += np.where(on, np.log(p), np.log1p(-p))
     return out
+
+
+def expanded_energy(label: str, params, rows: int, cols: int) -> PseudoBooleanFunction:
+    """A family's energy as the builders once expanded it, term order included.
+
+    The first-order families by hand, edge by edge (or site by site); the
+    clique families by a Moebius transform of the class table per clique,
+    its nonzero coefficients accumulated in mask order.  Byte-identity
+    oracle for the builders.
+    """
+    edges = lattice_edges(rows, cols)
+    terms: dict = {(): 0.0}
+    if label == "ising":
+        theta = float(params[0])
+        for i, j in edges:
+            terms[()] += theta
+            terms[(i,)] = terms.get((i,), 0.0) - theta
+            terms[(j,)] = terms.get((j,), 0.0) - theta
+            terms[(i, j)] = terms.get((i, j), 0.0) + 2.0 * theta
+        return PseudoBooleanFunction(rows * cols, terms)
+    if label == "independence":
+        theta = float(params[0])
+        return PseudoBooleanFunction(rows * cols, {(i,): theta for i in range(rows * cols)})
+    if label == "autologistic":
+        theta0, theta1 = float(params[0]), float(params[1])
+        terms = {}
+        for i, j in edges:
+            terms[(i,)] = terms.get((i,), 0.0) + theta0
+            terms[(j,)] = terms.get((j,), 0.0) + theta0
+            terms[(i, j)] = terms.get((i, j), 0.0) + theta1 - 2.0 * theta0
+        return PseudoBooleanFunction(rows * cols, terms)
+
+    def accumulate(cells, values):
+        for key, value in zip(subset_keys(cells), moebius_transform(values)):
+            if value != 0.0:
+                key = interaction_set(key)
+                terms[key] = terms.get(key, 0.0) + value
+
+    def at(r, c):
+        return r * cols + c
+
+    tables = clique_value_tables()
+    if label == "higher_order":
+        pot = tuple(float(p) for p in params)
+        block = np.array([pot[tables["block_full"][cfg]] for cfg in range(16)])
+        cross = np.array([pot[4 + tables["cross"][cfg]] for cfg in range(32)])
+    elif label == "rotinv2x2":
+        pot = (0.0,) + tuple(float(p) for p in params)
+        block = np.array([pot[tables["block_rot"][cfg]] for cfg in range(16)])
+        cross = None
+    else:
+        raise ValueError(f"no expansion for family {label!r}")
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            accumulate((at(r, c), at(r, c + 1), at(r + 1, c), at(r + 1, c + 1)), block)
+    if cross is not None:
+        for r in range(1, rows - 1):
+            for c in range(1, cols - 1):
+                cells = (at(r, c), at(r - 1, c), at(r, c + 1), at(r + 1, c), at(r, c - 1))
+                accumulate(cells, cross)
+    return PseudoBooleanFunction(rows * cols, terms)

@@ -23,7 +23,7 @@ from pbmrf import (
     remove_single_interaction,
     soir,
 )
-from pbmrf.approx import coefficient_pieces, fstar_scores
+from pbmrf.approx import _rebuilt, coefficient_pieces, fstar_scores
 
 
 def coeffs_close(f, g, tol=1e-10):
@@ -405,3 +405,12 @@ def test_fstar_scores_match_enumeration(drawn):
     scores = fstar_scores([[scope, table, None] for scope, table in pieces], slot)
     assert scores.tolist() == [brute_fstar((i,), r, members) for r in candidates]
     assert scores[-1] == 0.0
+
+
+def test_pair_rebuild_caps_the_term_dict():
+    # x_i times a piece over 20 variables spans 21, past TERMS_TABLE_CAP:
+    # its coefficients would become 2^21 dict entries
+    f = PseudoBooleanFunction(21, {(0, 1): 1.0})
+    piece = (tuple(range(1, 21)), np.zeros(1 << 20))
+    with pytest.raises(ResourceCapError, match="pair removal"):
+        _rebuilt(f, 0, [piece])

@@ -250,6 +250,41 @@ def test_integer_arguments_refuse_fractions_and_booleans(name, value):
     INTEGER_ARGUMENTS[name](2.0)  # an integral float passes
 
 
+def _sampler_call(call, name, value):
+    """``call``'s sampler on a 2x2 Ising model, with argument ``name`` set to ``value``."""
+    model = build_ising(LatticeSpec(2, 2), 0.4)
+    cfg = EliminationConfig(mode="approximate", nu=1, pomm_variant="post_approximation")
+    pomm = eliminate(model, cfg).pomm
+    if call == "gibbs_sampler":
+        return gibbs_sampler(model, sweeps=2, burn_in=0, thin=1, **{"seed": 0, name: value})
+    if call == "mh_acceptance_rate":
+        # a reference that ignores its seed, so only the POMM draws read it
+        zeros = lambda count, seed: np.zeros((count, 4), dtype=np.uint8)  # noqa: E731
+        return mh_acceptance_rate(model, pomm, zeros, **{"pairs": 3, "seed": 0, name: value})
+    settings = {"seed": 0, "count": 3, name: value}
+    if call == "rejection_sampler":
+        return rejection_sampler(model, nu=1, **settings)
+    return sample(pomm, **settings)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        ("sample", "seed"),
+        ("sample", "count"),
+        ("rejection_sampler", "seed"),  # its count is in INTEGER_ARGUMENTS
+        ("gibbs_sampler", "seed"),
+        ("mh_acceptance_rate", "seed"),
+        ("mh_acceptance_rate", "pairs"),
+    ],
+)
+def test_sampler_seeds_and_counts_refuse_fractions_and_booleans(call, name, value):
+    with pytest.raises(ValueError, match=name):
+        _sampler_call(call, name, value)
+    _sampler_call(call, name, 2.0)  # an integral float passes
+
+
 @pytest.mark.parametrize(
     "model, nu",
     [

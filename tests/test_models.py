@@ -12,6 +12,7 @@ from helpers import (
     all_states,
     clique_value_tables,
     eval_pbf,
+    expanded_energy,
     is_lattice_clique,
     lattice_edges,
     log_sum_exp,
@@ -27,6 +28,7 @@ from pbmrf import (
     eliminate_exact_sum,
     model_from_config,
 )
+from pbmrf.models import MODEL_FAMILIES
 
 MODEL1_POTENTIALS = (0.5, 0.0, 0.0, -1.0, 0.0, -1.5, 0.0, 0.0, -0.5, -0.5)
 
@@ -279,3 +281,45 @@ def test_model_config_refuses_non_integral_sizes(rows, cols, key):
 def test_model_config_takes_integral_float_sizes():
     m = model_from_config({"family": "ising", "rows": 4.0, "cols": 3, "params": [0.4]})
     assert m.n == 12
+
+
+# -- byte identity with the expanded energies --------------------------------
+
+THETAS = (0.0, -0.0, 0.6, -1.1)
+
+
+def expansion_cases(rng):
+    """(family, params) pairs with zero, signed-zero and mixed parameters."""
+    for theta in THETAS:
+        yield "ising", (theta,)
+        yield "independence", (theta,)
+        for theta1 in THETAS:
+            yield "autologistic", (theta, theta1)
+    for zeros in (np.ones(10, bool), np.arange(10) < 4, np.arange(10) >= 4, rng.random(10) < 0.4):
+        yield "higher_order", tuple(np.where(zeros, 0.0, rng.uniform(-1, 1, 10)))
+    yield "higher_order", (0.3,) * 4 + tuple(rng.uniform(-1, 1, 6))
+    for zeros in (np.ones(5, bool), rng.random(5) < 0.4, np.zeros(5, bool)):
+        yield "rotinv2x2", tuple(np.where(zeros, 0.0, rng.uniform(-1, 1, 5)))
+
+
+def term_bits(items):
+    return [(key, float(b).hex()) for key, b in items]
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 4), (3, 3), (4, 5)])
+def test_builders_reproduce_the_expanded_energies(rows, cols):
+    """Every family's terms, order and bits included, match its expansion."""
+    rng = np.random.default_rng(100 * rows + cols)
+    for family, params in expansion_cases(rng):
+        builder, arity = MODEL_FAMILIES[family]
+        lat = LatticeSpec(rows, cols)
+        built = builder(lat, params) if arity > 2 else builder(lat, *params)
+        got = list(built.energy.terms().items())
+        want = list(expanded_energy(family, params, rows, cols).terms().items())
+        if family == "autologistic" and params[0] == 0.0:
+            # The expansion filed each zero singleton before its first pair;
+            # the builder skips zero coefficients, so the closure files them.
+            assert term_bits(sorted(got)) == term_bits(sorted(want)), params
+            got = [(key, b) for key, b in got if b != 0.0]
+            want = [(key, b) for key, b in want if b != 0.0]
+        assert term_bits(got) == term_bits(want), (family, params)

@@ -24,6 +24,7 @@ from pbmrf import (
 )
 from pbmrf.pbf import (
     TERMS_TABLE_CAP,
+    _add_table_terms,
     moebius_transform,
     subset_keys,
     table_rows,
@@ -255,6 +256,13 @@ def test_subset_keys_match_mask_bits(variables):
     assert len(keys) == 1 << len(variables)
     for mask, key in enumerate(keys):
         assert key == tuple(v for k, v in enumerate(variables) if mask >> k & 1)
+
+
+def test_table_terms_add_nonzero_entries_under_sorted_keys_in_mask_order():
+    # cells (3, 1): masks 0..3 select (), (3,), (1,), (3, 1)
+    terms = {(1,): 0.5, (1, 3): 1.0}
+    _add_table_terms(terms, (3, 1), [0.25, 2.0, -0.0, 4.0])
+    assert list(terms.items()) == [((1,), 0.5), ((1, 3), 5.0), ((), 0.25), ((3,), 2.0)]
 
 
 @st.composite

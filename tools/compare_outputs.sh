@@ -32,6 +32,12 @@ $P reject --config "$OUT/small.json" --nu 4 --count 100 --seed 5 --out "$OUT/rej
 # loosest here and its acceptance rate shows the certificate's slack.
 $P reject --family ising --rows 30 --cols 30 --params 0.6 --nu 6 --count 100 --seed 5 --out "$OUT/reject_30x30.csv" 2> "$OUT/reject_30x30.err"
 $P mh-rate --config "$OUT/small.json" --nu 3 --pairs 100 --seed 5 --out "$OUT/mh.csv"
+# The first-order families besides Ising: autologistic bounds, and the MAP
+# of an autologistic prior with theta0 = 0, whose energy holds its
+# singletons only as closure zeros that the posterior fills in.
+$P norm --family autologistic --rows 8 --cols 8 --params 0.4,-0.3 --nu 3,6 --out "$OUT/norm_autologistic.csv"
+$P map --family autologistic --rows 10 --cols 10 --params 0,0.3 --y "$OUT/y.txt" --mode exact --out "$OUT/map_autologistic.csv"
+$P norm --family independence --rows 7 --cols 7 --params 0.5 --nu 2,4 --out "$OUT/norm_independence.csv"
 $P gibbs --config "$OUT/small.json" --sweeps 50 --burn-in 10 --thin 5 --seed 2 --out "$OUT/gibbs.csv"
 $P gibbs --config "$OUT/ho.json" --sweeps 60 --burn-in 10 --thin 5 --seed 6 --chains 3 --out "$OUT/gibbs_ho.csv"
 $P gibbs --family ising --rows 4 --cols 7 --params 0.7 --sweeps 80 --burn-in 20 --thin 3 --seed 7 --chains 2 --format json --out "$OUT/gibbs_4x7.json"
@@ -49,7 +55,8 @@ from pbmrf import (LatticeSpec, build_ising, build_higher_order, build_2x2_rotin
     EliminationConfig, eliminate, eliminate_exact_sum, soir, bound_remove_pair,
     remove_single_interaction, to_json, values_from_interactions,
     interactions_from_values, extract_subset_family, add_scaled, scale)
-from pbmrf.apps import rejection_sampler
+from pbmrf import build_autologistic, GaussianLikelihoodSpec
+from pbmrf.apps import posterior_energy, rejection_sampler
 from pbmrf.pomm import log_density_many, sample
 print(repr(eliminate_exact_sum(build_ising(LatticeSpec(8, 8), 0.6)).log_value))
 ho = build_higher_order(LatticeSpec(5, 5), np.random.default_rng(3).uniform(-1, 1, 10))
@@ -79,6 +86,12 @@ print(batch.log_densities.tolist())
 print(log_density_many(pomm, batch.states).tolist())
 rot = build_2x2_rotinv(LatticeSpec(4, 4), [0.3, -0.2, 0.5, 0.1, -0.4])
 print(to_json(rot.energy))
+# the posterior of an autologistic prior with theta0 = 0 (see map_autologistic.csv)
+y = np.random.default_rng(5).normal(0, 0.6, 36) + (np.arange(36) % 3 == 0)
+post = posterior_energy(y, build_autologistic(LatticeSpec(6, 6), 0.0, 0.3), GaussianLikelihoodSpec(0.0, 1.0, 0.6))
+for mode in ("exact", "approximate", "upper_bound"):
+    r = eliminate(post, EliminationConfig(mode=mode, marginal="max", nu=None if mode == "exact" else 3))
+    print(r.to_json(), r.argmax.tolist(), r.per_step)
 res = rejection_sampler(build_ising(LatticeSpec(4, 4), 0.5), nu=2, seed=9, count=50)
 print(res.acceptance_rate, res.trials, res.max_alpha, res.log_k_bound)
 print(res.samples.states.tolist(), res.samples.log_densities.tolist())
