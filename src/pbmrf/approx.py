@@ -19,6 +19,7 @@ these kernels at each step over its cap; :func:`soir` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -26,11 +27,15 @@ import numpy as np
 
 from .pbf import (
     DENSE_TABLE_CAP,
+    _INDEX_CACHE,
     InteractionSet,
     PseudoBooleanFunction,
     _add_table_terms,
     _check_terms_size,
     _Factor,
+    _entries,
+    _lift,
+    _lifted_sum,
     _masks,
     _split,
     _sum_over,
@@ -80,39 +85,49 @@ class ApproximationReport:
 # -- pair-removal kernels on tables ---------------------------------------
 
 
-def _merge_nested(factors: list[_Factor]) -> list[_Factor]:
-    """Add each factor whose scope lies inside another's into the first such one."""
-    merged: list[_Factor] = []
-    for scope, table in sorted(factors, key=lambda f: len(f[0]), reverse=True):
-        for k, (outer, _) in enumerate(merged):
-            if set(scope).issubset(outer):
-                tail = table.shape[1:]
-                merged[k] = (outer, _sum_over(outer, [merged[k], (scope, table)], tail))
-                break
-        else:
-            merged.append((scope, table))
-    return merged
-
-
 def coefficient_pieces(
     i: int, factors: list[_Factor], pairs, tail: tuple[int, ...] = ()
 ) -> tuple[list[_Factor], list[_Factor]]:
     """x_i's energy x_i h + r, as (the pieces of h, the parts of r).
 
     ``factors`` all hold x_i; each ``(set, beta)`` of ``pairs`` (sets
-    holding i, beta of shape ``tail``) becomes a factor of its own, nonzero
-    at its all-ones entry.  Each factor whose scope lies inside another's is
-    merged into it, and each merged factor splits on x_i into a part of r
-    (its x_i = 0 slice) and a piece of h (the difference of its slices),
-    both over its scope without i.
+    holding i, beta of shape ``tail``) is a monomial, beta at its set's
+    all-ones entry.  By decreasing scope size, factors before monomials,
+    each factor or monomial whose scope lies inside an earlier one's is
+    added into the first such one (a monomial at the entries where all its
+    set's variables are 1); a monomial that no scope holds becomes a table.
+    The first addition into a table copies it as ``t + 0.0``, which turns
+    -0.0 into 0.0 as a sum from zero does, and every addition goes into
+    that copy in place, so no input changes.  Each resulting factor splits
+    on x_i into a part of r (its x_i = 0 slice) and a piece of h (the
+    difference of its slices), both over its scope without i.
     """
-    factors = list(factors)
-    for key, b in pairs:
-        monomial = np.zeros((1 << len(key),) + tail)
-        monomial[-1] = b
-        factors.append((key, monomial))
+    items = [(scope, table, False) for scope, table in factors]
+    items += [(key, b, True) for key, b in pairs]
+    items.sort(key=lambda item: len(item[0]), reverse=True)
+    # [scope, its variables, each variable's bit, table, whether we own the table]
+    merged: list[list] = []
+    for scope, value, monomial in items:
+        for outer in merged:
+            outer_scope, variables, bits, table, owned = outer
+            if variables.issuperset(scope):
+                if not owned:
+                    table = outer[3] = table + 0.0
+                    outer[4] = True
+                mask = sum(map(bits.__getitem__, scope))
+                if monomial:
+                    table[_entries(len(outer_scope), mask, mask)] += value
+                else:
+                    table += value[_lift(len(outer_scope), mask)]
+                break
+        else:
+            if monomial:
+                value, b = np.zeros((1 << len(scope),) + tail), value
+                value[-1] = b
+            bits = {v: 1 << k for k, v in enumerate(scope)}
+            merged.append([scope, frozenset(scope), bits, value, False])
     pieces, rest = [], []
-    for scope, table in _merge_nested(factors):
+    for scope, _, _, table, _ in merged:
         scope, t0, t1 = _split(scope, table, i)
         rest.append((scope, t0))
         pieces.append((scope, t1 - t0))
@@ -129,8 +144,9 @@ def fstar_scores(pieces: list[list], slot: dict[int, int]) -> np.ndarray:
     None]; h's order-1 and order-2 Moebius coefficients are the sums of the
     pieces' b_r = t(e_r) - t(0) and, for a < b,
     b_ab = (t(e_a+e_b) - t(e_b)) - (t(e_a) - t(0)), in the operation order
-    of a Moebius transform.  A piece keeps its differences once read.  A
-    batch's scores have the members on a last axis.
+    of a Moebius transform, read with one gather per piece.  A piece keeps
+    its differences once read.  A batch's scores have the members on a
+    last axis.
     """
     size = len(slot)
     tail = pieces[0][1].shape[1:]
@@ -138,25 +154,33 @@ def fstar_scores(pieces: list[list], slot: dict[int, int]) -> np.ndarray:
     for piece in pieces:
         if piece[2] is None:
             scope, table, _ = piece
-            bits, a, b, both = _masks(len(scope))[:4]
-            at = np.array([slot[v] for v in scope], dtype=np.intp)
-            single = table[bits]
-            order1 = single - table[0]
-            order2 = (table[both] - single[b]) - order1[a]
-            # b_ab at (a, b) and (b, a) of a size x size block, b_r in a last row
-            slots = np.concatenate((at[a] * size + at[b], at[b] * size + at[a], size * size + at))
-            values = np.concatenate((order2, order2, order1))
-            if tail:  # member m of slot s counts at s * width + m
-                slots = (slots[:, None] * width + np.arange(width)).reshape(-1)
-                values = values.reshape(-1)
-            piece[2] = (slots, values)
-    slots, values = map(np.concatenate, zip(*(p[2] for p in pieces)))
+            t = table[_masks(len(scope))[0]]
+            d = t[:2] - t[2:]  # t[r0] - t[r2] and t[r1] - t[r3]
+            values = (d[0] - d[1]).reshape(-1)
+            piece[2] = (_slot_map(tuple(map(slot.__getitem__, scope)), size, width), values)
+    slots = np.concatenate([p[2][0] for p in pieces])
+    values = np.concatenate([p[2][1] for p in pieces])
     total = np.bincount(slots, values, size * (size + 1) * width)
     total = total.reshape((size + 1, size) + tail)
     order1, order2 = total[size], total[:size]
-    up = order1 + np.maximum(order2, 0.0).sum(axis=0)
-    down = order1 + np.minimum(order2, 0.0).sum(axis=0)
+    up = order1 + np.add.reduce(np.maximum(order2, 0.0), 0)
+    down = order1 + np.add.reduce(np.minimum(order2, 0.0), 0)
     return np.maximum(up, -down)
+
+
+@functools.lru_cache(maxsize=_INDEX_CACHE)
+def _slot_map(at: tuple[int, ...], size: int, width: int) -> np.ndarray:
+    """Where the differences of a piece over the neighbours at slots ``at`` count.
+
+    b_ab at (a, b) and (b, a) of a size x size block, b_r in a last row:
+    column c of :func:`pbf._masks`'s rows counts at ``at[p] * size + at[q]``
+    (``at`` extended by ``size``), and member k of a batch of ``width`` at
+    that times ``width`` plus k.
+    """
+    _, p, q, _ = _masks(len(at))
+    at = np.array([*at, size])
+    slots = at[p] * size + at[q]
+    return (slots[:, None] * width + np.arange(width)).reshape(-1)
 
 
 def fstar_choice(scores: np.ndarray, alive: np.ndarray):
@@ -167,7 +191,8 @@ def fstar_choice(scores: np.ndarray, alive: np.ndarray):
     go to the smallest index.
     """
     scores[~alive] = np.inf
-    return scores.argmin(axis=0), scores[alive].max(axis=0) == 0.0
+    live = scores[alive]  # never negative, so they all vanish where none is nonzero
+    return scores.argmin(axis=0), np.count_nonzero(live, axis=0 if live.ndim > 1 else None) == 0
 
 
 def soir_removal_updates(held: list[_Factor], j: int) -> tuple[list[_Factor], list[_Factor]]:
@@ -179,11 +204,13 @@ def soir_removal_updates(held: list[_Factor], j: int) -> tuple[list[_Factor], li
     """
     means, residuals = [], []
     for scope, table in held:
-        rest, d0, d1 = _split(scope, table, j)
+        k = scope.index(j)
         tail = table.shape[1:]
-        means.append((rest, 0.5 * (d0 + d1)))
-        quarter = (0.25 * (d1 - d0)).reshape((-1, 1, 1 << scope.index(j)) + tail)
-        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape((-1,) + tail)))
+        halves = table.reshape((-1, 2, 1 << k) + tail)
+        d0, d1 = halves[:, 0], halves[:, 1]
+        means.append((scope[:k] + scope[k + 1 :], (0.5 * (d0 + d1)).reshape((-1,) + tail)))
+        quarter = 0.25 * (d1 - d0)  # -quarter at x_j = 0, quarter at x_j = 1, in one table
+        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape(table.shape)))
     return means, residuals
 
 
@@ -201,7 +228,7 @@ def bound_removal_updates(
     span = sorted(set().union(*(scope for scope, _ in held)))
     if len(held) > 1 and len(span) - 1 <= table_cap:
         tail = held[0][1].shape[1:]
-        held = [(tuple(span), _sum_over(span, held, tail))]
+        held = [(tuple(span), _lifted_sum(span, held, tail))]
     clamped = []
     for scope, table in held:
         rest, d0, d1 = _split(scope, table, j)

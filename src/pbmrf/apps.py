@@ -58,7 +58,7 @@ class GaussianLikelihoodSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:  # NaN too
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 

@@ -64,6 +64,8 @@ from .pbf import (
     PseudoBooleanFunction,
     ResourceCapError,
     _Factor,
+    _entries,
+    _lifted_sum,
     _masks,
     _split,
     _sum_over,
@@ -226,16 +228,16 @@ def _agreed(decision: np.ndarray) -> np.ndarray:
 
 def _squeeze(scope: tuple[int, ...], table: np.ndarray) -> _Factor:
     """Drop every variable along which the table is exactly constant."""
-    clear, set_ = _masks(len(scope))[4:]
-    flat = (table[clear] == table[set_]).all(axis=1)
+    halves = table[_masks(len(scope))[3]]
+    flat = np.logical_and.reduce(halves[0] == halves[1], 1)
     if table.ndim > 1:
         flat = _agreed(flat)
     if not np.count_nonzero(flat):
         return scope, table
-    tail = table.shape[1:]
-    at = tuple(0 if f else slice(None) for f in flat[::-1])  # x_k = 0 where flat
+    flat = flat.tolist()
     kept = tuple(v for v, f in zip(scope, flat) if not f)
-    return kept, table.reshape((2,) * len(scope) + tail)[at].reshape((-1,) + tail)
+    mask = sum(1 << k for k, f in enumerate(flat) if f)
+    return kept, table[_entries(len(scope), mask, 0)]  # x_k = 0 where flat
 
 
 def _expit(h: np.ndarray) -> np.ndarray:
@@ -453,8 +455,8 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
                 alive[k] = False
                 partners.append(j)
 
-            extras = [v for v, live in zip(neighbours, alive) if live]
-            h = _sum_over(extras, pieces, tail)
+            extras = [v for v, live in zip(neighbours, alive.tolist()) if live]
+            h = _lifted_sum(extras, pieces, tail)
             if record and not record_pre:
                 kept = (i, extras, h if summing else h > 0.0)
             file(tuple(extras), fold(0.0, h))

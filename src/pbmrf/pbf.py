@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,7 +211,8 @@ class PseudoBooleanFunction:
 
     Immutable after construction; safe to read from many threads.  The
     constructor takes any mapping/iterable of ``(indices, beta)`` pairs,
-    adds the subset closure, and prunes negligible leaf coefficients.
+    adds the subset closure, and prunes negligible leaf coefficients.  A
+    coefficient that is not finite raises ValueError naming its set.
 
     Attributes:
         n: number of binary variables (indices run 0..n-1).
@@ -228,7 +230,10 @@ class PseudoBooleanFunction:
             key = interaction_set(raw)
             if key and key[-1] >= self.n:
                 raise ValueError(f"interaction {key} out of range for n={self.n}")
-            beta[key] = beta.get(key, 0.0) + float(value)
+            total = beta.get(key, 0.0) + float(value)
+            if not math.isfinite(total):  # NaN would pass the prune as negligible
+                raise ValueError(f"coefficient of {key} must be finite, got {total}")
+            beta[key] = total
         close_subsets(beta)
         beta.setdefault((), 0.0)
         if prune:
@@ -417,6 +422,8 @@ def _sum_over(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
 
     C order puts the last variable of a scope on axis 0.  Tables are flat
     over their scopes, then ``tail``: () in a run of one, (B,) in a batch.
+    Broadcasting needs no index, so this serves tables up to the dense cap;
+    a capped step's narrow tables use :func:`_lifted_sum`.
     """
     total = np.zeros((2,) * len(joint) + tail)
     members = [*tail]
@@ -436,16 +443,69 @@ def _split(scope: tuple[int, ...], table: np.ndarray, v: int):
 
 @functools.cache
 def _masks(m: int) -> tuple[np.ndarray, ...]:
-    """Entry masks of a table over m variables.
+    """Entry masks of a table t over m variables: (rows, p, q, halves).
 
-    The unit masks e_k; for each pair a < b, a, b and e_a + e_b; and per k
-    (one row each) the masks with bit k clear and the same with bit k set.
+    Column c of the (4, L) ``rows`` reads (t[r0] - t[r2]) - (t[r1] - t[r3]),
+    a difference of a Moebius transform: for each pair a < b, rows
+    e_a + e_b, e_a, e_b and 0 give b_ab, once at (p, q) = (a, b) and once
+    at (b, a); then per k, rows e_k, 0, 0 and 0 give b_k (exactly, for
+    finite t) at (m, k).  ``halves[0, k]`` holds the masks with bit k
+    clear and ``halves[1, k]`` the same with bit k set.
     """
     bits = np.left_shift(1, np.arange(m))
     a, b = np.triu_indices(m, 1)
+    pairs = np.tile((bits[a] | bits[b], bits[a], bits[b], 0 * a), 2)
+    rows = np.concatenate((pairs, [bits, *[0 * bits] * 3]), 1)
+    p = np.concatenate((a, b, np.full(m, m)))
+    q = np.concatenate((b, a, np.arange(m)))
     every = np.arange(1 << m)
-    clear = np.array([every[every & bit == 0] for bit in bits]).reshape(m, len(every) // 2)
-    return bits, a, b, bits[a] | bits[b], clear, clear + bits[:, None]
+    clear = np.array([every[every & bit == 0] for bit in bits], dtype=int)
+    clear = clear.reshape(m, len(every) // 2)
+    return rows, p, q, np.stack((clear, clear + bits[:, None]))
+
+
+# The tables of a capped step span at most nu + 1 (or table_cap + 1)
+# variables, and a lattice model meets few (width, mask) shapes: the index
+# caches below hold at most this many, each no longer than one such table.
+_INDEX_CACHE = 1 << 10
+
+
+@functools.lru_cache(maxsize=_INDEX_CACHE)
+def _entries(m: int, mask: int, bits: int) -> np.ndarray:
+    """The entries of a table over m variables whose bits at ``mask`` are ``bits``, in order."""
+    every = np.arange(1 << m)
+    return every[every & mask == bits]
+
+
+@functools.lru_cache(maxsize=_INDEX_CACHE)
+def _lift(m: int, mask: int) -> np.ndarray:
+    """Per entry of a table over m variables, the entry of a factor over the ``mask`` variables.
+
+    Bit k of the factor's entry is the k-th set bit of ``mask`` in the
+    table's entry, so the factor's table indexed by this reads as the
+    factor over all m variables.
+    """
+    every = np.arange(1 << m)
+    lifted = np.zeros(1 << m, dtype=np.intp)
+    for k, bit in enumerate(b for b in range(m) if mask >> b & 1):
+        lifted |= (every >> bit & 1) << k
+    return lifted
+
+
+def _lifted_sum(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
+    """:func:`_sum_over` for a capped step's narrow tables: one cached gather per factor.
+
+    Each factor's table is read at :func:`_lift`'s entries and added in
+    the same order, so the sum is :func:`_sum_over`'s to the bit; on such
+    tables a gather and a flat add cost a fraction of a many-axis
+    broadcast.
+    """
+    m = len(joint)
+    bits = {v: 1 << k for k, v in enumerate(joint)}
+    total = np.zeros((1 << m,) + tail)
+    for scope, table, *_ in factors:
+        total += table[_lift(m, sum(map(bits.__getitem__, scope)))]
+    return total
 
 
 def interactions_from_values(

@@ -449,3 +449,116 @@ def expanded_energy(label: str, params, rows: int, cols: int) -> PseudoBooleanFu
                 cells = (at(r, c), at(r - 1, c), at(r, c + 1), at(r + 1, c), at(r, c - 1))
                 accumulate(cells, cross)
     return PseudoBooleanFunction(rows * cols, terms)
+
+
+# -- the capped step's table kernels, as first written ------------------------
+#
+# Byte-identity oracles for pbmrf.approx and the engine's _squeeze: each
+# fresh sum starts from a zero table, each monomial is a zero table of its
+# own, and every piece's differences take one numpy call per term.
+
+
+def _zero_sum_over(joint, factors, tail):
+    total = np.zeros((2,) * len(joint) + tail)
+    for scope, table, *_ in factors:
+        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)] + [*tail])
+    return total.reshape((-1,) + tail)
+
+
+def _halves(scope, table, v):
+    k = scope.index(v)
+    tail = table.shape[1:]
+    halves = table.reshape((-1, 2, 1 << k) + tail)
+    flat = (-1,) + tail
+    return scope[:k] + scope[k + 1 :], halves[:, 0].reshape(flat), halves[:, 1].reshape(flat)
+
+
+def merge_nested_oracle(factors):
+    """Add each factor whose scope lies inside another's into the first such one."""
+    merged = []
+    for scope, table in sorted(factors, key=lambda f: len(f[0]), reverse=True):
+        for k, (outer, _) in enumerate(merged):
+            if set(scope).issubset(outer):
+                tail = table.shape[1:]
+                merged[k] = (outer, _zero_sum_over(outer, [merged[k], (scope, table)], tail))
+                break
+        else:
+            merged.append((scope, table))
+    return merged
+
+
+def coefficient_pieces_oracle(i, factors, pairs, tail=()):
+    """:func:`pbmrf.approx.coefficient_pieces` with a zero table per monomial."""
+    factors = list(factors)
+    for key, b in pairs:
+        monomial = np.zeros((1 << len(key),) + tail)
+        monomial[-1] = b
+        factors.append((key, monomial))
+    pieces, rest = [], []
+    for scope, table in merge_nested_oracle(factors):
+        scope, t0, t1 = _halves(scope, table, i)
+        rest.append((scope, t0))
+        pieces.append((scope, t1 - t0))
+    return pieces, rest
+
+
+def piece_differences_oracle(scope, table, slot):
+    """A piece's (slots, b_ab twice then b_r), as :func:`fstar_scores` keeps them."""
+    size = len(slot)
+    tail = table.shape[1:]
+    width = tail[0] if tail else 1
+    m = len(scope)
+    bits = np.left_shift(1, np.arange(m))
+    a, b = np.triu_indices(m, 1)
+    at = np.array([slot[v] for v in scope], dtype=np.intp)
+    single = table[bits]
+    order1 = single - table[0]
+    order2 = (table[bits[a] | bits[b]] - single[b]) - order1[a]
+    slots = np.concatenate((at[a] * size + at[b], at[b] * size + at[a], size * size + at))
+    values = np.concatenate((order2, order2, order1))
+    if tail:
+        slots = (slots[:, None] * width + np.arange(width)).reshape(-1)
+        values = values.reshape(-1)
+    return slots, values
+
+
+def fstar_scores_oracle(pieces, slot):
+    """:func:`pbmrf.approx.fstar_scores` over ``(scope, table)`` pieces."""
+    size = len(slot)
+    tail = pieces[0][1].shape[1:]
+    width = tail[0] if tail else 1
+    diffs = [piece_differences_oracle(scope, table, slot) for scope, table in pieces]
+    slots, values = map(np.concatenate, zip(*diffs))
+    total = np.bincount(slots, values, size * (size + 1) * width)
+    total = total.reshape((size + 1, size) + tail)
+    order1, order2 = total[size], total[:size]
+    up = order1 + np.maximum(order2, 0.0).sum(axis=0)
+    down = order1 + np.minimum(order2, 0.0).sum(axis=0)
+    return np.maximum(up, -down)
+
+
+def soir_removal_updates_oracle(held, j):
+    """:func:`pbmrf.approx.soir_removal_updates`, the residual by concatenation."""
+    means, residuals = [], []
+    for scope, table in held:
+        rest, d0, d1 = _halves(scope, table, j)
+        tail = table.shape[1:]
+        means.append((rest, 0.5 * (d0 + d1)))
+        quarter = (0.25 * (d1 - d0)).reshape((-1, 1, 1 << scope.index(j)) + tail)
+        residuals.append((scope, np.concatenate((-quarter, quarter), 1).reshape((-1,) + tail)))
+    return means, residuals
+
+
+def squeeze_oracle(scope, table):
+    """The engine's ``_squeeze`` of one member's table (no batch axis)."""
+    m = len(scope)
+    bits = np.left_shift(1, np.arange(m))
+    every = np.arange(1 << m)
+    clear = np.array([every[every & bit == 0] for bit in bits], dtype=int)
+    clear = clear.reshape(m, len(every) // 2)
+    flat = (table[clear] == table[clear + bits[:, None]]).all(axis=1)
+    if not np.count_nonzero(flat):
+        return scope, table
+    at = tuple(0 if f else slice(None) for f in flat[::-1])
+    kept = tuple(v for v, f in zip(scope, flat) if not f)
+    return kept, table.reshape((2,) * m)[at].reshape(-1)

@@ -7,10 +7,14 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     all_states,
     brute_fstar,
+    coefficient_pieces_oracle,
     eval_pbf,
+    fstar_scores_oracle,
     least_squares_project,
+    piece_differences_oracle,
     random_dense_pbf,
     random_dense_subfamily,
+    soir_removal_updates_oracle,
     sse,
 )
 from pbmrf import (
@@ -23,7 +27,7 @@ from pbmrf import (
     remove_single_interaction,
     soir,
 )
-from pbmrf.approx import _rebuilt, coefficient_pieces, fstar_scores
+from pbmrf.approx import _rebuilt, coefficient_pieces, fstar_scores, soir_removal_updates
 
 
 def coeffs_close(f, g, tol=1e-10):
@@ -414,3 +418,94 @@ def test_pair_rebuild_caps_the_term_dict():
     piece = (tuple(range(1, 21)), np.zeros(1 << 20))
     with pytest.raises(ResourceCapError, match="pair removal"):
         _rebuilt(f, 0, [piece])
+
+
+# -- the capped step's kernels against their first versions, bit for bit -----
+
+# Finite entries, signed zeros among them: the kernels' copies and
+# differences must keep every sign of zero that the first versions kept.
+entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0))
+
+
+def _table(draw, m, tail):
+    size = (1 << m) * (tail[0] if tail else 1)
+    table = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    table = table.reshape((1 << m,) + tail)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":  # as a batch split leaves its members' columns
+        return np.asfortranarray(table)
+    if layout == "strided":  # as a table's half along one variable
+        return np.repeat(table, 2, axis=0)[::2]
+    return table
+
+
+@st.composite
+def step_buckets(draw):
+    """(i, factors, pairs, tail): a capped step's bucket over variables 0..4.
+
+    Scopes are drawn from few variables, so factors and monomials often
+    have equal scopes or lie inside one another (monomials in monomials
+    too).  ``tail`` is () or a batch of 1 to 3 members.
+    """
+    i = draw(st.integers(0, 4))
+    tail = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    scopes = st.sets(st.integers(0, 4), max_size=3).map(lambda s: tuple(sorted(s | {i})))
+    factors = [(scope, _table(draw, len(scope), tail))
+               for scope in draw(st.lists(scopes, max_size=4))]
+    coefficient = entries.map(float) if not tail else st.lists(
+        entries, min_size=tail[0], max_size=tail[0]).map(np.array)
+    pairs = draw(st.lists(st.tuples(scopes, coefficient), min_size=0 if factors else 1,
+                          max_size=5))
+    return i, factors, pairs, tail
+
+
+def _bytes(factors):
+    return [(scope, table.shape, table.tobytes()) for scope, table in factors]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(step_buckets())
+def test_coefficient_pieces_reproduce_the_zero_table_merge(case):
+    i, factors, pairs, tail = case
+    inputs = _bytes(factors), [np.asarray(b).tobytes() for _, b in pairs]
+    pieces, rest = coefficient_pieces(i, factors, pairs, tail)
+    want_pieces, want_rest = coefficient_pieces_oracle(i, factors, pairs, tail)
+    assert _bytes(pieces) == _bytes(want_pieces)
+    assert _bytes(rest) == _bytes(want_rest)
+    # the merges add into copies: no input changed
+    assert (_bytes(factors), [np.asarray(b).tobytes() for _, b in pairs]) == inputs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(step_buckets())
+def test_piece_differences_and_scores_reproduce_the_first_version(case):
+    i, factors, pairs, tail = case
+    pieces, _ = coefficient_pieces_oracle(i, factors, pairs, tail)
+    # variable 9 is in no piece: its slot scores 0
+    neighbours = sorted(set().union(*(scope for scope, _ in pieces)) | {9})
+    slot = {v: k for k, v in enumerate(neighbours)}
+    scored = [[scope, table, None] for scope, table in pieces]
+    scores = fstar_scores(scored, slot)
+    assert scores.tobytes() == fstar_scores_oracle(pieces, slot).tobytes()
+    for (scope, table, (slots, values)) in scored:
+        want_slots, want_values = piece_differences_oracle(scope, table, slot)
+        assert slots.tolist() == want_slots.tolist()
+        assert values.tobytes() == want_values.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(step_buckets(), st.data())
+def test_soir_updates_reproduce_the_first_version(case, data):
+    i, factors, pairs, tail = case
+    pieces, _ = coefficient_pieces_oracle(i, factors, pairs, tail)
+    candidates = sorted(set().union(*(scope for scope, _ in pieces)))
+    if not candidates:
+        return
+    j = data.draw(st.sampled_from(candidates))
+    held = [p for p in pieces if j in p[0]]
+    inputs = _bytes(held)
+    means, residuals = soir_removal_updates(held, j)
+    want_means, want_residuals = soir_removal_updates_oracle(held, j)
+    assert _bytes(means) == _bytes(want_means)
+    assert _bytes(residuals) == _bytes(want_residuals)
+    assert _bytes(held) == inputs

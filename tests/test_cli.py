@@ -239,6 +239,29 @@ def test_mle_command_brackets_grid_mle(tmp_path):
     assert rows[best][4] == "1"
 
 
+@pytest.mark.parametrize(
+    "command, argv, message",
+    [("norm", ["--family", "autologistic", "--params", "0.5,nan", "--nu", "2"],
+      "coefficient of (0, 1) must be finite"),
+     ("norm", ["--family", "ising", "--params", "inf", "--nu", "2"], "must be finite"),
+     ("map", ["--family", "ising", "--params", "0.5", "--y", "Y_NAN", "--mode", "exact"],
+      "must be finite"),
+     ("map", ["--family", "ising", "--params", "0.5", "--y", "Y", "--sigma", "nan", "--mode",
+              "exact"], "sigma must be positive, got nan"),
+     ("mle", ["--family", "ising", "--params", "0.5", "--x", "X", "--theta-min", "nan",
+              "--nu", "2"], "must be finite")],
+)
+def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, command, argv, message):
+    files = {"Y": "0.1 " * 9, "Y_NAN": "0.1 " * 8 + "nan", "X": "010101010"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out = tmp_path / "out.csv"
+    assert run([command, "--rows", "3", "--cols", "3", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mle_command_needs_three_grid_points(ising_config, tmp_path, capsys):
     x = tmp_path / "x.txt"
     x.write_text("0" * 9)

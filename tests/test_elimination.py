@@ -18,6 +18,7 @@ from helpers import (
     log_sum_exp,
     random_dense_pbf,
     random_test_model,
+    squeeze_oracle,
 )
 from pbmrf import (
     EliminationConfig,
@@ -911,3 +912,39 @@ def test_eliminate_many_takes_targets_over_the_same_variables():
             [build_ising(LatticeSpec(2, 2), 0.4), build_ising(LatticeSpec(2, 3), 0.4)],
             EliminationConfig(),
         )
+
+
+@st.composite
+def squeezable(draw):
+    """(scope, table, members): a batch's table, constant along some axes.
+
+    The table broadcasts a smaller one over the drawn flat axes; entries
+    include signed zeros, which count as equal, as in the first version.
+    """
+    m = draw(st.integers(0, 5))
+    members = draw(st.integers(1, 3))
+    flat = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    shape = [1 if f else 2 for f in reversed(flat)] + [members]
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([0.5, -1.25]))
+    small = np.array(draw(st.lists(entry, min_size=int(np.prod(shape)),
+                                   max_size=int(np.prod(shape))))).reshape(shape)
+    table = np.broadcast_to(small, (2,) * m + (members,)).reshape(1 << m, members)
+    return tuple(range(3, 3 + m)), table, members
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(squeezable())
+def test_squeeze_reproduces_the_first_version(case):
+    scope, table, members = case
+    want = [squeeze_oracle(scope, table[:, k]) for k in range(members)]
+    if members == 1:
+        kept, got = elimination._squeeze(scope, table[:, 0])
+        assert (kept, got.tobytes()) == (want[0][0], want[0][1].tobytes())
+    elif len({kept for kept, _ in want}) > 1:  # the members disagree: the batch splits
+        with pytest.raises(elimination._Split):
+            elimination._squeeze(scope, table)
+    else:
+        kept, got = elimination._squeeze(scope, table)
+        assert kept == want[0][0]
+        for k in range(members):
+            assert got[:, k].tobytes() == want[k][1].tobytes()

@@ -1,6 +1,7 @@
 """Core polynomial representation: evaluation, transforms, set queries."""
 
 import json
+import re
 import time
 
 import numpy as np
@@ -25,6 +26,8 @@ from pbmrf import (
 from pbmrf.pbf import (
     TERMS_TABLE_CAP,
     _add_table_terms,
+    _lifted_sum,
+    _sum_over,
     moebius_transform,
     subset_keys,
     table_rows,
@@ -246,6 +249,20 @@ def test_out_of_range_interaction_rejected():
         PseudoBooleanFunction(2, {(0, 5): 1.0})
 
 
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize(
+    "terms, key",
+    [({(0, 1): float("nan"), (0,): 1.0}, "(0, 1)"),
+     ({(1,): float("inf")}, "(1,)"),
+     ({(): -float("inf"), (0,): 2.0}, "()"),
+     ([((1, 0), 1e308), ((0, 1), 1e308)], "(0, 1)")],  # a finite sum that overflows
+)
+def test_non_finite_coefficients_raise_naming_their_set(terms, key, prune):
+    # NaN fails every comparison, so the prune used to drop it as negligible
+    with pytest.raises(ValueError, match=rf"coefficient of {re.escape(key)} must be finite"):
+        PseudoBooleanFunction(2, terms, prune=prune)
+
+
 sorted_variables = st.lists(st.integers(0, 30), unique=True, max_size=8).map(sorted)
 
 
@@ -319,3 +336,19 @@ def test_table_rows_equals_per_bit_sum(k, spare, count, data):
     assert rows.tolist() == want
     for c in range(count):
         assert int(table_rows(batch[:, c], variables)) == want[c]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([(), (1,), (3,)]), st.data())
+def test_lifted_sum_is_the_broadcast_sum_bit_for_bit(m, tail, data):
+    joint = sorted(data.draw(st.sets(st.integers(0, 20), min_size=m, max_size=m)))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0))
+    factors = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        scope = tuple(v for v in joint if data.draw(st.booleans()))
+        size = (1 << len(scope)) * (tail[0] if tail else 1)
+        values = data.draw(st.lists(entries, min_size=size, max_size=size))
+        factors.append((scope, np.array(values).reshape((1 << len(scope),) + tail)))
+    got = _lifted_sum(joint, factors, tail)
+    assert got.shape == (1 << m,) + tail
+    assert got.tobytes() == _sum_over(joint, factors, tail).tobytes()

@@ -134,6 +134,8 @@ EOF
 python3 - > "$OUT/bench_norm.txt" <<'EOF'
 # The two models of the bench norm workload (seed 1), in every capped mode:
 # their wide neighbourhoods have the densest partner-score ties and splits.
+# Each run prints its SOIR certificate (soir_error, which to_json leaves
+# out) in hex, so a change in any removal's residuals shows.
 # The column-major runs file wide folded tables where a variable's index and
 # its position in the order differ; they add about 8 s to this script
 # (7-9 s on 2 CPUs of a shared machine).
@@ -150,15 +152,16 @@ for label, side, model, nu, cap in (("ising 30x30", 30, ising, 8, None),
             for marg in ("sum", "max"):
                 r = eliminate(model, EliminationConfig(
                     mode=mode, marginal=marg, nu=nu, table_cap=cap, order=order))
-                print(label + name, r.to_json(),
+                print(label + name, r.to_json(), r.soir_error.hex(),
                       None if r.argmax is None else r.argmax.tolist(), r.per_step)
 EOF
 python3 - > "$OUT/batch_groups.txt" <<'EOF'
 # One batched call whose 12x12 Ising members hold different nonzero input
 # sets: theta 0 (no interactions), theta 0.6 with and without the last
 # variable's singleton, the same energy with its sets in reversed order, and
-# theta 0.9.  Every member must come out as its own run would.  A POMM
-# table is printed as the SHA-256 of its bytes: the exact ones are wide.
+# theta 0.9.  Every member must come out as its own run would, its SOIR
+# certificate (in hex) included.  A POMM table is printed as the SHA-256 of
+# its bytes: the exact ones are wide.
 import hashlib
 from pbmrf import LatticeSpec, build_ising, EliminationConfig, eliminate_many, PseudoBooleanFunction
 lattice = LatticeSpec(12, 12)
@@ -173,7 +176,8 @@ for mode, marg, variant in (("exact", "sum", "pre_approximation"),
     cfg = EliminationConfig(mode=mode, marginal=marg, pomm_variant=variant,
                             nu=None if mode == "exact" else 6)
     for k, r in enumerate(eliminate_many(members, cfg)):
-        print(k, r.to_json(), None if r.argmax is None else r.argmax.tolist(), r.per_step)
+        print(k, r.to_json(), r.soir_error.hex(),
+              None if r.argmax is None else r.argmax.tolist(), r.per_step)
         for c in r.pomm.conditionals if r.pomm else ():
             print(c.variable, c.depends_on, hashlib.sha256(c.prob_one.tobytes()).hexdigest())
 EOF
