@@ -37,7 +37,6 @@ from .models import (
     build_higher_order,
     build_independence,
     build_ising,
-    load_model_config,
     model_from_config,
 )
 from .elimination import (

@@ -24,7 +24,7 @@ import numpy as np
 
 from .elimination import EliminationConfig, _expit, eliminate, eliminate_many, eliminate_max
 from .models import MarkovRandomField
-from .pbf import PseudoBooleanFunction, _check_table_size, as_int, evaluate_many
+from .pbf import PseudoBooleanFunction, _check_table_size, _entries, as_int, evaluate_many
 from .pomm import (
     PartiallyOrderedMarkovModel,
     SampleBatch,
@@ -275,6 +275,8 @@ def rejection_sampler(
     count = as_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if not 0.0 <= rate_floor <= 1.0:  # NaN too
+        raise ValueError(f"rate_floor must lie in [0, 1], got {rate_floor}")
     rng = generator(seed, REJECT_STREAM)
     cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant="post_approximation")
     result = eliminate(target, cfg)
@@ -396,11 +398,10 @@ def _site_conditionals(
     tables = []
     for terms, nbrs in zip(site_terms, neighbours):
         bit = {v: 1 << s for s, v in enumerate(nbrs)}
-        masks = np.arange(1 << len(nbrs))
-        logit = np.zeros(masks.size)
+        logit = np.zeros(1 << len(nbrs))
         for others, b in terms:
             need = sum(bit[v] for v in others)
-            logit[(masks & need) == need] += b
+            logit[_entries(len(nbrs), need, need)] += b
         tables.append(_expit(logit))
     return neighbours, tables
 
@@ -493,6 +494,9 @@ def gibbs_reference_sampler(
     mrf: MarkovRandomField, sweeps_per_sample: int, burn_in: int, chains: int = 1
 ) -> Callable[[int, int], np.ndarray]:
     """Adapt the Gibbs sampler to the (count, seed) reference interface."""
+    chains = as_int("chains", chains)
+    if chains < 1:
+        raise ValueError(f"chains must be >= 1, got {chains}")
 
     def sampler(count: int, seed: int) -> np.ndarray:
         per_chain = -(-count // chains)

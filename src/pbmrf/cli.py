@@ -20,7 +20,7 @@ unless ``--timing`` is passed, because wall-clock values would break
 byte-identical reruns.
 
 Exit codes: 0 success, 1 internal error (RuntimeError), 2 configuration
-error, 3 resource-cap abort.
+error, 3 resource-cap abort or out of memory.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .apps import (
 from .elimination import EliminationConfig, eliminate
 from .models import MODEL_FAMILIES, LatticeSpec, build_ising, model_from_config
 from .pbf import ResourceCapError, as_int
-from .pomm import sample as pomm_sample, state_texts
+from .pomm import _BLOCK_ROWS, sample as pomm_sample, state_texts
 
 FORMATS = ("csv", "json")
 
@@ -62,25 +62,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path, columns: list[str], rows: list[dict], fmt: str) -> None:
-    lines = []
+def _lines(columns: list[str], rows, fmt: str):
+    """The output text, one line at a time: a CSV header, then one line per row."""
     if fmt == "csv":
-        lines.append(",".join(columns))
+        yield ",".join(columns) + "\n"
         for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-    else:
-        for row in rows:
-            fields = ", ".join(
-                f'"{c}": ' + (json.dumps(row[c]) if isinstance(row[c], str) else _fmt(row[c]))
-                for c in columns
-            )
-            lines.append("{" + fields + "}")
-    text = "\n".join(lines) + "\n" if lines else ""
+            yield ",".join(_fmt(row[c]) for c in columns) + "\n"
+        return
+    for row in rows:
+        fields = ", ".join(
+            f'"{c}": ' + (json.dumps(row[c]) if isinstance(row[c], str) else _fmt(row[c]))
+            for c in columns
+        )
+        yield "{" + fields + "}\n"
+
+
+def _write_rows(path, columns: list[str], rows, fmt: str) -> None:
+    """Write each row of the iterable ``rows`` as it arrives."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_lines(columns, rows, fmt))
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(_lines(columns, rows, fmt))
 
 
 def _load_config(args) -> dict:
@@ -160,11 +163,13 @@ def _read_reals(path) -> np.ndarray:
         return np.array([float(tok) for tok in handle.read().split()], dtype=float)
 
 
-def _state_rows(batch) -> list[dict]:
-    return [
-        {"state": text, "log_density": float(dens)}
-        for text, dens in zip(state_texts(batch.states), batch.log_densities)
-    ]
+def _state_rows(batch):
+    """One row per state of ``batch``, rendered _BLOCK_ROWS states at a time."""
+    for start in range(0, batch.count, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        texts = state_texts(batch.states[start:stop])
+        for text, dens in zip(texts, batch.log_densities[start:stop].tolist()):
+            yield {"state": text, "log_density": dens}
 
 
 # -- commands -----------------------------------------------------------------
@@ -424,8 +429,8 @@ def main(argv=None) -> int:
         if args.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {args.format!r}")
         return args.run(args, config)
-    except ResourceCapError as exc:
-        sys.stderr.write(f"resource cap: {exc}\n")
+    except (ResourceCapError, MemoryError) as exc:
+        sys.stderr.write(f"resource cap: {str(exc) or 'out of memory'}\n")
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -29,7 +29,6 @@ transform, once per build) through the accumulator of :mod:`pbmrf.pbf`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,6 @@ __all__ = [
     "build_higher_order",
     "build_2x2_rotinv",
     "model_from_config",
-    "load_model_config",
     "MODEL_FAMILIES",
 ]
 
@@ -314,7 +312,3 @@ def model_from_config(config: dict) -> MarkovRandomField:
         return builder(lat, params)
     return builder(lat, *params)
 
-
-def load_model_config(path) -> MarkovRandomField:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_config(json.load(handle))

@@ -8,7 +8,8 @@ single backward pass and the product of the conditionals is a normalised
 joint density.
 
 Sampling, density evaluation and the rejection sampler share one pass,
-:func:`_walk`, over a column-major (n, count) batch of states.
+:func:`_walk`, over a column-major (n, count) batch of states;
+:func:`state_texts` renders rows of states as 0/1 text.
 
 Sampling is reproducible: sample s always consumes the s-th block of
 per-variable uniforms from the Philox stream (seed, POMM_STREAM), so
@@ -19,7 +20,6 @@ sequence, so drawing them in blocks of _BLOCK_ROWS changes no number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import struct
 
 import numpy as np
 
@@ -34,14 +34,10 @@ __all__ = [
     "log_density",
     "log_density_many",
     "state_texts",
-    "save_text",
-    "save_binary",
-    "load_binary",
 ]
 
-_BINARY_MAGIC = b"PBSB"
-
-# Rows drawn and decided at once by :func:`sample`.
+# Rows drawn and decided at once by :func:`sample`, and rendered as text at
+# once by the command line.
 _BLOCK_ROWS = 4096
 
 
@@ -68,8 +64,10 @@ class PommConditional:
                 f"conditional for {self.variable} needs {1 << len(deps)} rows, "
                 f"got {probs.size}"
             )
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError(f"conditional for {self.variable} leaves [0, 1]")
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN too
+            raise ValueError(
+                f"prob_one of the conditional for {self.variable} leaves [0, 1]"
+            )
         with np.errstate(divide="ignore"):
             log = np.stack([np.log1p(-probs), np.log(probs)], axis=1).reshape(-1)
         probs.setflags(write=False)
@@ -133,10 +131,6 @@ class SampleBatch:
     def count(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
 
 def _walk(conditionals, states: np.ndarray, uniforms=None) -> np.ndarray:
     """Log density of each column of a column-major (n, count) 0/1 batch.
@@ -193,7 +187,7 @@ def log_density_many(pomm: PartiallyOrderedMarkovModel, states) -> np.ndarray:
     return _walk(pomm.conditionals, np.ascontiguousarray(states.T))
 
 
-# -- export ----------------------------------------------------------------
+# -- text ------------------------------------------------------------------
 
 
 def state_texts(states) -> list[str]:
@@ -206,38 +200,3 @@ def state_texts(states) -> list[str]:
     rows = digits.view(f"S{digits.shape[1]}").ravel().tolist()
     return [row.decode() for row in rows]
 
-
-def save_text(batch: SampleBatch, path) -> None:
-    """One state per line: the 0/1 string, a space, the log density."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for bits, dens in zip(state_texts(batch.states), batch.log_densities):
-            handle.write(f"{bits} {dens:.17g}\n")
-
-
-def save_binary(batch: SampleBatch, path) -> None:
-    """16-byte header (magic, n, count), packed state bits, float64 densities."""
-    header = _BINARY_MAGIC + struct.pack("<IQ", batch.n, batch.count)
-    packed = np.packbits(batch.states, axis=1)
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(packed.tobytes())
-        handle.write(batch.log_densities.astype("<f8").tobytes())
-
-
-def load_binary(path) -> SampleBatch:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < 16 or blob[:4] != _BINARY_MAGIC:
-        raise ValueError("not a sample-batch file")
-    n, count = struct.unpack("<IQ", blob[4:16])
-    row_bytes = (n + 7) // 8
-    body = 16 + count * row_bytes
-    if len(blob) != body + 8 * count:
-        raise ValueError(
-            f"sample-batch file has {len(blob)} bytes; its header "
-            f"(n={n}, count={count}) needs {body + 8 * count}"
-        )
-    packed = np.frombuffer(blob[16:body], dtype=np.uint8).reshape(count, row_bytes)
-    states = np.unpackbits(packed, axis=1)[:, :n]
-    dens = np.frombuffer(blob[body : body + 8 * count], dtype="<f8")
-    return SampleBatch(seed=0, states=states, log_densities=dens.copy())

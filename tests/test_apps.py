@@ -224,6 +224,13 @@ def test_rejection_rate_floor_error():
         )
 
 
+@pytest.mark.parametrize("rate_floor", [math.nan, -0.1, 1.5])
+def test_rejection_refuses_a_rate_floor_outside_the_unit_interval(rate_floor):
+    m = build_ising(LatticeSpec(2, 2), 0.4)
+    with pytest.raises(ValueError, match="rate_floor"):
+        rejection_sampler(m, nu=1, seed=0, count=3, rate_floor=rate_floor)
+
+
 def _gibbs_with(name, value):
     settings = {"sweeps": 4, "burn_in": 0, "thin": 1, "chains": 1, name: value}
     return gibbs_sampler(build_ising(LatticeSpec(2, 2), 0.4), seed=0, **settings)
@@ -391,6 +398,12 @@ def test_gibbs_reference_sampler_interface():
     states = sampler(10, 7)
     assert states.shape == (10, 6)
     assert set(np.unique(states)) <= {0, 1}
+
+
+@pytest.mark.parametrize("chains", [0, -1])
+def test_gibbs_reference_sampler_refuses_fewer_than_one_chain(chains):
+    with pytest.raises(ValueError, match="chains"):
+        gibbs_reference_sampler(build_ising(LatticeSpec(2, 2), 0.4), 1, 0, chains=chains)
 
 
 def test_gibbs_validates_arguments():

@@ -17,7 +17,7 @@ from pbmrf import (
 )
 from pbmrf import cli
 from pbmrf.cli import main
-from pbmrf.pomm import sample as pomm_sample, state_texts
+from pbmrf.pomm import _BLOCK_ROWS as BLOCK_ROWS, sample as pomm_sample, state_texts
 
 
 @pytest.fixture
@@ -137,6 +137,36 @@ def test_sample_zero_count_writes_only_the_header(ising_config, tmp_path, fmt, t
     assert out.read_text() == text
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_streams_blocks_of_text(
+    ising_config, tmp_path, monkeypatch, capsys, fmt, to_file
+):
+    rendered = []
+
+    def one_block_at_a_time(states):
+        rendered.append(len(states))
+        return state_texts(states)
+
+    monkeypatch.setattr(cli, "state_texts", one_block_at_a_time)
+    count = 2 * BLOCK_ROWS + 808
+    argv = ["sample", "--config", ising_config, "--nu", "2", "--count", str(count),
+            "--seed", "4", "--format", fmt]
+    out = tmp_path / "s.out"
+    assert run(argv + (["--out", str(out)] if to_file else [])) == 0
+    got = out.read_text() if to_file else capsys.readouterr().out
+    assert rendered == [BLOCK_ROWS, BLOCK_ROWS, 808]
+
+    cfg = EliminationConfig(mode="approximate", nu=2, pomm_variant="post_approximation")
+    batch = pomm_sample(eliminate(build_ising(LatticeSpec(3, 3), 0.4), cfg).pomm, 4, count)
+    pairs = zip(state_texts(batch.states), batch.log_densities)
+    if fmt == "csv":
+        want = "state,log_density\n" + "".join(f"{t},{d:.17g}\n" for t, d in pairs)
+    else:
+        want = "".join(f'{{"state": "{t}", "log_density": {d:.17g}}}\n' for t, d in pairs)
+    assert got == want
+
+
 def test_gibbs_command(ising_config, tmp_path):
     out = tmp_path / "g.csv"
     argv = [
@@ -249,7 +279,9 @@ def test_mle_command_brackets_grid_mle(tmp_path):
      ("map", ["--family", "ising", "--params", "0.5", "--y", "Y", "--sigma", "nan", "--mode",
               "exact"], "sigma must be positive, got nan"),
      ("mle", ["--family", "ising", "--params", "0.5", "--x", "X", "--theta-min", "nan",
-              "--nu", "2"], "must be finite")],
+              "--nu", "2"], "must be finite"),
+     ("reject", ["--family", "ising", "--params", "0.5", "--nu", "2", "--rate-floor", "nan"],
+      "rate_floor must lie in [0, 1], got nan")],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, command, argv, message):
     files = {"Y": "0.1 " * 9, "Y_NAN": "0.1 " * 8 + "nan", "X": "010101010"}
@@ -317,6 +349,15 @@ def test_reject_and_mh_rate_commands(ising_config, tmp_path):
     assert 0.0 <= rate <= 1.0
 
 
+@pytest.mark.parametrize("chains", ["0", "-1"])
+def test_mh_rate_refuses_fewer_than_one_chain(ising_config, tmp_path, capsys, chains):
+    out = tmp_path / "rate.csv"
+    argv = ["mh-rate", "--config", ising_config, "--nu", "2", "--pairs", "3"]
+    assert run(argv + ["--chains", chains, "--out", str(out)]) == 2
+    assert f"chains must be >= 1, got {chains}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_on_config_errors(tmp_path):
     missing = tmp_path / "nope.json"
     assert run(["norm", "--config", str(missing), "--nu", "2"]) == 2
@@ -361,6 +402,15 @@ def test_nu_flag_refuses_a_fraction(ising_config, capsys):
 def test_exit_code_on_resource_cap(ising_config):
     # a canonicalisation cap beyond the dense-table limit can never run
     assert run(["norm", "--config", ising_config, "--nu", "1", "--table-cap", "30"]) == 3
+
+
+def test_exit_code_on_out_of_memory(ising_config, monkeypatch, capsys):
+    def refuse(pomm, seed, count):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "pomm_sample", refuse)
+    assert run(["sample", "--config", ising_config, "--nu", "2", "--count", "5"]) == 3
+    assert capsys.readouterr().err == "resource cap: out of memory\n"
 
 
 def test_config_file_supplies_table_cap_and_format(tmp_path):

@@ -250,13 +250,9 @@ def test_autologistic_3x3_brute_force():
 # -- config files ------------------------------------------------------------
 
 
-def test_model_config_round_trip(tmp_path):
+def test_model_config_round_trip():
     cfg = {"family": "autologistic", "rows": 2, "cols": 3, "params": [0.2, -0.1]}
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(cfg))
-    from pbmrf import load_model_config
-
-    m = load_model_config(path)
+    m = model_from_config(json.loads(json.dumps(cfg)))
     assert m.label == "autologistic" and m.n == 6
     assert m.params == (0.2, -0.1)
 

@@ -28,12 +28,9 @@ from pbmrf.pomm import (
     PartiallyOrderedMarkovModel,
     PommConditional,
     SampleBatch,
-    load_binary,
     log_density,
     log_density_many,
     sample,
-    save_binary,
-    save_text,
 )
 
 
@@ -43,8 +40,9 @@ def exact_pomm(model):
 
 
 def test_conditional_validation():
-    with pytest.raises(ValueError):
-        PommConditional(0, (), np.array([1.5]))
+    for prob in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="prob_one"):
+            PommConditional(0, (), np.array([prob]))
     with pytest.raises(ValueError):
         PommConditional(0, (1,), np.array([0.5]))  # needs 2 rows
     with pytest.raises(ValueError):
@@ -132,43 +130,6 @@ def test_exact_pomm_equals_mrf_density():
     X = all_states(12)
     diff = log_density_many(pomm, X) - (eval_pbf(m.energy, X) - ln_c)
     assert np.abs(diff).max() < 1e-9
-
-
-def test_text_and_binary_export(tmp_path):
-    m = build_ising(LatticeSpec(2, 3), 0.4)
-    batch = sample(exact_pomm(m), seed=11, count=17)
-    text_path = tmp_path / "batch.txt"
-    save_text(batch, text_path)
-    lines = text_path.read_text().strip().splitlines()
-    assert len(lines) == 17
-    bits, dens = lines[0].split()
-    assert len(bits) == 6 and set(bits) <= {"0", "1"}
-    assert abs(float(dens) - batch.log_densities[0]) < 1e-12
-
-    bin_path = tmp_path / "batch.bin"
-    save_binary(batch, bin_path)
-    blob = bin_path.read_bytes()
-    assert len(blob) >= 16 and blob[:4] == b"PBSB"
-    loaded = load_binary(bin_path)
-    assert (loaded.states == batch.states).all()
-    assert np.allclose(loaded.log_densities, batch.log_densities)
-
-
-@pytest.mark.parametrize(
-    "cut",
-    [
-        pytest.param(lambda blob: blob[:10], id="short-header"),
-        pytest.param(lambda blob: blob[:20], id="truncated-body"),
-        pytest.param(lambda blob: blob + b"\0", id="trailing-bytes"),
-    ],
-)
-def test_load_binary_rejects_malformed_files(tmp_path, cut):
-    batch = sample(exact_pomm(build_ising(LatticeSpec(3, 4), 0.4)), seed=3, count=5)
-    path = tmp_path / "batch.bin"
-    save_binary(batch, path)
-    path.write_bytes(cut(path.read_bytes()))
-    with pytest.raises(ValueError):
-        load_binary(path)
 
 
 def test_sample_batch_validation():
