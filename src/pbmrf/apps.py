@@ -24,7 +24,14 @@ import numpy as np
 
 from .elimination import EliminationConfig, _expit, eliminate, eliminate_many, eliminate_max
 from .models import MarkovRandomField
-from .pbf import PseudoBooleanFunction, _check_table_size, _entries, as_int, evaluate_many
+from .pbf import (
+    PseudoBooleanFunction,
+    _check_table_size,
+    _entries,
+    as_int,
+    evaluate,
+    evaluate_many,
+)
 from .pomm import (
     PartiallyOrderedMarkovModel,
     SampleBatch,
@@ -120,22 +127,31 @@ def mle_bracket(
     crossing point lies between grid values).  The next round re-grids the
     interval with ``grid_points`` values (at least 3) and a larger nu.
 
-    A round bounds ln c over its whole grid with two calls of
-    :func:`pbmrf.elimination.eliminate_many`, one per bound, whose grid
-    members share engine steps while they take the same decisions; each
-    bound equals its own single run byte for byte.
+    A round bounds ln c over its whole grid with one call of
+    :func:`pbmrf.elimination.eliminate_many`, with a lower-bound and an
+    upper-bound config for each grid model: the members, both bounds of
+    every theta, share engine steps while they take the same decisions,
+    and each bound equals its own single run byte for byte.
 
     A later round can only be trusted inside the previous interval, so
     grids never leave it; an empty survivor set would mean the concavity
-    assumption failed and raises instead of clamping.
+    assumption failed and raises instead of clamping.  ``observed`` must
+    hold 0/1 values, the grid finite values, and ``grid_points`` and each
+    nu integers; otherwise ValueError names the argument.
     """
+    grid_points = as_int("grid_points", grid_points)
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, got {grid_points}")
-    observed = np.asarray(observed, dtype=np.uint8).reshape(1, -1)
+    observed = np.asarray(observed).reshape(-1)
+    if not np.all((observed == 0) | (observed == 1)):
+        raise ValueError("observed must hold only 0/1 values")
+    observed = observed.astype(np.uint8)
     grid = [float(t) for t in theta_grid]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("theta_grid values must be finite")
     if sorted(grid) != grid or len(grid) < 3:
         raise ValueError("theta grid must be sorted with at least 3 points")
-    schedule = [int(v) for v in nu_schedule]
+    schedule = [as_int("nu", v) for v in nu_schedule]
     if not schedule:
         raise ValueError("nu schedule is empty")
 
@@ -177,16 +193,17 @@ def mle_bracket(
 def _bound_curves(observed, model_builder, grid, nu, table_cap) -> tuple[list, list]:
     """ell(theta) bounded from below and above at each grid theta.
 
-    One batched elimination per bound covers the whole grid.
+    One batched elimination covers both bounds over the whole grid.
     """
     lo_cfg, hi_cfg = (
         EliminationConfig(mode=mode, nu=nu, table_cap=table_cap)
         for mode in ("lower_bound", "upper_bound")
     )
     models = [model_builder(theta) for theta in grid]
-    energies = [float(evaluate_many(model.energy, observed)[0]) for model in models]
-    ln_c_lower = eliminate_many(models, lo_cfg)
-    ln_c_upper = eliminate_many(models, hi_cfg)
+    energies = [evaluate(model.energy, observed) for model in models]
+    size = len(models)
+    bounds = eliminate_many(models + models, [lo_cfg] * size + [hi_cfg] * size)
+    ln_c_lower, ln_c_upper = bounds[:size], bounds[size:]
     return (
         [e - r.log_value for e, r in zip(energies, ln_c_upper)],
         [e - r.log_value for e, r in zip(energies, ln_c_lower)],

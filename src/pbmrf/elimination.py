@@ -30,7 +30,11 @@ marginal, the table the step folds (dependency sets at most nu).
 :func:`eliminate_many` runs B energies over the same variables through
 the same step loop in lockstep: each factor keeps one (2^m, B) table
 with the members on a last axis, so a step costs one pass of numpy calls
-for the whole batch.  The input sets are compared once, before step 0:
+for the whole batch.  It takes one config per energy, which may differ
+in the bound direction only: a batch that mixes lower and upper members
+clamps each member's column with its own max or min, so both bounds of
+an energy share each step while they agree.  The input sets are
+compared once, before step 0:
 energies whose nonzero sets differ, or come in another order, start in
 batches of their own.  Every other decision depends on the data and is
 checked per step, and the members stay together while they agree:
@@ -218,23 +222,26 @@ class _Split(Exception):
         super().__init__(self.groups)
 
 
-def _agreed(decision: np.ndarray) -> np.ndarray:
-    """A decision made per member (the last axis), if every member made it the same."""
-    first = decision[..., :1]
-    if (decision == first).all():
-        return first[..., 0]
-    raise _Split(column.tobytes() for column in decision.reshape(-1, decision.shape[-1]).T)
+def _agreed(decision: np.ndarray):
+    """A decision made per member (the last axis), if every member made it the same.
+
+    The decisions are small bool or int arrays, compared as Python values:
+    on a few entries that costs a fraction of a numpy comparison.
+    """
+    members = decision.T.tolist()
+    first = members[0]
+    if members.count(first) == len(members):
+        return first
+    raise _Split(map(str, members))
 
 
 def _squeeze(scope: tuple[int, ...], table: np.ndarray) -> _Factor:
     """Drop every variable along which the table is exactly constant."""
     halves = table[_masks(len(scope))[3]]
     flat = np.logical_and.reduce(halves[0] == halves[1], 1)
-    if table.ndim > 1:
-        flat = _agreed(flat)
-    if not np.count_nonzero(flat):
+    if not np.count_nonzero(flat):  # no member's table is constant along any axis
         return scope, table
-    flat = flat.tolist()
+    flat = _agreed(flat) if table.ndim > 1 else flat.tolist()
     kept = tuple(v for v, f in zip(scope, flat) if not f)
     mask = sum(1 << k for k, f in enumerate(flat) if f)
     return kept, table[_entries(len(scope), mask, 0)]  # x_k = 0 where flat
@@ -290,11 +297,14 @@ class _Batch:
     members' values.  Factor tables and records carry the members on a
     last axis likewise.  A batch of one keeps scalar coefficients and flat
     tables.  ``error`` is each member's SOIR error so far.
+    ``upper`` is each member's clamp direction in the bound modes (True
+    for an upper bound), shaped like ``error``.
     """
 
     members: list[int]
     inputs: list[list]
     buckets: list[list[_Factor]]
+    upper: np.ndarray
     records: list[_Record] = field(default_factory=list)
     steps: list[StepDiagnostics] = field(default_factory=list)
     start: int = 0
@@ -302,14 +312,16 @@ class _Batch:
 
     def take(self, group: list[int]) -> _Batch:
         """The members at positions ``group``, at the same step."""
+        index = np.array(group)  # an index array gathers faster than a list
 
         def pick(table):  # one member's column of a table, or its coefficient
-            return table.T[group[0]].copy() if len(group) == 1 else table[..., group]
+            return table.T[group[0]].copy() if len(group) == 1 else table[..., index]
 
         return _Batch(
             [self.members[m] for m in group],
             [[(key, pick(b)) for key, b in pairs] for pairs in self.inputs],
             [[(scope, pick(table)) for scope, table in bucket] for bucket in self.buckets],
+            pick(self.upper),
             [(i, extras, pick(h)) for i, extras, h in self.records],
             list(self.steps),
             self.start,
@@ -317,7 +329,9 @@ class _Batch:
         )
 
 
-def _batch(members: list[int], keys: tuple, energies: list, rank: list[int]) -> _Batch:
+def _batch(
+    members: list[int], keys: tuple, energies: list, upper: list[bool], rank: list[int]
+) -> _Batch:
     """A batch of the ``members`` of ``energies``, whose nonzero sets are ``keys``.
 
     Each set is filed by its earliest variable, the constant as a factor.
@@ -329,11 +343,15 @@ def _batch(members: list[int], keys: tuple, energies: list, rank: list[int]) -> 
         inputs[_first(rank, key)].append((key, b))
     buckets: list[list[_Factor]] = [[] for _ in range(len(rank))]
     buckets.append([((), np.array([b])) for _, b in inputs.pop()])
-    return _Batch(members, inputs, buckets, error=np.zeros(tail))
+    directions = np.array([upper[m] for m in members]).reshape(tail)
+    return _Batch(members, inputs, buckets, directions, error=np.zeros(tail))
 
 
 def _eliminate(
-    energies: list[PseudoBooleanFunction], order: tuple[int, ...], cfg: EliminationConfig
+    energies: list[PseudoBooleanFunction],
+    order: tuple[int, ...],
+    cfg: EliminationConfig,
+    upper: list[bool],
 ) -> list[tuple[float, list[_Record], list[StepDiagnostics], float]]:
     """Variable elimination of energies over the same variables, in every mode.
 
@@ -341,7 +359,8 @@ def _eliminate(
     is ``order[r]``, so a step reads one bucket and touches no other.  The
     energies start as one batch per tuple of nonzero input sets (in the
     energy's order); a batch whose members disagree on a step's decision
-    splits, and each group of agreeing members redoes that step.
+    splits, and each group of agreeing members redoes that step.  In the
+    bound modes ``upper[k]`` says whether energy k is bounded from above.
     """
     rank = [0] * len(order)
     for r, v in enumerate(order):
@@ -351,7 +370,9 @@ def _eliminate(
     if len(groups) > 1:
         logger.debug("step %d: batch splits into %s", 0, groups)
     runs: list = [None] * len(energies)
-    pending = [_batch(group, keys[group[0]], energies, rank) for group in reversed(groups)]
+    pending = [
+        _batch(group, keys[group[0]], energies, upper, rank) for group in reversed(groups)
+    ]
     while pending:
         batch = pending.pop()
         try:
@@ -380,7 +401,16 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
     """
     summing = cfg.marginal == "sum"
     fold = np.logaddexp if summing else np.maximum
-    clamp = np.maximum if cfg.mode == "upper_bound" else np.minimum
+    upper = batch.upper
+    if upper.all():
+        clamp = np.maximum
+    elif not upper.any():
+        clamp = np.minimum
+    else:
+
+        def clamp(d0, d1):  # each member's column by its own direction
+            return np.where(upper, np.maximum(d0, d1), np.minimum(d0, d1))
+
     table_cap = cfg.table_cap if cfg.table_cap is not None else cfg.nu
     record = not summing or cfg.pomm_variant != "none"
     record_pre = cfg.pomm_variant == "pre_approximation"
@@ -392,8 +422,11 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
 
     def file(scope, table) -> None:
         """File a factor of a capped step, without the axes it is constant along."""
-        # an exact zero adds nothing
-        if _agreed(table.any(axis=0)) if batched else np.count_nonzero(table):
+        # an exact zero adds nothing; a table without zeros is nonzero for every member
+        nonzero = np.count_nonzero(table)
+        if batched and 0 < nonzero < table.size:
+            nonzero = _agreed(table.any(axis=0))
+        if nonzero:
             filed.append(_squeeze(scope, table))
 
     for step_no in range(batch.start, len(order)):
@@ -498,23 +531,53 @@ def _result(n: int, cfg: EliminationConfig, run) -> EliminationResult:
     )
 
 
-def eliminate_many(targets, cfg: EliminationConfig) -> list[EliminationResult]:
+def _configs(cfg, count: int) -> list[EliminationConfig]:
+    """One config per target: ``cfg`` for each, or the ``count`` configs listed.
+
+    Listed configs may differ only in mode, and only between the two bound
+    modes; anything else raises ValueError.
+    """
+    if isinstance(cfg, EliminationConfig):
+        return [cfg] * count
+    cfgs = list(cfg)
+    if len(cfgs) != count:
+        raise ValueError(f"got {len(cfgs)} configs for {count} targets")
+    if not cfgs:
+        return cfgs
+    modes = {c.mode for c in cfgs}
+    if len(modes) > 1 and not modes <= {"lower_bound", "upper_bound"}:
+        raise ValueError(f"configs may mix only the bound modes, got {sorted(modes)}")
+    base = cfgs[0]
+    if any(replace(c, mode=base.mode) != base for c in cfgs):
+        raise ValueError("configs of one call may differ only in their bound mode")
+    return cfgs
+
+
+def eliminate_many(targets, cfg) -> list[EliminationResult]:
     """Run variable elimination on several MRFs or energies over the same variables.
 
-    The runs share one step loop while they take the same decisions (see
-    the module docstring); each result equals its own :func:`eliminate`
-    run byte for byte.
+    ``cfg`` is one :class:`EliminationConfig` for every target, or a
+    sequence of one per target that differ at most in mode, between
+    ``lower_bound`` and ``upper_bound``: both bounds of an energy then run
+    in one batch, each member clamping by its own direction.  The runs
+    share one step loop while they take the same decisions (see the module
+    docstring); each result, its mode that of its own config, equals its
+    own :func:`eliminate` run byte for byte.
     """
     energies = [_energy_of(target) for target in targets]
+    cfgs = _configs(cfg, len(energies))
     if not energies:
         return []
     n = energies[0].n
     if any(energy.n != n for energy in energies):
         raise ValueError("every target must have the same number of variables")
-    order = cfg.order if cfg.order is not None else tuple(range(n))
+    base = cfgs[0]
+    order = base.order if base.order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all variable indices")
-    return [_result(n, cfg, run) for run in _eliminate(energies, order, cfg)]
+    upper = [c.mode == "upper_bound" for c in cfgs]
+    runs = _eliminate(energies, order, base, upper)
+    return [_result(n, c, run) for c, run in zip(cfgs, runs)]
 
 
 def eliminate(target, cfg: EliminationConfig) -> EliminationResult:

@@ -112,9 +112,9 @@ def interaction_set(indices) -> InteractionSet:
     Raises ValueError on duplicates or negative indices.
     """
     t = tuple(sorted(indices))
-    if any(i < 0 for i in t):
+    if t and t[0] < 0:
         raise ValueError(f"negative variable index in {t}")
-    if any(t[k] == t[k + 1] for k in range(len(t) - 1)):
+    if len(set(t)) < len(t):
         raise ValueError(f"duplicate variable index in {t}")
     return t
 
@@ -291,7 +291,11 @@ def prune_dead(beta: dict[InteractionSet, float], keep) -> None:
 
     Processing by decreasing size keeps the family dense: a set is kept
     whenever a kept superset needs it.  The constant term always stays.
+    When every coefficient passes ``keep`` nothing is dropped, and the walk
+    is skipped.
     """
+    if all(map(keep, beta.values())):
+        return
     needed: set[InteractionSet] = set()
     for key in sorted(beta, key=len, reverse=True):
         if not key:
@@ -307,11 +311,21 @@ def prune_dead(beta: dict[InteractionSet, float], keep) -> None:
 
 
 def evaluate(f: PseudoBooleanFunction, x) -> float:
-    """Evaluate f at a single binary vector of length n."""
+    """Evaluate f at a single binary vector of length n.
+
+    A plain Python sum over the nonzero coefficients in dict order, with
+    no numpy call per set: the same float additions from 0.0 as
+    :func:`evaluate_many` makes for one row, so the same bits.
+    """
     x = np.asarray(x)
     if x.shape != (f.n,):
         raise ValueError(f"state has shape {x.shape}, expected ({f.n},)")
-    return float(evaluate_many(f, x.reshape(1, -1))[0])
+    values = x.tolist()
+    total = 0.0
+    for key, b in f._beta.items():
+        if b != 0.0:
+            total += b * math.prod(map(values.__getitem__, key))
+    return total
 
 
 def evaluate_many(f: PseudoBooleanFunction, states: np.ndarray) -> np.ndarray:
@@ -392,10 +406,12 @@ def _add_table_terms(terms: dict[InteractionSet, float], cells, coeffs) -> None:
     is added, in mask order, under its canonical (sorted) key; a key new to
     the map goes after the keys already there.
     """
+    get = terms.get
     for key, c in zip(subset_keys(cells), coeffs):
         if c != 0.0:
-            key = tuple(sorted(key))
-            terms[key] = terms.get(key, 0.0) + c
+            if len(key) > 1:  # a set of one variable or none is canonical already
+                key = tuple(sorted(key))
+            terms[key] = get(key, 0.0) + c
 
 
 def table_rows(values: np.ndarray, variables):

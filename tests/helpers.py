@@ -562,3 +562,16 @@ def squeeze_oracle(scope, table):
     at = tuple(0 if f else slice(None) for f in flat[::-1])
     kept = tuple(v for v, f in zip(scope, flat) if not f)
     return kept, table.reshape((2,) * m)[at].reshape(-1)
+
+
+def prune_dead_oracle(beta, keep) -> None:
+    """:func:`pbmrf.pbf.prune_dead` without its early return: always the full walk."""
+    needed = set()
+    for key in sorted(beta, key=len, reverse=True):
+        if not key:
+            continue
+        if key in needed or keep(beta[key]):
+            for k in range(len(key)):
+                needed.add(key[:k] + key[k + 1 :])
+        else:
+            del beta[key]

@@ -147,6 +147,50 @@ def test_mle_bracket_curves_are_the_single_bounds():
             assert (lower, upper) == (energy - ln_c["upper_bound"], energy - ln_c["lower_bound"])
 
 
+@pytest.mark.parametrize(
+    "change, name",
+    [
+        ({"nu_schedule": [2.5]}, "nu"),
+        ({"nu_schedule": [2, True]}, "nu"),
+        ({"nu_schedule": ["x"]}, "nu"),
+        ({"grid_points": 3.5}, "grid_points"),
+        ({"grid_points": None}, "grid_points"),
+        ({"observed": np.full(9, 2)}, "observed"),
+        ({"observed": np.full(9, 0.5)}, "observed"),
+        ({"observed": np.array([0, 1, 0, 1, np.nan, 0, 1, 0, 1])}, "observed"),
+        ({"theta_grid": [0.0, np.nan, 1.0]}, "theta_grid"),
+        ({"theta_grid": [0.0, 1.0, np.inf]}, "theta_grid"),
+        ({"theta_grid": [-np.inf, 0.0, 1.0]}, "theta_grid"),
+    ],
+)
+def test_mle_bracket_refuses_bad_inputs_naming_them(change, name):
+    # each value used to pass: a fractional or boolean nu was truncated,
+    # a fractional grid_points failed in np.linspace after round 1, an
+    # observed 2 or 0.5 was cast to uint8, a NaN grid value reached the
+    # model builder
+    lat = LatticeSpec(3, 3)
+    args = {
+        "observed": np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.uint8),
+        "model_builder": lambda t: build_ising(lat, t),
+        "theta_grid": np.linspace(0.0, 2.0, 5),
+        "nu_schedule": [2, 3],
+        "grid_points": 5,
+    }
+    with pytest.raises(ValueError, match=name):
+        mle_bracket(**{**args, **change})
+
+
+def test_mle_bracket_takes_integral_settings_and_boolean_states():
+    lat = LatticeSpec(3, 3)
+    obs = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.uint8)
+    grid = np.linspace(0.0, 2.0, 5)
+    want = mle_bracket(obs, lambda t: build_ising(lat, t), grid, [2, 3], grid_points=5)
+    got = mle_bracket(
+        obs.astype(bool), lambda t: build_ising(lat, t), grid, [2.0, "3"], grid_points=5.0
+    )
+    assert got == want
+
+
 # -- MAP estimation ---------------------------------------------------------------
 
 

@@ -807,13 +807,14 @@ def batches(draw):
             g = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 3)))
             members.append(add_scaled(f, g, 1.0, 1.0))
     order = tuple(draw(st.permutations(range(n))))
-    return members, order, draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    uppers = draw(st.lists(st.booleans(), min_size=len(members), max_size=len(members)))
+    return members, order, draw(st.integers(1, 3)), draw(st.integers(0, 3)), uppers
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(batches())
 def test_eliminate_many_equals_its_single_runs_byte_for_byte(case):
-    members, order, nu, table_cap = case
+    members, order, nu, table_cap, uppers = case
     for mode, marginal, variant in CONFIGS:
         cfg = EliminationConfig(
             mode=mode,
@@ -825,6 +826,24 @@ def test_eliminate_many_equals_its_single_runs_byte_for_byte(case):
         )
         singles = [eliminate(f, cfg) for f in members]
         for got, want in zip(eliminate_many(members, cfg), singles, strict=True):
+            assert_same_bytes(got, want)
+    # one config per member, each bounding from the side drawn for it
+    for _, marginal, variant in [c for c in CONFIGS if c[0] == "lower_bound"]:
+        cfgs = [
+            EliminationConfig(
+                mode="upper_bound" if upper else "lower_bound",
+                marginal=marginal,
+                nu=nu,
+                order=order,
+                pomm_variant=variant,
+                table_cap=table_cap,
+            )
+            for upper in uppers
+        ]
+        singles = [eliminate(f, cfg) for f, cfg in zip(members, cfgs)]
+        many = eliminate_many(members, cfgs)
+        for got, want, cfg in zip(many, singles, cfgs, strict=True):
+            assert got.mode == cfg.mode
             assert_same_bytes(got, want)
 
 
@@ -903,6 +922,53 @@ def test_members_with_other_input_sets_part_before_step_0(caplog, other):
         assert batch_splits(caplog) == [(0, [[0], [1]])]
         for got, g in zip(many, members, strict=True):
             assert_same_bytes(got, eliminate(g, cfg))
+
+
+def test_lower_and_upper_bounds_of_one_energy_part_where_their_clamps_do(caplog):
+    # both bounds of Ising 12x12 at theta 1.6, nu 4 take the same partners
+    # up to step 16; at step 17 their clamped tables lead them apart
+    model = build_ising(LatticeSpec(12, 12), 1.6)
+    cfgs = [EliminationConfig(mode=mode, nu=4) for mode in ("lower_bound", "upper_bound")]
+    with caplog.at_level(logging.DEBUG, logger="pbmrf.elimination"):
+        many = eliminate_many([model, model], cfgs)
+    assert batch_splits(caplog) == [(17, [[0], [1]])]
+    assert [res.mode for res in many] == ["lower_bound", "upper_bound"]
+    assert many[0].log_value < many[1].log_value
+    for got, cfg in zip(many, cfgs, strict=True):
+        assert_same_bytes(got, eliminate(model, cfg))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"nu": 3},
+        {"order": (3, 2, 1, 0)},
+        {"marginal": "max"},
+        {"table_cap": 1},
+        {"pomm_variant": "post_approximation"},
+        {"mode": "approximate"},
+    ],
+)
+def test_eliminate_many_refuses_configs_that_differ_past_the_bound_mode(change):
+    f = build_ising(LatticeSpec(2, 2), 0.4)
+    base = EliminationConfig(mode="lower_bound", nu=2)
+    other = replace(base, **change)
+    for cfgs in ([base, other], [other, base], [replace(base, mode="upper_bound"), other]):
+        with pytest.raises(ValueError):
+            eliminate_many([f, f], cfgs)
+
+
+def test_eliminate_many_takes_one_config_per_target():
+    f = build_ising(LatticeSpec(2, 2), 0.4)
+    lower, upper = (EliminationConfig(mode=mode, nu=1) for mode in ("lower_bound", "upper_bound"))
+    for cfgs in ([lower], [lower, upper, lower], []):
+        with pytest.raises(ValueError):
+            eliminate_many([f, f], cfgs)
+    with pytest.raises(ValueError):
+        eliminate_many([], [lower])
+    assert eliminate_many([], []) == []
+    exact = EliminationConfig()
+    assert [r.mode for r in eliminate_many([f, f], (exact, exact))] == ["exact", "exact"]
 
 
 def test_eliminate_many_takes_targets_over_the_same_variables():

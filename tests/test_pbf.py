@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_states, eval_pbf, random_dense_pbf
+from helpers import all_states, eval_pbf, prune_dead_oracle, random_dense_pbf
 from pbmrf import (
     DenseLocalFunction,
     PseudoBooleanFunction,
@@ -24,11 +24,14 @@ from pbmrf import (
     values_from_interactions,
 )
 from pbmrf.pbf import (
+    PRUNE_TOL,
     TERMS_TABLE_CAP,
     _add_table_terms,
     _lifted_sum,
     _sum_over,
+    close_subsets,
     moebius_transform,
+    prune_dead,
     subset_keys,
     table_rows,
     tabulate,
@@ -352,3 +355,58 @@ def test_lifted_sum_is_the_broadcast_sum_bit_for_bit(m, tail, data):
     got = _lifted_sum(joint, factors, tail)
     assert got.shape == (1 << m,) + tail
     assert got.tobytes() == _sum_over(joint, factors, tail).tobytes()
+
+
+@st.composite
+def signed_energies(draw):
+    """(f, states): a dense energy whose coefficients may be negative, 0.0 or -0.0.
+
+    The constructor stores a -0.0 as 0.0 (it adds each value to 0.0), so
+    the drawn signed zeros are set in the coefficient map afterwards.
+    Includes n = 0 and energies that are only a constant.
+    """
+    n = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n and draw(st.booleans()):
+        f = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 6)))
+    else:
+        f = PseudoBooleanFunction(n, {(): draw(st.sampled_from([0.0, -0.0, -1.5, 2.25]))})
+    coeffs = st.sampled_from([0.0, -0.0, -1.0, -0.375, 0.5, 3.0, -1e-300, 1e300])
+    for key in f.terms():
+        if draw(st.booleans()):
+            f._beta[key] = draw(coeffs)
+    states = rng.integers(0, 2, (draw(st.integers(1, 6)), n), dtype=np.uint8)
+    return f, states
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(signed_energies())
+def test_evaluate_equals_the_one_row_evaluate_many_bit_for_bit(case):
+    f, states = case
+    for x in (*states, *states.astype(bool)):
+        got = evaluate(f, x)
+        assert type(got) is float
+        assert got.hex() == float(evaluate_many(f, x[None])[0]).hex()
+
+
+@st.composite
+def coefficient_maps(draw):
+    """(beta, keep): a dense coefficient map and a keep test some or all entries pass."""
+    n = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_dense_pbf(rng, n, seeds=draw(st.integers(1, 6))) if n else PseudoBooleanFunction(0)
+    values = st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -2.0, 1e-12])
+    beta = {key: draw(values) if draw(st.booleans()) else b for key, b in f.terms().items()}
+    close_subsets(beta)
+    tol = draw(st.sampled_from([0.0, PRUNE_TOL, 1.0]))
+    return beta, lambda b: abs(b) >= tol
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(coefficient_maps())
+def test_prune_dead_leaves_the_dict_of_the_full_walk(case):
+    beta, keep = case
+    want = dict(beta)
+    prune_dead_oracle(want, keep)
+    prune_dead(beta, keep)
+    assert list(beta.items()) == list(want.items())
