@@ -7,7 +7,6 @@ partially-ordered-Markov-model surrogates of the field.
 
 from .pbf import (
     DENSE_TABLE_CAP,
-    DenseLocalFunction,
     InteractionSet,
     PseudoBooleanFunction,
     ResourceCapError,
@@ -15,12 +14,10 @@ from .pbf import (
     evaluate,
     evaluate_many,
     extract_subset_family,
-    from_json,
     interaction_set,
     interactions_from_values,
     scale,
     to_json,
-    values_from_interactions,
 )
 from .approx import (
     ApproximationReport,
@@ -44,10 +41,7 @@ from .elimination import (
     EliminationResult,
     StepDiagnostics,
     eliminate,
-    eliminate_approx,
-    eliminate_bound,
     eliminate_exact_sum,
-    eliminate_max,
     eliminate_many,
     moment,
 )
@@ -55,7 +49,6 @@ from .pomm import (
     PartiallyOrderedMarkovModel,
     PommConditional,
     SampleBatch,
-    log_density,
     log_density_many,
     sample,
 )

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elimination import EliminationConfig, _expit, eliminate, eliminate_many, eliminate_max
+from .elimination import EliminationConfig, _expit, eliminate, eliminate_many
 from .models import MarkovRandomField
 from .pbf import (
     PseudoBooleanFunction,
@@ -244,7 +244,7 @@ def map_estimate(
     """State maximising the posterior, via max-marginal elimination."""
     if cfg.marginal != "max":
         raise ValueError("map_estimate needs a max-marginal configuration")
-    result = eliminate_max(posterior_energy(y, prior, lik), cfg)
+    result = eliminate(posterior_energy(y, prior, lik), cfg)
     return result.argmax
 
 
@@ -336,7 +336,7 @@ def rejection_sampler(
         )
     states = np.concatenate(kept_states)[:count]
     dens = np.concatenate(kept_dens)[:count]
-    samples = SampleBatch(seed=int(seed), states=states, log_densities=dens)
+    samples = SampleBatch(states=states, log_densities=dens)
     return RejectionResult(
         samples=samples,
         acceptance_rate=accepted / trials if trials else 0.0,
@@ -504,7 +504,7 @@ def gibbs_sampler(
     # chain-major: all of chain 0's snapshots first.
     stacked = np.stack(snapshots, axis=1).reshape(-1, n)
     energies = evaluate_many(mrf.energy, stacked)
-    return SampleBatch(seed=int(seed), states=stacked, log_densities=energies)
+    return SampleBatch(states=stacked, log_densities=energies)
 
 
 def gibbs_reference_sampler(

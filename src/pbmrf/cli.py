@@ -259,6 +259,8 @@ def _cmd_mle(args, config) -> int:
     observed = _read_state(_require_arg(args, config, "x"), lat.n)
     lo = _setting(args, config, "theta-min", 0.0, float)
     hi = _setting(args, config, "theta-max", 2.0, float)
+    if not np.isfinite((lo, hi)).all():  # np.linspace would warn first
+        raise ValueError(f"theta-min and theta-max must be finite, got {lo} and {hi}")
     points = _setting(args, config, "grid-points", 11, int)
     nus = _nu_list(args, config)
     bracket = mle_bracket(

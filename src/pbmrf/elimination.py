@@ -91,9 +91,6 @@ __all__ = [
     "eliminate",
     "eliminate_many",
     "eliminate_exact_sum",
-    "eliminate_approx",
-    "eliminate_bound",
-    "eliminate_max",
     "moment",
 ]
 
@@ -585,41 +582,9 @@ def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
     return eliminate_many([target], cfg)[0]
 
 
-# -- public entry points --------------------------------------------------------
-
-
-def _require(cfg: EliminationConfig, modes: tuple[str, ...], marginal: str) -> None:
-    if cfg.mode not in modes or cfg.marginal != marginal:
-        raise ValueError(
-            f"configuration ({cfg.mode}, {cfg.marginal}) not valid here; "
-            f"expected mode in {modes} with marginal {marginal!r}"
-        )
-
-
-def eliminate_exact_sum(target, cfg: EliminationConfig | None = None) -> EliminationResult:
-    """ln of the partition sum, exactly."""
-    cfg = cfg or EliminationConfig()
-    _require(cfg, ("exact",), "sum")
-    return eliminate(target, cfg)
-
-
-def eliminate_approx(target, cfg: EliminationConfig) -> EliminationResult:
-    """ln of the approximate partition sum under the neighbourhood cap."""
-    _require(cfg, ("approximate",), "sum")
-    return eliminate(target, cfg)
-
-
-def eliminate_bound(target, cfg: EliminationConfig) -> EliminationResult:
-    """A certified lower or upper bound on ln of the partition sum."""
-    _require(cfg, ("lower_bound", "upper_bound"), "sum")
-    return eliminate(target, cfg)
-
-
-def eliminate_max(target, cfg: EliminationConfig) -> EliminationResult:
-    """max_x U(x) (exact, approximate, or bounded) plus a maximising state."""
-    if cfg.marginal != "max":
-        raise ValueError("eliminate_max needs the max marginal")
-    return eliminate(target, cfg)
+def eliminate_exact_sum(target) -> EliminationResult:
+    """ln of the partition sum, exactly: :func:`eliminate` with the default config."""
+    return eliminate(target, EliminationConfig())
 
 
 def moment(target, log_psi: PseudoBooleanFunction, cfg: EliminationConfig):

@@ -27,9 +27,7 @@ engine share.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +38,9 @@ __all__ = [
     "InteractionSet",
     "ResourceCapError",
     "interaction_set",
-    "DenseLocalFunction",
     "PseudoBooleanFunction",
     "evaluate",
     "evaluate_many",
-    "values_from_interactions",
     "interactions_from_values",
     "tabulate",
     "subset_keys",
@@ -53,7 +49,6 @@ __all__ = [
     "scale",
     "extract_subset_family",
     "to_json",
-    "from_json",
     "zeta_transform",
     "moebius_transform",
 ]
@@ -174,38 +169,6 @@ def moebius_transform(values: np.ndarray) -> np.ndarray:
     return v.reshape(size)
 
 
-@dataclass(frozen=True)
-class DenseLocalFunction:
-    """All 2^m values of a function of m listed binary variables.
-
-    ``values[idx]`` is the function value at the assignment where bit k of
-    ``idx`` gives the value of ``variables[k]``.  The bit convention is
-    fixed so serialized tables are portable.
-    """
-
-    variables: tuple[int, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        variables = tuple(int(v) for v in self.variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variables in {variables}")
-        m = len(variables)
-        _check_table_size(m, "DenseLocalFunction")
-        values = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        if values.size != 1 << m:
-            raise ValueError(
-                f"table for {m} variables needs {1 << m} values, got {values.size}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return len(self.variables)
-
-
 class PseudoBooleanFunction:
     """A pseudo-Boolean function on a dense interaction family.
 
@@ -256,16 +219,6 @@ class PseudoBooleanFunction:
     def interaction_sets(self) -> list[InteractionSet]:
         """All stored sets, sorted by (size, lexicographic)."""
         return sorted(self._beta, key=lambda s: (len(s), s))
-
-    def variables(self) -> list[int]:
-        """Sorted indices actually mentioned by some stored set."""
-        seen: set[int] = set()
-        for key in self._beta:
-            seen.update(key)
-        return sorted(seen)
-
-    def degree(self) -> int:
-        return max((len(k) for k in self._beta), default=0)
 
     def __len__(self) -> int:
         return len(self._beta)
@@ -342,28 +295,6 @@ def evaluate_many(f: PseudoBooleanFunction, states: np.ndarray) -> np.ndarray:
         else:
             out += b
     return out
-
-
-def values_from_interactions(
-    f: PseudoBooleanFunction, variables=None
-) -> DenseLocalFunction:
-    """Tabulate f over all assignments of the listed variables.
-
-    ``variables`` defaults to the variables f actually mentions.  It is an
-    error for f to mention a variable not listed.
-    """
-    mentioned = f.variables()
-    if variables is None:
-        variables = mentioned
-    variables = tuple(int(v) for v in variables)
-    listed = set(variables)
-    if len(listed) != len(variables):
-        raise ValueError(f"duplicate variables in {variables}")
-    missing = [v for v in mentioned if v not in listed]
-    if missing:
-        raise ValueError(f"function mentions unlisted variables {missing}")
-    values = tabulate(f._beta.items(), variables, "values_from_interactions")
-    return DenseLocalFunction(variables, values)
 
 
 def tabulate(pairs, variables, context: str, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -524,21 +455,29 @@ def _lifted_sum(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
     return total
 
 
-def interactions_from_values(
-    table: DenseLocalFunction, n: int | None = None
-) -> PseudoBooleanFunction:
-    """The unique coefficient set reproducing every table entry.
+def interactions_from_values(variables, values, n: int | None = None) -> PseudoBooleanFunction:
+    """The unique coefficient set reproducing every entry of a value table.
 
-    Inverse of :func:`values_from_interactions`.  ``n`` defaults to one
-    past the largest listed variable.  Raises ResourceCapError for tables
-    over more than TERMS_TABLE_CAP variables.
+    ``values[mask]`` is the value at the assignment where bit k gives the
+    value of ``variables[k]``, as :func:`tabulate` lays it out.  ``n``
+    defaults to one past the largest listed variable.  Duplicate variables,
+    or other than 2^m values for m variables, raise ValueError; a table
+    over more than TERMS_TABLE_CAP variables raises ResourceCapError.
     """
-    variables = table.variables
+    variables = tuple(int(v) for v in variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variables in {variables}")
+    _check_terms_size(len(variables), "interactions_from_values")
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size != 1 << len(variables):
+        raise ValueError(
+            f"table for {len(variables)} variables needs {1 << len(variables)} values, "
+            f"got {values.size}"
+        )
     if n is None:
         n = max(variables) + 1 if variables else 0
-    _check_terms_size(len(variables), "interactions_from_values")
     terms: dict[InteractionSet, float] = {}
-    _add_table_terms(terms, variables, moebius_transform(table.values).tolist())
+    _add_table_terms(terms, variables, moebius_transform(values).tolist())
     return PseudoBooleanFunction(n, terms)
 
 
@@ -597,9 +536,3 @@ def to_json(f: PseudoBooleanFunction) -> str:
     parts.append(", ".join(rows))
     parts.append("]}")
     return "".join(parts)
-
-
-def from_json(text: str) -> PseudoBooleanFunction:
-    doc = json.loads(text)
-    terms = {tuple(entry["set"]): float(entry["beta"]) for entry in doc["terms"]}
-    return PseudoBooleanFunction(int(doc["n"]), terms, prune=False)

@@ -31,7 +31,6 @@ __all__ = [
     "PartiallyOrderedMarkovModel",
     "SampleBatch",
     "sample",
-    "log_density",
     "log_density_many",
     "state_texts",
 ]
@@ -107,15 +106,11 @@ class PartiallyOrderedMarkovModel:
         if self.conditionals and self.conditionals[-1].depends_on:
             raise ValueError("the last conditional must be unconditional")
 
-    def max_dependencies(self) -> int:
-        return max((len(c.depends_on) for c in self.conditionals), default=0)
-
 
 @dataclass(frozen=True)
 class SampleBatch:
     """Binary states plus the log density each was drawn with."""
 
-    seed: int
     states: np.ndarray = field(repr=False)
     log_densities: np.ndarray = field(repr=False)
 
@@ -168,15 +163,7 @@ def sample(pomm: PartiallyOrderedMarkovModel, seed: int, count: int) -> SampleBa
         block = np.zeros((pomm.n, stop - start), dtype=np.uint8)
         log_dens[start:stop] = _walk(backward, block, rng.random(block.shape[::-1]))
         states[start:stop] = block.T
-    return SampleBatch(seed=int(seed), states=states, log_densities=log_dens)
-
-
-def log_density(pomm: PartiallyOrderedMarkovModel, x) -> float:
-    """Joint log density of one state under the POMM."""
-    x = np.asarray(x, dtype=np.uint8)
-    if x.shape != (pomm.n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({pomm.n},)")
-    return float(log_density_many(pomm, x.reshape(1, -1))[0])
+    return SampleBatch(states=states, log_densities=log_dens)
 
 
 def log_density_many(pomm: PartiallyOrderedMarkovModel, states) -> np.ndarray:

@@ -21,9 +21,13 @@ REJECT_STREAM = 2
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
-    """Philox4x64-10 generator keyed by (seed, stream); a fractional or boolean seed raises."""
+    """Philox4x64-10 generator keyed by (seed, stream).
+
+    A fractional or boolean seed, or one outside [0, 2^64 - 1], raises a
+    ValueError naming ``seed``.
+    """
     seed = as_int("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be unsigned, got {seed}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64 - 1], got {seed}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -347,9 +347,7 @@ def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> SampleBatc
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             snapshots.append(states.copy())
     stacked = np.stack(snapshots, axis=1).reshape(-1, n)
-    return SampleBatch(
-        seed=int(seed), states=stacked, log_densities=evaluate_many(mrf.energy, stacked)
-    )
+    return SampleBatch(states=stacked, log_densities=evaluate_many(mrf.energy, stacked))
 
 
 def _dep_rows_row_major(cond, states: np.ndarray) -> np.ndarray:
@@ -376,7 +374,7 @@ def pomm_sample_one_shot(pomm, seed: int, count: int) -> SampleBatch:
             on = uniforms[:, col] < p
             states[:, cond.variable] = on
             log_dens += np.where(on, np.log(p), np.log1p(-p))
-    return SampleBatch(seed=int(seed), states=states, log_densities=log_dens)
+    return SampleBatch(states=states, log_densities=log_dens)
 
 
 def pomm_log_density_row_major(pomm, states: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from pbmrf import (
     build_ising,
     eliminate,
     eliminate_exact_sum,
-    eliminate_max,
     extract_subset_family,
     gibbs_sampler,
     mle_bracket,
@@ -303,14 +302,14 @@ def test_c08_viterbi():
         u = model_energy_direct(
             model.label, model.params, rows, cols, all_states(model.n)
         )
-        exact = eliminate_max(model, EliminationConfig(marginal="max"))
+        exact = eliminate(model, EliminationConfig(marginal="max"))
         worst = max(worst, abs(exact.log_value - u.max()))
         achieved = eval_pbf(model.energy, exact.argmax.reshape(1, -1))[0]
         worst = max(worst, abs(achieved - exact.log_value))
-        lo = eliminate_max(
+        lo = eliminate(
             model, EliminationConfig(mode="lower_bound", marginal="max", nu=2)
         ).log_value
-        hi = eliminate_max(
+        hi = eliminate(
             model, EliminationConfig(mode="upper_bound", marginal="max", nu=2)
         ).log_value
         bracket_ok &= lo <= u.max() + 1e-12 and u.max() <= hi + 1e-12

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,43 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, command, argv, mes
     assert run([command, "--rows", "3", "--cols", "3", *argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["--theta-max=inf", "--theta-min=-inf"])
+def test_mle_non_finite_theta_range_prints_only_the_error(ising_config, tmp_path, capsys, bound):
+    x = tmp_path / "x.txt"
+    x.write_text("0" * 9)
+    argv = ["mle", "--config", ising_config, "--x", str(x), "--nu", "2", bound]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--out", str(tmp_path / "mle.csv")]) == 2
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: theta-min and theta-max must be finite, got ")
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [("sample", ["--nu", "2", "--count", "3"]),
+     ("gibbs", ["--sweeps", "2", "--burn-in", "0", "--thin", "1"]),
+     ("reject", ["--nu", "2", "--count", "3"]),
+     ("mh-rate", ["--nu", "2", "--pairs", "3", "--burn-in", "0", "--thin", "1"])],
+)
+def test_seed_past_64_bits_is_a_usage_error(ising_config, tmp_path, capsys, command, argv):
+    argv = [command, "--config", ising_config, *argv, "--out", str(tmp_path / "out.csv")]
+    assert run([*argv, "--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
+    assert run([*argv, "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err == f"error: seed must lie in [0, 2^64 - 1], got {2**64}\n"
+
+
+def test_pomm_sample_refuses_a_seed_past_64_bits():
+    model = build_ising(LatticeSpec(2, 2), 0.4)
+    pomm = eliminate(model, EliminationConfig(pomm_variant="pre_approximation")).pomm
+    assert pomm_sample(pomm, 2**64 - 1, 2).count == 2
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64 - 1\]"):
+        pomm_sample(pomm, 2**64, 2)
 
 
 def test_mle_command_needs_three_grid_points(ising_config, tmp_path, capsys):

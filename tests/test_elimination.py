@@ -31,11 +31,8 @@ from pbmrf import (
     bound_remove_pair,
     build_ising,
     eliminate,
-    eliminate_approx,
-    eliminate_bound,
     eliminate_exact_sum,
     eliminate_many,
-    eliminate_max,
     moment,
     scale,
     soir,
@@ -106,10 +103,6 @@ def test_config_validation():
         EliminationConfig(pomm_variant="sometimes")
     with pytest.raises(ValueError):
         EliminationConfig(marginal="max", pomm_variant="pre_approximation")
-    with pytest.raises(ValueError):
-        eliminate_approx(
-            build_ising(LatticeSpec(2, 2), 0.1), EliminationConfig(mode="exact")
-        )
 
 
 @pytest.mark.parametrize(
@@ -145,7 +138,7 @@ def test_weak_interactions_approximate_better():
     for theta in (0.4, 0.8):
         m = build_ising(lat, theta)
         exact = brute_log_c(m, 4, 4)
-        approx = eliminate_approx(m, EliminationConfig(mode="approximate", nu=2))
+        approx = eliminate(m, EliminationConfig(mode="approximate", nu=2))
         errors[theta] = abs(approx.log_value - exact)
     assert errors[0.4] <= errors[0.8]
 
@@ -165,8 +158,8 @@ def test_eta_respects_nu_in_capped_modes():
 def test_bound_sandwich_on_4x4_ising(nu):
     m = build_ising(LatticeSpec(4, 4), 0.8)
     exact = brute_log_c(m, 4, 4)
-    lower = eliminate_bound(m, EliminationConfig(mode="lower_bound", nu=nu)).log_value
-    upper = eliminate_bound(m, EliminationConfig(mode="upper_bound", nu=nu)).log_value
+    lower = eliminate(m, EliminationConfig(mode="lower_bound", nu=nu)).log_value
+    upper = eliminate(m, EliminationConfig(mode="upper_bound", nu=nu)).log_value
     assert lower <= exact + 1e-12
     assert exact <= upper + 1e-12
 
@@ -176,8 +169,8 @@ def test_bound_gap_trend_is_logged_not_asserted(caplog):
     m = build_ising(LatticeSpec(4, 4), 0.8)
     gaps = {}
     for nu in (2, 4):
-        lo = eliminate_bound(m, EliminationConfig(mode="lower_bound", nu=nu)).log_value
-        hi = eliminate_bound(m, EliminationConfig(mode="upper_bound", nu=nu)).log_value
+        lo = eliminate(m, EliminationConfig(mode="lower_bound", nu=nu)).log_value
+        hi = eliminate(m, EliminationConfig(mode="upper_bound", nu=nu)).log_value
         gaps[nu] = hi - lo
     if gaps[4] > gaps[2]:
         import logging
@@ -215,7 +208,7 @@ def test_forced_splitting_with_table_cap_one():
 
 def test_max_mode_independence_argmax():
     m = build_independence(LatticeSpec(2, 3), 0.7)
-    res = eliminate_max(m, EliminationConfig(marginal="max"))
+    res = eliminate(m, EliminationConfig(marginal="max"))
     assert abs(res.log_value - 6 * 0.7) < 1e-12
     assert (res.argmax == 1).all()
 
@@ -224,15 +217,15 @@ def test_max_mode_exact_vs_exhaustive():
     m = build_ising(LatticeSpec(4, 4), 0.6)
     X = all_states(16)
     u = eval_pbf(m.energy, X)
-    res = eliminate_max(m, EliminationConfig(marginal="max"))
+    res = eliminate(m, EliminationConfig(marginal="max"))
     assert abs(res.log_value - u.max()) < 1e-9
     assert abs(eval_pbf(m.energy, res.argmax.reshape(1, -1))[0] - res.log_value) < 1e-9
 
 
 def test_max_mode_saturated_matches_exact():
     m = build_ising(LatticeSpec(3, 3), -0.5)
-    exact = eliminate_max(m, EliminationConfig(marginal="max"))
-    approx = eliminate_max(
+    exact = eliminate(m, EliminationConfig(marginal="max"))
+    approx = eliminate(
         m, EliminationConfig(mode="approximate", marginal="max", nu=9)
     )
     assert abs(exact.log_value - approx.log_value) < 1e-10
@@ -247,10 +240,10 @@ def test_max_mode_bounds_bracket_maximum():
     u = model_energy_direct(
         model.label, model.params, rows, cols, all_states(model.n)
     )
-    lo = eliminate_max(
+    lo = eliminate(
         model, EliminationConfig(mode="lower_bound", marginal="max", nu=2)
     ).log_value
-    hi = eliminate_max(
+    hi = eliminate(
         model, EliminationConfig(mode="upper_bound", marginal="max", nu=2)
     ).log_value
     assert lo <= u.max() + 1e-12 <= hi + 2e-12
@@ -548,7 +541,7 @@ def test_pomm_normalises_under_approximation(variant):
     q = np.exp(log_density_many(res.pomm, X))
     assert abs(q.sum() - 1.0) < 1e-10
     if variant == "post_approximation":
-        assert res.pomm.max_dependencies() <= 2
+        assert max(len(c.depends_on) for c in res.pomm.conditionals) <= 2
 
 
 def test_pomm_pre_variant_can_exceed_nu():
@@ -557,7 +550,7 @@ def test_pomm_pre_variant_can_exceed_nu():
         m,
         EliminationConfig(mode="approximate", nu=1, pomm_variant="pre_approximation"),
     )
-    assert res.pomm.max_dependencies() > 1
+    assert max(len(c.depends_on) for c in res.pomm.conditionals) > 1
 
 
 def test_pomm_normalises_under_custom_order():
@@ -579,7 +572,7 @@ def test_pomm_normalises_under_custom_order():
 
 def test_result_serialization_layout():
     m = build_ising(LatticeSpec(2, 2), 0.4)
-    res = eliminate_approx(m, EliminationConfig(mode="approximate", nu=2))
+    res = eliminate(m, EliminationConfig(mode="approximate", nu=2))
     doc = json.loads(res.to_json())
     assert doc["mode"] == "approximate"
     assert doc["nu"] == 2
@@ -589,7 +582,7 @@ def test_result_serialization_layout():
 
 def test_partner_diagnostics_recorded():
     m = build_ising(LatticeSpec(4, 4), 0.6)
-    res = eliminate_approx(m, EliminationConfig(mode="approximate", nu=2))
+    res = eliminate(m, EliminationConfig(mode="approximate", nu=2))
     removed = [p for step in res.per_step for p in step.partners]
     assert removed, "nu=2 on a 4x4 lattice must force removals"
     assert all(step.eta_before >= step.eta_after for step in res.per_step)

@@ -10,18 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import all_states, eval_pbf, prune_dead_oracle, random_dense_pbf
 from pbmrf import (
-    DenseLocalFunction,
     PseudoBooleanFunction,
     ResourceCapError,
     add_scaled,
     evaluate,
     evaluate_many,
     extract_subset_family,
-    from_json,
     interaction_set,
     interactions_from_values,
     to_json,
-    values_from_interactions,
 )
 from pbmrf.pbf import (
     PRUNE_TOL,
@@ -128,13 +125,11 @@ def test_add_scaled_identity_and_pointwise():
 
 
 def test_interactions_from_values_trivial_tables():
-    const = DenseLocalFunction((0, 1), np.full(4, 5.0))
-    f = interactions_from_values(const)
+    f = interactions_from_values((0, 1), np.full(4, 5.0))
     assert abs(f.beta(()) - 5.0) < 1e-12
     assert all(abs(f.beta(k)) < 1e-12 for k in f.terms() if k)
 
-    ident = DenseLocalFunction((0,), np.array([0.0, 1.0]))
-    g = interactions_from_values(ident)
+    g = interactions_from_values((0,), [0.0, 1.0])
     assert abs(g.beta(())) < 1e-12 and abs(g.beta((0,)) - 1.0) < 1e-12
 
 
@@ -142,25 +137,17 @@ def test_interactions_from_values_caps_the_term_dict():
     # 2^21 entries (16 MB) pass the dense-table cap, but as coefficient
     # terms they would become two million dict entries
     assert TERMS_TABLE_CAP == 20
-    table = DenseLocalFunction(tuple(range(21)), np.zeros(1 << 21))
     start = time.perf_counter()
     with pytest.raises(ResourceCapError, match="interactions_from_values"):
-        interactions_from_values(table)
+        interactions_from_values(tuple(range(21)), np.zeros(1 << 21))
     assert time.perf_counter() - start < 2.0
 
 
-def test_values_from_interactions_counting_order():
+def test_tabulate_counting_order():
     f = PseudoBooleanFunction(2, {(0, 1): 2.0})
-    table = values_from_interactions(f, (0, 1))
-    assert np.allclose(table.values, [0.0, 0.0, 0.0, 2.0])
+    assert np.allclose(tabulate(f.terms().items(), (0, 1), "test"), [0.0, 0.0, 0.0, 2.0])
     g = PseudoBooleanFunction(2, {(): 1.0})
-    assert np.allclose(values_from_interactions(g, (0, 1)).values, 1.0)
-
-
-def test_values_from_interactions_rejects_unlisted_variable():
-    f = PseudoBooleanFunction(3, {(0, 2): 1.0})
-    with pytest.raises(ValueError):
-        values_from_interactions(f, (0, 1))
+    assert np.allclose(tabulate(g.terms().items(), (0, 1), "test"), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -168,13 +155,12 @@ def test_transform_round_trip(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))
     values = rng.uniform(-1e3, 1e3, size=1 << m)
-    table = DenseLocalFunction(tuple(range(m)), values)
-    back = values_from_interactions(interactions_from_values(table), tuple(range(m)))
-    assert np.abs(back.values - values).max() < 1e-10
+    variables = tuple(range(m))
+    back = tabulate(interactions_from_values(variables, values).terms().items(), variables, "test")
+    assert np.abs(back - values).max() < 1e-10
     # reverse composition: coefficients -> table -> coefficients
     f = random_dense_pbf(rng, m, seeds=4, max_deg=m)
-    table2 = values_from_interactions(f, tuple(range(m)))
-    f2 = interactions_from_values(table2, n=m)
+    f2 = interactions_from_values(variables, tabulate(f.terms().items(), variables, "test"), n=m)
     for key in set(f.terms()) | set(f2.terms()):
         assert abs(f.beta(key) - f2.beta(key)) < 1e-10
 
@@ -188,15 +174,15 @@ def test_uniqueness_of_representation(m):
     key = sorted(g_terms)[int(rng.integers(len(g_terms)))]
     g_terms[key] += 0.5
     g = PseudoBooleanFunction(m, g_terms, prune=False)
-    fv = values_from_interactions(f, tuple(range(m))).values
-    gv = values_from_interactions(g, tuple(range(m))).values
+    fv = tabulate(f.terms().items(), tuple(range(m)), "test")
+    gv = tabulate(g.terms().items(), tuple(range(m)), "test")
     assert np.abs(fv - gv).max() > 1e-6
 
 
 def test_table_cap_enforced():
     with pytest.raises(ResourceCapError):
         f = PseudoBooleanFunction(30, {(i,): 1.0 for i in range(30)})
-        values_from_interactions(f, tuple(range(30)))
+        tabulate(f.terms().items(), tuple(range(30)), "test")
 
 
 def test_subset_family_worked_example():
@@ -231,20 +217,20 @@ def test_serialization_round_trip_and_layout():
     assert doc["n"] == 3
     sets = [tuple(e["set"]) for e in doc["terms"]]
     assert sets == sorted(sets, key=lambda s: (len(s), s))
-    g = from_json(text)
-    for key in set(f.terms()) | set(g.terms()):
-        assert f.beta(key) == g.beta(key)
+    assert {tuple(e["set"]): e["beta"] for e in doc["terms"]} == f.terms()
     # 17 significant digits survive the trip
     assert any("0.3333333333333333" in json.dumps(e) for e in doc["terms"])
 
 
-def test_dense_local_function_validation():
-    with pytest.raises(ValueError):
-        DenseLocalFunction((0, 0), np.zeros(4))
-    with pytest.raises(ValueError):
-        DenseLocalFunction((0, 1), np.zeros(3))
+def test_interactions_from_values_validation():
+    with pytest.raises(ValueError, match="duplicate"):
+        interactions_from_values((0, 0), np.zeros(4))
+    with pytest.raises(ValueError, match="needs 4 values, got 3"):
+        interactions_from_values((0, 1), np.zeros(3))
+    with pytest.raises(ValueError, match="needs 4 values, got 8"):
+        interactions_from_values((0, 1), np.zeros(8))
     with pytest.raises(ResourceCapError):
-        DenseLocalFunction(tuple(range(26)), np.zeros(2))
+        interactions_from_values(tuple(range(26)), np.zeros(2))
 
 
 def test_out_of_range_interaction_rejected():

@@ -28,7 +28,6 @@ from pbmrf.pomm import (
     PartiallyOrderedMarkovModel,
     PommConditional,
     SampleBatch,
-    log_density,
     log_density_many,
     sample,
 )
@@ -102,8 +101,8 @@ def test_exact_pomm_sampling_matches_brute_force_distribution():
 
 def test_log_density_single_variable():
     pomm = PartiallyOrderedMarkovModel(1, (PommConditional(0, (), np.array([0.5])),))
-    assert abs(log_density(pomm, [0]) - math.log(0.5)) < 1e-15
-    assert abs(log_density(pomm, [1]) - math.log(0.5)) < 1e-15
+    assert abs(log_density_many(pomm, np.array([[0]]))[0] - math.log(0.5)) < 1e-15
+    assert abs(log_density_many(pomm, np.array([[1]]))[0] - math.log(0.5)) < 1e-15
 
 
 def test_sampled_density_matches_recomputation():
@@ -134,7 +133,7 @@ def test_exact_pomm_equals_mrf_density():
 
 def test_sample_batch_validation():
     with pytest.raises(ValueError):
-        SampleBatch(0, np.zeros((3, 2), dtype=np.uint8), np.zeros(2))
+        SampleBatch(np.zeros((3, 2), dtype=np.uint8), np.zeros(2))
 
 
 # -- the column-major pass in row blocks ----------------------------------------

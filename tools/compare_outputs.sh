@@ -53,10 +53,11 @@ python3 - > "$OUT/lib.txt" <<'EOF'
 import numpy as np
 from pbmrf import (LatticeSpec, build_ising, build_higher_order, build_2x2_rotinv,
     EliminationConfig, eliminate, eliminate_exact_sum, soir, bound_remove_pair,
-    remove_single_interaction, to_json, values_from_interactions,
-    interactions_from_values, extract_subset_family, add_scaled, scale)
+    remove_single_interaction, to_json, interactions_from_values,
+    extract_subset_family, add_scaled, scale)
 from pbmrf import build_autologistic, GaussianLikelihoodSpec
 from pbmrf.apps import posterior_energy, rejection_sampler
+from pbmrf.pbf import tabulate
 from pbmrf.pomm import log_density_many, sample
 print(repr(eliminate_exact_sum(build_ising(LatticeSpec(8, 8), 0.6)).log_value))
 ho = build_higher_order(LatticeSpec(5, 5), np.random.default_rng(3).uniform(-1, 1, 10))
@@ -71,8 +72,8 @@ print(to_json(bound_remove_pair(f, 0, 5, "lower", 3)))
 print(to_json(bound_remove_pair(f, 5, 10, "upper", 0)))
 h, rep = remove_single_interaction(f, (0, 1, 4, 5))
 print(to_json(h)); print(rep.to_json())
-print(to_json(interactions_from_values(values_from_interactions(f))))
-print(values_from_interactions(f, tuple(range(15, -1, -1))).values[::97].tolist())
+print(to_json(interactions_from_values(range(16), tabulate(f.terms().items(), range(16), "lib"))))
+print(tabulate(f.terms().items(), range(15, -1, -1), "lib")[::97].tolist())
 print(extract_subset_family(f, (5,), "containing"))
 print(extract_subset_family(f, (5, 6), "complement")[:40])
 print(to_json(add_scaled(f, scale(f, 0.5), 1.0, -2.0)))
