@@ -35,7 +35,6 @@ from .pbf import (
     _Factor,
     _entries,
     _lift,
-    _lifted_sum,
     _masks,
     _split,
     _sum_over,
@@ -228,7 +227,7 @@ def bound_removal_updates(
     span = sorted(set().union(*(scope for scope, _ in held)))
     if len(held) > 1 and len(span) - 1 <= table_cap:
         tail = held[0][1].shape[1:]
-        held = [(tuple(span), _lifted_sum(span, held, tail))]
+        held = [(tuple(span), _sum_over(span, held, tail))]
     clamped = []
     for scope, table in held:
         rest, d0, d1 = _split(scope, table, j)

@@ -113,7 +113,6 @@ def mle_bracket(
     model_builder: Callable[[float], MarkovRandomField],
     theta_grid,
     nu_schedule,
-    grid_points: int = 11,
     table_cap: int | None = None,
 ) -> MleBracket:
     """Bracket the MLE of a scalar parameter by bound curves.
@@ -125,7 +124,8 @@ def mle_bracket(
     the survivors form an interval; the retained interval spans the
     outermost surviving grid points (conservative widening, since the
     crossing point lies between grid values).  The next round re-grids the
-    interval with ``grid_points`` values (at least 3) and a larger nu.
+    interval with as many values as ``theta_grid`` (at least 3) and a larger
+    nu.
 
     A round bounds ln c over its whole grid with one call of
     :func:`pbmrf.elimination.eliminate_many`, with a lower-bound and an
@@ -136,12 +136,9 @@ def mle_bracket(
     A later round can only be trusted inside the previous interval, so
     grids never leave it; an empty survivor set would mean the concavity
     assumption failed and raises instead of clamping.  ``observed`` must
-    hold 0/1 values, the grid finite values, and ``grid_points`` and each
-    nu integers; otherwise ValueError names the argument.
+    hold 0/1 values, the grid finite values, and each nu an integer;
+    otherwise ValueError names the argument.
     """
-    grid_points = as_int("grid_points", grid_points)
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be at least 3, got {grid_points}")
     observed = np.asarray(observed).reshape(-1)
     if not np.all((observed == 0) | (observed == 1)):
         raise ValueError("observed must hold only 0/1 values")
@@ -181,7 +178,7 @@ def mle_bracket(
                 theta_hi=hi,
             )
         )
-        grid = [float(t) for t in np.linspace(lo, hi, grid_points)]
+        grid = [float(t) for t in np.linspace(lo, hi, len(grid))]
     return MleBracket(
         theta_lo=rounds[-1].theta_lo,
         theta_hi=rounds[-1].theta_hi,
@@ -227,9 +224,11 @@ def posterior_energy(
     var2 = 2.0 * lik.sigma * lik.sigma
     log_norm = -math.log(lik.sigma * math.sqrt(2.0 * math.pi))
     terms = prior.energy.terms()
-    constant = float(np.sum(-((y - lik.mu0) ** 2) / var2 + log_norm))
+    # an overflow reaches the constructor, which refuses it by name, unwarned
+    with np.errstate(all="ignore"):
+        constant = float(np.sum(-((y - lik.mu0) ** 2) / var2 + log_norm))
+        linear = ((y - lik.mu0) ** 2 - (y - lik.mu1) ** 2) / var2
     terms[()] = terms.get((), 0.0) + constant
-    linear = ((y - lik.mu0) ** 2 - (y - lik.mu1) ** 2) / var2
     for i in range(prior.n):
         terms[(i,)] = terms.get((i,), 0.0) + float(linear[i])
     return PseudoBooleanFunction(prior.n, terms)
@@ -352,28 +351,27 @@ def rejection_sampler(
 def mh_acceptance_rate(
     target: MarkovRandomField,
     pomm: PartiallyOrderedMarkovModel,
-    reference_sampler: Callable[[int, int], np.ndarray],
-    pairs: int,
+    current,
     seed: int,
 ) -> float:
     """Mean acceptance of independent POMM proposals against the MRF.
 
-    ``reference_sampler(count, seed)`` must yield (approximately)
-    independent draws from the target.  For each pair (x from the target,
-    x' from the POMM) the acceptance is
+    ``current`` is a (pairs, n) 0/1 array of (approximately) independent
+    draws from the target, and ``seed`` draws one POMM proposal per row.
+    For each pair (x from the target, x' from the POMM) the acceptance is
     min{1, exp(U(x')) p~(x) / [exp(U(x)) p~(x')]}; the unknown normalising
-    constants cancel.
+    constants cancel.  An empty or mis-shaped ``current``, or one holding
+    values other than 0/1, raises ValueError naming it.
     """
-    pairs = as_int("pairs", pairs)
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
-    current = np.asarray(reference_sampler(pairs, seed), dtype=np.uint8)
-    if current.shape != (pairs, target.n):
+    current = np.asarray(current)
+    if current.ndim != 2 or current.shape[1] != target.n or not len(current):
         raise ValueError(
-            f"reference sampler returned shape {current.shape}, "
-            f"expected ({pairs}, {target.n})"
+            f"current must be a non-empty (pairs, {target.n}) array, got shape {current.shape}"
         )
-    proposal = pomm_sample(pomm, seed, pairs)
+    if not np.all((current == 0) | (current == 1)):
+        raise ValueError("current must hold only 0/1 values")
+    current = current.astype(np.uint8)
+    proposal = pomm_sample(pomm, seed, len(current))
     log_ratio = (
         evaluate_many(target.energy, proposal.states)
         - evaluate_many(target.energy, current)
@@ -454,9 +452,10 @@ def gibbs_sampler(
     Full conditionals come from the energy's interactions touching each
     site: P(x_k = 1 | rest) = expit(sum of beta * prod of the other
     variables).  States are recorded at sweeps s >= burn_in with
-    (s - burn_in) % thin == 0.  ``chains`` independent replicas run in
-    lockstep (uniforms are consumed sweep by sweep, site by site, chain by
-    chain) and their draws are concatenated chain-major.
+    (s - burn_in) % thin == 0 below ``sweeps``, and no sweep runs after the
+    last record.  ``chains`` independent replicas run in lockstep (uniforms
+    are consumed sweep by sweep, site by site, chain by chain) and their
+    draws are concatenated chain-major.
 
     Each site's conditional is tabulated once over its neighbours, and a
     sweep updates the sites level by level (see ``_gibbs_levels``): the
@@ -489,42 +488,22 @@ def gibbs_sampler(
         )
 
     rng = generator(seed, GIBBS_STREAM)
+    records = max(0, -(-(sweeps - burn_in) // thin))
+    if not records:
+        raise ValueError("no sweep satisfied the burn-in/thinning schedule")
+    # Allocated before the first draw, so a record count past memory fails
+    # at once; chain-major: all of chain 0's records first.
+    recorded = np.empty((chains, records, n), dtype=np.uint8)
     states = np.zeros((chains, n + 1), dtype=np.uint8)
     states[:, :n] = rng.random((chains, n)) < 0.5
-    snapshots: list[np.ndarray] = []
-    for sweep in range(sweeps):
+    for sweep in range(burn_in + (records - 1) * thin + 1):
         uniforms = rng.random((n, chains))
         for sites, gather, bits, base in schedule:
             rows = base + (states[:, gather] * bits).sum(axis=2)
             states[:, sites] = uniforms[sites].T < prob_one[rows]
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-            snapshots.append(states[:, :n].copy())
-    if not snapshots:
-        raise ValueError("no sweep satisfied the burn-in/thinning schedule")
-    # chain-major: all of chain 0's snapshots first.
-    stacked = np.stack(snapshots, axis=1).reshape(-1, n)
+            recorded[:, (sweep - burn_in) // thin] = states[:, :n]
+    stacked = recorded.reshape(-1, n)
     energies = evaluate_many(mrf.energy, stacked)
     return SampleBatch(states=stacked, log_densities=energies)
 
-
-def gibbs_reference_sampler(
-    mrf: MarkovRandomField, sweeps_per_sample: int, burn_in: int, chains: int = 1
-) -> Callable[[int, int], np.ndarray]:
-    """Adapt the Gibbs sampler to the (count, seed) reference interface."""
-    chains = as_int("chains", chains)
-    if chains < 1:
-        raise ValueError(f"chains must be >= 1, got {chains}")
-
-    def sampler(count: int, seed: int) -> np.ndarray:
-        per_chain = -(-count // chains)
-        batch = gibbs_sampler(
-            mrf,
-            sweeps=burn_in + per_chain * sweeps_per_sample,
-            burn_in=burn_in,
-            thin=sweeps_per_sample,
-            seed=seed,
-            chains=chains,
-        )
-        return batch.states[:count]
-
-    return sampler

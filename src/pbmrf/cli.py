@@ -34,7 +34,6 @@ import numpy as np
 
 from .apps import (
     GaussianLikelihoodSpec,
-    gibbs_reference_sampler,
     gibbs_sampler,
     map_estimate,
     mh_acceptance_rate,
@@ -262,13 +261,15 @@ def _cmd_mle(args, config) -> int:
     if not np.isfinite((lo, hi)).all():  # np.linspace would warn first
         raise ValueError(f"theta-min and theta-max must be finite, got {lo} and {hi}")
     points = _setting(args, config, "grid-points", 11, int)
+    if points < 3:
+        raise ValueError(f"grid_points must be at least 3, got {points}")
+    np.empty(points)  # np.linspace misreads a count near 2^63; this refuses it first
     nus = _nu_list(args, config)
     bracket = mle_bracket(
         observed,
         lambda theta: build_ising(lat, theta),
         np.linspace(lo, hi, points),
         nus,
-        grid_points=points,
         table_cap=_setting(args, config, "table-cap", None, int),
     )
     rows = []
@@ -319,13 +320,25 @@ def _cmd_mh_rate(args, config) -> int:
         mode="approximate", nu=nu, pomm_variant="pre_approximation"
     )
     pomm = eliminate(model, cfg).pomm
-    reference = gibbs_reference_sampler(
+    thin = _setting(args, config, "thin", 10, int)
+    burn_in = _setting(args, config, "burn-in", 100, int)
+    chains = _setting(args, config, "chains", 8, int)
+    if chains < 1:
+        raise ValueError(f"chains must be >= 1, got {chains}")
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    # the reference states: each chain records one state every thin sweeps
+    # after burn-in, until the chains hold at least one per pair
+    per_chain = -(-pairs // chains)
+    reference = gibbs_sampler(
         model,
-        sweeps_per_sample=_setting(args, config, "thin", 10, int),
-        burn_in=_setting(args, config, "burn-in", 100, int),
-        chains=_setting(args, config, "chains", 8, int),
-    )
-    rate = mh_acceptance_rate(model, pomm, reference, pairs, seed)
+        sweeps=burn_in + per_chain * thin,
+        burn_in=burn_in,
+        thin=thin,
+        seed=seed,
+        chains=chains,
+    ).states[:pairs]
+    rate = mh_acceptance_rate(model, pomm, reference, seed)
     _write_rows(args.out, ["pairs", "rate"], [{"pairs": pairs, "rate": rate}], args.format)
     return 0
 

@@ -69,7 +69,6 @@ from .pbf import (
     ResourceCapError,
     _Factor,
     _entries,
-    _lifted_sum,
     _masks,
     _split,
     _sum_over,
@@ -486,7 +485,7 @@ def _run(batch: _Batch, order: tuple[int, ...], rank: list[int], cfg: Eliminatio
                 partners.append(j)
 
             extras = [v for v, live in zip(neighbours, alive.tolist()) if live]
-            h = _lifted_sum(extras, pieces, tail)
+            h = _sum_over(extras, pieces, tail)
             if record and not record_pre:
                 kept = (i, extras, h if summing else h > 0.0)
             file(tuple(extras), fold(0.0, h))
@@ -590,10 +589,10 @@ def eliminate_exact_sum(target) -> EliminationResult:
 def moment(target, log_psi: PseudoBooleanFunction, cfg: EliminationConfig):
     """E{psi(x)} for psi given through its logarithm as a polynomial.
 
-    Two elimination runs: one on U + ln(psi), one on U, and the moment is
-    the exponentiated difference.  In the bound modes the result is the
-    certified interval (divide the lower sum by the upper constant and
-    vice versa).
+    One :func:`eliminate_many` call runs U + ln(psi) and U, and the moment
+    is the exponentiated difference.  In the bound modes it runs both
+    bounds of each, and the result is the certified interval (divide the
+    lower sum by the upper constant and vice versa).
     """
     if cfg.marginal != "sum":
         raise ValueError("moments need the sum marginal")
@@ -601,15 +600,10 @@ def moment(target, log_psi: PseudoBooleanFunction, cfg: EliminationConfig):
     tilted = add_scaled(energy, log_psi, 1.0, 1.0)
     base = replace(cfg, pomm_variant="none")
     if cfg.mode in ("exact", "approximate"):
-        num = eliminate(tilted, base).log_value
-        den = eliminate(energy, base).log_value
-        return float(np.exp(num - den))
+        num, den = eliminate_many([tilted, energy], base)
+        return float(np.exp(num.log_value - den.log_value))
     lo_cfg = replace(base, mode="lower_bound")
     hi_cfg = replace(base, mode="upper_bound")
-    lower = np.exp(
-        eliminate(tilted, lo_cfg).log_value - eliminate(energy, hi_cfg).log_value
-    )
-    upper = np.exp(
-        eliminate(tilted, hi_cfg).log_value - eliminate(energy, lo_cfg).log_value
-    )
-    return float(lower), float(upper)
+    runs = eliminate_many([tilted, tilted, energy, energy], [lo_cfg, hi_cfg, hi_cfg, lo_cfg])
+    num_lo, num_hi, den_hi, den_lo = (r.log_value for r in runs)
+    return float(np.exp(num_lo - den_hi)), float(np.exp(num_hi - den_lo))

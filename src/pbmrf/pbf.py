@@ -364,21 +364,6 @@ def table_rows(values: np.ndarray, variables):
 _Factor = tuple[tuple[int, ...], np.ndarray]
 
 
-def _sum_over(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
-    """The sum of factors whose scopes lie in ``joint``, as a flat table over it.
-
-    C order puts the last variable of a scope on axis 0.  Tables are flat
-    over their scopes, then ``tail``: () in a run of one, (B,) in a batch.
-    Broadcasting needs no index, so this serves tables up to the dense cap;
-    a capped step's narrow tables use :func:`_lifted_sum`.
-    """
-    total = np.zeros((2,) * len(joint) + tail)
-    members = [*tail]
-    for scope, table, *_ in factors:
-        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)] + members)
-    return total.reshape((-1,) + tail)
-
-
 def _split(scope: tuple[int, ...], table: np.ndarray, v: int):
     """(scope without v, the table at x_v = 0, the table at x_v = 1)."""
     k = scope.index(v)
@@ -411,10 +396,16 @@ def _masks(m: int) -> tuple[np.ndarray, ...]:
     return rows, p, q, np.stack((clear, clear + bits[:, None]))
 
 
-# The tables of a capped step span at most nu + 1 (or table_cap + 1)
-# variables, and a lattice model meets few (width, mask) shapes: the index
-# caches below hold at most this many, each no longer than one such table.
+# The sum kernel caches an index of at most 2^_GATHER_WIDTH entries per
+# (width, mask) it meets, and the others index a capped step's tables, over
+# at most nu + 1 (or table_cap + 1) variables.  A lattice model meets few
+# such shapes: each cache holds at most this many.
 _INDEX_CACHE = 1 << 10
+
+# The widest joint whose flat tables :func:`_sum_over` gathers through
+# cached :func:`_lift` indices (32 KiB each); a wider joint, or tables with
+# a member axis, where a gather copies one member row per index, broadcast.
+_GATHER_WIDTH = 12
 
 
 @functools.lru_cache(maxsize=_INDEX_CACHE)
@@ -439,20 +430,30 @@ def _lift(m: int, mask: int) -> np.ndarray:
     return lifted
 
 
-def _lifted_sum(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
-    """:func:`_sum_over` for a capped step's narrow tables: one cached gather per factor.
+def _sum_over(joint, factors, tail: tuple[int, ...]) -> np.ndarray:
+    """The sum of factors whose scopes lie in ``joint``, as a flat table over it.
 
-    Each factor's table is read at :func:`_lift`'s entries and added in
-    the same order, so the sum is :func:`_sum_over`'s to the bit; on such
-    tables a gather and a flat add cost a fraction of a many-axis
-    broadcast.
+    Tables are flat over their scopes, then ``tail``: () in a run of one,
+    (B,) in a batch.  Each factor is added in turn into a zero table, read
+    as a table over the joint either through :func:`_lift`'s entries or
+    broadcast over the joint's axes (C order puts the last variable of a
+    scope on axis 0), so both ways give the same bits.  Flat tables over
+    at most _GATHER_WIDTH variables take the gather, which costs a
+    fraction of a many-axis broadcast; the broadcast needs no index, so it
+    serves tables up to the dense cap.
     """
     m = len(joint)
-    bits = {v: 1 << k for k, v in enumerate(joint)}
-    total = np.zeros((1 << m,) + tail)
+    if not tail and m <= _GATHER_WIDTH:
+        bits = {v: 1 << k for k, v in enumerate(joint)}
+        total = np.zeros(1 << m)
+        for scope, table, *_ in factors:
+            total += table[_lift(m, sum(map(bits.__getitem__, scope)))]
+        return total
+    total = np.zeros((2,) * m + tail)
+    members = [*tail]
     for scope, table, *_ in factors:
-        total += table[_lift(m, sum(map(bits.__getitem__, scope)))]
-    return total
+        total += table.reshape([2 if v in scope else 1 for v in reversed(joint)] + members)
+    return total.reshape((-1,) + tail)
 
 
 def interactions_from_values(variables, values, n: int | None = None) -> PseudoBooleanFunction:

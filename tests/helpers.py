@@ -456,7 +456,8 @@ def expanded_energy(label: str, params, rows: int, cols: int) -> PseudoBooleanFu
 # own, and every piece's differences take one numpy call per term.
 
 
-def _zero_sum_over(joint, factors, tail):
+def sum_over_oracle(joint, factors, tail):
+    """:func:`pbmrf.pbf._sum_over` as it first stood: every table broadcast over the joint."""
     total = np.zeros((2,) * len(joint) + tail)
     for scope, table, *_ in factors:
         total += table.reshape([2 if v in scope else 1 for v in reversed(joint)] + [*tail])
@@ -478,7 +479,7 @@ def merge_nested_oracle(factors):
         for k, (outer, _) in enumerate(merged):
             if set(scope).issubset(outer):
                 tail = table.shape[1:]
-                merged[k] = (outer, _zero_sum_over(outer, [merged[k], (scope, table)], tail))
+                merged[k] = (outer, sum_over_oracle(outer, [merged[k], (scope, table)], tail))
                 break
         else:
             merged.append((scope, table))

@@ -34,7 +34,8 @@ from pbmrf import (
     model_from_config,
     rejection_sampler,
 )
-from pbmrf.apps import _gibbs_levels, _site_conditionals, gibbs_reference_sampler
+from pbmrf import apps
+from pbmrf.apps import _gibbs_levels, _site_conditionals
 from pbmrf.models import MODEL_FAMILIES
 from pbmrf.pbf import evaluate_many
 from pbmrf.pomm import log_density_many, sample
@@ -47,15 +48,10 @@ def ising_distribution(lat, theta):
     return m, X, np.exp(u - log_sum_exp(u))
 
 
-def exact_state_sampler(p, n):
-    """Reference sampler drawing independent exact states from p."""
-
-    def sampler(count, seed):
-        rng = np.random.default_rng(seed)
-        rows = rng.choice(len(p), size=count, p=p)
-        return all_states(n)[rows]
-
-    return sampler
+def exact_states(p, n, count, seed):
+    """``count`` independent exact states from p, over n variables."""
+    rows = np.random.default_rng(seed).choice(len(p), size=count, p=p)
+    return all_states(n)[rows]
 
 
 # -- MLE bracketing -------------------------------------------------------------
@@ -71,9 +67,7 @@ def test_mle_bracket_contains_grid_mle_exact_bounds():
     grid = np.linspace(0.0, 2.0, 11)
     for seed in range(3):
         obs = observed_realization(lat, 0.6, seed)
-        bracket = mle_bracket(
-            obs, lambda t: build_ising(lat, t), grid, [16, 16], grid_points=11
-        )
+        bracket = mle_bracket(obs, lambda t: build_ising(lat, t), grid, [16, 16])
         for rnd in bracket.rounds:
             ell = [
                 eval_pbf(build_ising(lat, t).energy, obs.reshape(1, -1))[0]
@@ -117,24 +111,11 @@ def test_mle_bracket_rejects_bad_grid():
         mle_bracket(obs, lambda t: build_ising(lat, t), [0.1, 0.3], [4])
 
 
-@pytest.mark.parametrize("points", [0, 1, 2])
-def test_mle_bracket_rejects_fewer_than_three_grid_points(points):
-    # one point would certify a zero-width bracket, none would find no cut
-    lat = LatticeSpec(4, 4)
-    obs = observed_realization(lat, 0.5, 1)
-    with pytest.raises(ValueError, match="grid_points"):
-        mle_bracket(
-            obs, lambda t: build_ising(lat, t), np.linspace(0, 2, 5), [2, 3], grid_points=points
-        )
-
-
 def test_mle_bracket_curves_are_the_single_bounds():
     # the batched bounds of each round equal single runs, on float grids
     lat = LatticeSpec(4, 4)
     obs = observed_realization(lat, 0.5, 1)
-    bracket = mle_bracket(
-        obs, lambda t: build_ising(lat, t), np.linspace(0, 2, 5), [2, 3], grid_points=5
-    )
+    bracket = mle_bracket(obs, lambda t: build_ising(lat, t), np.linspace(0, 2, 5), [2, 3])
     for rnd in bracket.rounds:
         assert all(type(t) is float for t in rnd.grid)
         for t, lower, upper in zip(rnd.grid, rnd.ell_lower, rnd.ell_upper, strict=True):
@@ -153,8 +134,8 @@ def test_mle_bracket_curves_are_the_single_bounds():
         ({"nu_schedule": [2.5]}, "nu"),
         ({"nu_schedule": [2, True]}, "nu"),
         ({"nu_schedule": ["x"]}, "nu"),
-        ({"grid_points": 3.5}, "grid_points"),
-        ({"grid_points": None}, "grid_points"),
+        ({"nu_schedule": [2, None]}, "nu"),
+        ({"nu_schedule": []}, "nu"),
         ({"observed": np.full(9, 2)}, "observed"),
         ({"observed": np.full(9, 0.5)}, "observed"),
         ({"observed": np.array([0, 1, 0, 1, np.nan, 0, 1, 0, 1])}, "observed"),
@@ -164,8 +145,7 @@ def test_mle_bracket_curves_are_the_single_bounds():
     ],
 )
 def test_mle_bracket_refuses_bad_inputs_naming_them(change, name):
-    # each value used to pass: a fractional or boolean nu was truncated,
-    # a fractional grid_points failed in np.linspace after round 1, an
+    # each value used to pass: a fractional or boolean nu was truncated, an
     # observed 2 or 0.5 was cast to uint8, a NaN grid value reached the
     # model builder
     lat = LatticeSpec(3, 3)
@@ -174,7 +154,6 @@ def test_mle_bracket_refuses_bad_inputs_naming_them(change, name):
         "model_builder": lambda t: build_ising(lat, t),
         "theta_grid": np.linspace(0.0, 2.0, 5),
         "nu_schedule": [2, 3],
-        "grid_points": 5,
     }
     with pytest.raises(ValueError, match=name):
         mle_bracket(**{**args, **change})
@@ -184,10 +163,8 @@ def test_mle_bracket_takes_integral_settings_and_boolean_states():
     lat = LatticeSpec(3, 3)
     obs = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.uint8)
     grid = np.linspace(0.0, 2.0, 5)
-    want = mle_bracket(obs, lambda t: build_ising(lat, t), grid, [2, 3], grid_points=5)
-    got = mle_bracket(
-        obs.astype(bool), lambda t: build_ising(lat, t), grid, [2.0, "3"], grid_points=5.0
-    )
+    want = mle_bracket(obs, lambda t: build_ising(lat, t), grid, [2, 3])
+    got = mle_bracket(obs.astype(bool), lambda t: build_ising(lat, t), grid, [2.0, "3"])
     assert got == want
 
 
@@ -309,9 +286,8 @@ def _sampler_call(call, name, value):
     if call == "gibbs_sampler":
         return gibbs_sampler(model, sweeps=2, burn_in=0, thin=1, **{"seed": 0, name: value})
     if call == "mh_acceptance_rate":
-        # a reference that ignores its seed, so only the POMM draws read it
-        zeros = lambda count, seed: np.zeros((count, 4), dtype=np.uint8)  # noqa: E731
-        return mh_acceptance_rate(model, pomm, zeros, **{"pairs": 3, "seed": 0, name: value})
+        zeros = np.zeros((3, 4), dtype=np.uint8)
+        return mh_acceptance_rate(model, pomm, zeros, **{"seed": 0, name: value})
     settings = {"seed": 0, "count": 3, name: value}
     if call == "rejection_sampler":
         return rejection_sampler(model, nu=1, **settings)
@@ -327,7 +303,6 @@ def _sampler_call(call, name, value):
         ("rejection_sampler", "seed"),  # its count is in INTEGER_ARGUMENTS
         ("gibbs_sampler", "seed"),
         ("mh_acceptance_rate", "seed"),
-        ("mh_acceptance_rate", "pairs"),
     ],
 )
 def test_sampler_seeds_and_counts_refuse_fractions_and_booleans(call, name, value):
@@ -360,7 +335,7 @@ def test_mh_rate_is_one_for_exact_pomm():
     m, X, p = ising_distribution(LatticeSpec(3, 3), 0.4)
     cfg = EliminationConfig(mode="approximate", nu=9, pomm_variant="pre_approximation")
     pomm = eliminate(m, cfg).pomm
-    rate = mh_acceptance_rate(m, pomm, exact_state_sampler(p, 9), pairs=400, seed=8)
+    rate = mh_acceptance_rate(m, pomm, exact_states(p, 9, 400, 8), seed=8)
     assert abs(rate - 1.0) < 1e-12
 
 
@@ -376,7 +351,7 @@ def test_mh_rate_matches_exhaustive_double_sum():
     ratio = np.minimum(1.0, np.exp(np.add.outer(-u, u) + np.subtract.outer(lq, lq)))
     exact_rate = float(p @ ratio @ q)
     pairs = 4000
-    est = mh_acceptance_rate(m, pomm, exact_state_sampler(p, 9), pairs=pairs, seed=3)
+    est = mh_acceptance_rate(m, pomm, exact_states(p, 9, pairs, 3), seed=3)
     # accept within 3 sigma of the Monte Carlo error
     sigma = 0.5 / math.sqrt(pairs)
     assert abs(est - exact_rate) < 3 * sigma
@@ -390,10 +365,29 @@ def test_mh_rate_decreases_with_interaction_strength():
             mode="approximate", nu=2, pomm_variant="pre_approximation"
         )
         pomm = eliminate(m, cfg).pomm
-        rates[theta] = mh_acceptance_rate(
-            m, pomm, exact_state_sampler(p, 16), pairs=3000, seed=14
-        )
+        rates[theta] = mh_acceptance_rate(m, pomm, exact_states(p, 16, 3000, 14), seed=14)
     assert rates[0.8] < rates[0.4]
+
+
+@pytest.mark.parametrize(
+    "current",
+    [
+        np.zeros((0, 4), dtype=np.uint8),
+        np.zeros((3, 5), dtype=np.uint8),
+        np.zeros(4, dtype=np.uint8),
+        np.zeros((1, 3, 4), dtype=np.uint8),
+        np.full((3, 4), 2),
+        np.full((3, 4), 0.5),
+        np.array([[0, 1, np.nan, 1]]),
+    ],
+)
+def test_mh_rate_refuses_a_bad_current_array_naming_it(current):
+    model = build_ising(LatticeSpec(2, 2), 0.4)
+    cfg = EliminationConfig(mode="approximate", nu=1, pomm_variant="pre_approximation")
+    pomm = eliminate(model, cfg).pomm
+    with pytest.raises(ValueError, match="current"):
+        mh_acceptance_rate(model, pomm, current, seed=0)
+    assert 0.0 <= mh_acceptance_rate(model, pomm, np.ones((3, 4), dtype=bool), seed=0) <= 1.0
 
 
 # -- Gibbs sampling ---------------------------------------------------------------
@@ -436,26 +430,48 @@ def test_gibbs_handles_higher_order_conditionals():
     assert tv_distance(emp, p) < 0.03
 
 
-def test_gibbs_reference_sampler_interface():
-    m = build_ising(LatticeSpec(2, 3), 0.4)
-    sampler = gibbs_reference_sampler(m, sweeps_per_sample=3, burn_in=20, chains=4)
-    states = sampler(10, 7)
-    assert states.shape == (10, 6)
-    assert set(np.unique(states)) <= {0, 1}
-
-
-@pytest.mark.parametrize("chains", [0, -1])
-def test_gibbs_reference_sampler_refuses_fewer_than_one_chain(chains):
-    with pytest.raises(ValueError, match="chains"):
-        gibbs_reference_sampler(build_ising(LatticeSpec(2, 2), 0.4), 1, 0, chains=chains)
-
-
 def test_gibbs_validates_arguments():
     m = build_ising(LatticeSpec(2, 2), 0.4)
     with pytest.raises(ValueError):
         gibbs_sampler(m, sweeps=0, burn_in=0, thin=1, seed=0)
     with pytest.raises(ValueError):
         gibbs_sampler(m, sweeps=5, burn_in=9, thin=1, seed=0)
+
+
+def listed_gibbs_draws(monkeypatch) -> list:
+    """The shape of each uniform block the Gibbs sampler draws from now on."""
+    draws = []
+    make = apps.generator
+
+    class Listed:
+        def __init__(self, seed, stream):
+            self.rng = make(seed, stream)
+
+        def random(self, shape):
+            draws.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(apps, "generator", Listed)
+    return draws
+
+
+def test_gibbs_runs_no_sweep_after_its_last_record(monkeypatch):
+    # sweeps 31 to 49 record nothing; their draws used to be made anyway
+    m = build_ising(LatticeSpec(2, 3), 0.4)
+    want = gibbs_sampler(m, sweeps=31, burn_in=10, thin=20, seed=3, chains=2)
+    draws = listed_gibbs_draws(monkeypatch)
+    got = gibbs_sampler(m, sweeps=50, burn_in=10, thin=20, seed=3, chains=2)
+    assert draws == [(2, 6)] + [(6, 2)] * 31  # the start, then sweeps 0 to 30
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+
+
+def test_gibbs_refuses_records_past_memory_before_its_first_draw(monkeypatch):
+    # 2^62 records of 4 sites: the sweeps used to run, filling memory, first
+    draws = listed_gibbs_draws(monkeypatch)
+    with pytest.raises((ValueError, MemoryError)):
+        gibbs_sampler(build_ising(LatticeSpec(2, 2), 0.4), 2**62, 0, 1, seed=0)
+    assert draws == []
 
 
 @st.composite

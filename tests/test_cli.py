@@ -1,11 +1,15 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import all_states, brute_log_c, eval_pbf, star_mrf
 from pbmrf import (
@@ -340,6 +344,32 @@ def test_mle_command_needs_three_grid_points(ising_config, tmp_path, capsys):
     assert "grid_points must be at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", [2**63 - 1, 2**63, 2**64])
+def test_mle_grid_points_past_numpy_counts_is_a_usage_error(ising_config, tmp_path, capsys, points):
+    # np.linspace read a count near 2^63 as an empty grid: an IndexError, exit 1
+    x = tmp_path / "x.txt"
+    x.write_text("0" * 9)
+    argv = ["mle", "--config", ising_config, "--x", str(x), "--nu", "2", "--grid-points"]
+    assert run([*argv, str(points), "--out", str(tmp_path / "mle.csv")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--mu0=1e308", "--mu1=1e308", "--sigma=1e-300"])
+def test_map_overflowing_likelihood_prints_only_the_error(ising_config, tmp_path, capsys, flag):
+    # each used to print numpy's overflow or divide-by-zero warning first
+    y = tmp_path / "y.txt"
+    y.write_text("0.3 " * 9)
+    argv = ["map", "--config", ising_config, "--y", str(y), flag]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--out", str(tmp_path / "map.csv")]) == 2
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.match(r"error: coefficient of \(.*\) must be finite, got ", lines[0])
+
+
 def test_reject_and_mh_rate_commands(ising_config, tmp_path):
     out = tmp_path / "r.csv"
     assert (
@@ -566,3 +596,94 @@ def test_config_defaults_exact_mode_does_not_read_are_allowed(
     out = tmp_path / "out.csv"
     argv = [command, "--config", exact_config, "--mode", "exact", "--out", str(out)]
     assert run(argv) == 0
+
+
+# -- every bad input refused by name: the command-line contract ----------------
+
+# Values that slipped through hand-made checks before: integers at and past
+# 64 bits, non-finite and fractional numbers, a word, the empty string, a
+# missing file and a parameter list of the wrong length.
+EDGE_VALUES = ["0", "-1", str(2**63), str(2**64), "1e308", "inf", "-inf", "nan", "2.5",
+               "true", "", "MISSING", "0.1,0.2,0.3"]
+# Flags that set an amount of work take no value past 2^63: a lattice of
+# 2^63 rows or a burn-in of 2^63 sweeps asks for that much, so the lattices
+# stay tiny and every run short.
+WORK_FLAGS = {"--rows", "--cols", "--burn-in"}
+MODEL_FLAGS = {"--family": "ising", "--rows": "2", "--cols": "2", "--params": "0.4"}
+# Each command's flags, with a value that runs on the 2x2 Ising model.
+COMMAND_FLAGS = {
+    "norm": {"--nu": "1", "--table-cap": "1"},
+    "sample": {"--nu": "1", "--count": "3", "--seed": "0", "--mode": "approx",
+               "--pomm-variant": "post"},
+    "gibbs": {"--sweeps": "3", "--burn-in": "0", "--thin": "1", "--chains": "2", "--seed": "0"},
+    "map": {"--y": "Y", "--mu0": "0", "--mu1": "1", "--sigma": "1", "--mode": "upper",
+            "--nu": "1", "--table-cap": "1"},
+    "mle": {"--x": "X", "--theta-min": "0", "--theta-max": "2", "--grid-points": "3",
+            "--nu": "1", "--table-cap": "1"},
+    "reject": {"--nu": "1", "--count": "3", "--seed": "0", "--rate-floor": "0.001"},
+    "mh-rate": {"--nu": "1", "--seed": "0", "--pairs": "3", "--burn-in": "0", "--thin": "1",
+                "--chains": "8"},
+}
+# The RuntimeErrors the commands document (exit 1).
+DOCUMENTED_RUNTIME_ERRORS = ("error: rejection rate ", "error: no grid point survives ")
+
+
+def edge_pool(flag):
+    huge = (str(2**63), str(2**64)) if flag in WORK_FLAGS else ()
+    return [v for v in EDGE_VALUES if v not in huge]
+
+
+@pytest.fixture(scope="module")
+def edge_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edge")
+    (root / "Y").write_text("0.1 0.2 0.9 0.3\n")
+    (root / "X").write_text("0101\n")
+    return root
+
+
+def assert_one_error_line(edge_files, command, flags):
+    """Run ``command`` with ``flags``: no exception, no warning, one error line if it fails."""
+    files = {"Y": edge_files / "Y", "X": edge_files / "X", "MISSING": edge_files / "missing"}
+    argv = [command] + [f"{flag}={files.get(value, value)}" for flag, value in flags.items()]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = run([*argv, f"--out={edge_files / 'out'}"])
+        except SystemExit as exc:  # argparse refused the text of a flag
+            code = exc.code
+    assert [str(w.message) for w in caught] == [], argv
+    if code == 0:
+        return
+    lines = stderr.getvalue().splitlines()
+    errors = [line for line in lines if "error: " in line or line.startswith("resource cap: ")]
+    assert len(errors) == 1, (argv, lines)
+    assert code in (1, 2, 3), argv
+    if code == 1:
+        assert errors[0].startswith(DOCUMENTED_RUNTIME_ERRORS), (argv, errors)
+
+
+def test_every_bad_flag_value_is_refused_by_one_error_line(edge_files):
+    # each flag of each command alone, at every value of its pool
+    for command, own in COMMAND_FLAGS.items():
+        flags = {**MODEL_FLAGS, **own}
+        for flag in flags:
+            for value in edge_pool(flag):
+                assert_one_error_line(edge_files, command, {**flags, flag: value})
+
+
+@st.composite
+def edge_commands(draw):
+    """A command and its flags, two or three of them set to an edge value."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = {**MODEL_FLAGS, **COMMAND_FLAGS[command]}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=2, max_size=3, unique=True)):
+        flags[flag] = draw(st.sampled_from(edge_pool(flag)))
+    return command, flags
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(edge_commands())
+def test_every_bad_input_is_refused_by_one_error_line(edge_files, drawn):
+    # combinations of bad values; the test above takes every single one
+    assert_one_error_line(edge_files, *drawn)

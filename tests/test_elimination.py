@@ -517,6 +517,26 @@ def test_moment_exponential_site_vs_brute_force():
     assert lo - 1e-12 <= want <= hi + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["exact", "approximate", "lower_bound", "upper_bound"])
+def test_moment_equals_its_single_runs(mode):
+    # one batched call gives the bits of one eliminate per energy and bound
+    m = build_higher_order(LatticeSpec(3, 4), np.linspace(-0.6, 0.7, 10))
+    log_psi = PseudoBooleanFunction(12, {(0, 5): 0.8, (3,): -0.4, (6, 7, 10): 0.3})
+    tilted = add_scaled(m.energy, log_psi, 1.0, 1.0)
+    cfg = EliminationConfig(mode=mode, nu=None if mode == "exact" else 2)
+
+    def ln_c(target, mode):
+        return eliminate(target, replace(cfg, mode=mode)).log_value
+
+    got = moment(m, log_psi, cfg)
+    if mode in ("exact", "approximate"):
+        assert got == float(np.exp(ln_c(tilted, mode) - ln_c(m, mode)))
+    else:
+        lower = np.exp(ln_c(tilted, "lower_bound") - ln_c(m, "upper_bound"))
+        upper = np.exp(ln_c(tilted, "upper_bound") - ln_c(m, "lower_bound"))
+        assert got == (float(lower), float(upper))
+
+
 # -- POMM extraction --------------------------------------------------------------
 
 

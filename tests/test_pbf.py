@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_states, eval_pbf, prune_dead_oracle, random_dense_pbf
+from helpers import all_states, eval_pbf, prune_dead_oracle, random_dense_pbf, sum_over_oracle
 from pbmrf import (
     PseudoBooleanFunction,
     ResourceCapError,
@@ -23,8 +23,8 @@ from pbmrf import (
 from pbmrf.pbf import (
     PRUNE_TOL,
     TERMS_TABLE_CAP,
+    _GATHER_WIDTH,
     _add_table_terms,
-    _lifted_sum,
     _sum_over,
     close_subsets,
     moebius_transform,
@@ -328,19 +328,22 @@ def test_table_rows_equals_per_bit_sum(k, spare, count, data):
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(st.integers(0, 6), st.sampled_from([(), (1,), (3,)]), st.data())
-def test_lifted_sum_is_the_broadcast_sum_bit_for_bit(m, tail, data):
+@given(st.integers(0, _GATHER_WIDTH + 2), st.sampled_from([(), (1,), (3,)]), st.data())
+def test_sum_over_is_the_broadcast_sum_bit_for_bit(m, tail, data):
+    # joints up to the gather width take the gather when the tables are flat
     joint = sorted(data.draw(st.sets(st.integers(0, 20), min_size=m, max_size=m)))
-    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     factors = []
     for _ in range(data.draw(st.integers(0, 4))):
         scope = tuple(v for v in joint if data.draw(st.booleans()))
-        size = (1 << len(scope)) * (tail[0] if tail else 1)
-        values = data.draw(st.lists(entries, min_size=size, max_size=size))
-        factors.append((scope, np.array(values).reshape((1 << len(scope),) + tail)))
-    got = _lifted_sum(joint, factors, tail)
+        shape = (1 << len(scope),) + tail
+        table = rng.uniform(-8.0, 8.0, shape)
+        table[rng.random(shape) < 0.25] = 0.0
+        table[rng.random(shape) < 0.25] = -0.0
+        factors.append((scope, table))
+    got = _sum_over(joint, factors, tail)
     assert got.shape == (1 << m,) + tail
-    assert got.tobytes() == _sum_over(joint, factors, tail).tobytes()
+    assert got.tobytes() == sum_over_oracle(joint, factors, tail).tobytes()
 
 
 @st.composite
