@@ -28,7 +28,6 @@ from .approx import (
 )
 from .models import (
     LatticeSpec,
-    MarkovRandomField,
     build_2x2_rotinv,
     build_autologistic,
     build_higher_order,

@@ -23,9 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .elimination import EliminationConfig, _expit, eliminate, eliminate_many
-from .models import MarkovRandomField
 from .pbf import (
     PseudoBooleanFunction,
+    _allocate,
     _check_table_size,
     _entries,
     as_int,
@@ -33,6 +33,7 @@ from .pbf import (
     evaluate_many,
 )
 from .pomm import (
+    _BLOCK_ROWS,
     PartiallyOrderedMarkovModel,
     SampleBatch,
     _walk,
@@ -110,7 +111,7 @@ class MleBracket:
 
 def mle_bracket(
     observed: np.ndarray,
-    model_builder: Callable[[float], MarkovRandomField],
+    model_builder: Callable[[float], PseudoBooleanFunction],
     theta_grid,
     nu_schedule,
     table_cap: int | None = None,
@@ -147,10 +148,10 @@ def mle_bracket(
     if not all(map(math.isfinite, grid)):
         raise ValueError("theta_grid values must be finite")
     if sorted(grid) != grid or len(grid) < 3:
-        raise ValueError("theta grid must be sorted with at least 3 points")
+        raise ValueError("theta_grid must be sorted with at least 3 points")
     schedule = [as_int("nu", v) for v in nu_schedule]
     if not schedule:
-        raise ValueError("nu schedule is empty")
+        raise ValueError("nu_schedule is empty")
 
     rounds: list[MleRound] = []
     for nu in schedule:
@@ -197,7 +198,7 @@ def _bound_curves(observed, model_builder, grid, nu, table_cap) -> tuple[list, l
         for mode in ("lower_bound", "upper_bound")
     )
     models = [model_builder(theta) for theta in grid]
-    energies = [evaluate(model.energy, observed) for model in models]
+    energies = [evaluate(model, observed) for model in models]
     size = len(models)
     bounds = eliminate_many(models + models, [lo_cfg] * size + [hi_cfg] * size)
     ln_c_lower, ln_c_upper = bounds[:size], bounds[size:]
@@ -211,7 +212,7 @@ def _bound_curves(observed, model_builder, grid, nu, table_cap) -> tuple[list, l
 
 
 def posterior_energy(
-    y: np.ndarray, prior: MarkovRandomField, lik: GaussianLikelihoodSpec
+    y: np.ndarray, prior: PseudoBooleanFunction, lik: GaussianLikelihoodSpec
 ) -> PseudoBooleanFunction:
     """Prior energy plus the Gaussian log likelihood of the observations.
 
@@ -223,7 +224,7 @@ def posterior_energy(
         raise ValueError(f"observations have shape {y.shape}, expected ({prior.n},)")
     var2 = 2.0 * lik.sigma * lik.sigma
     log_norm = -math.log(lik.sigma * math.sqrt(2.0 * math.pi))
-    terms = prior.energy.terms()
+    terms = prior.terms()
     # an overflow reaches the constructor, which refuses it by name, unwarned
     with np.errstate(all="ignore"):
         constant = float(np.sum(-((y - lik.mu0) ** 2) / var2 + log_norm))
@@ -236,7 +237,7 @@ def posterior_energy(
 
 def map_estimate(
     y: np.ndarray,
-    prior: MarkovRandomField,
+    prior: PseudoBooleanFunction,
     lik: GaussianLikelihoodSpec,
     cfg: EliminationConfig,
 ) -> np.ndarray:
@@ -262,7 +263,7 @@ class RejectionResult:
 
 
 def rejection_sampler(
-    target: MarkovRandomField,
+    target: PseudoBooleanFunction,
     nu: int,
     seed: int,
     count: int,
@@ -285,14 +286,21 @@ def rejection_sampler(
 
     Trial t consumes uniform block t (n state draws plus one acceptance
     draw), so results are reproducible and independent of batch sizes.
+    Each round of max(1024, 2 * count) trials is drawn and walked
+    _BLOCK_ROWS trials at a time, so memory beyond the kept states is O(n).
     Aborts when the empirical rate stays under ``rate_floor`` after
-    ``trial_budget`` trials, which signals that nu is too small.
+    ``trial_budget`` trials (at least 1), which signals that nu is too small.
     """
     count = as_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0.0 <= rate_floor <= 1.0:  # NaN too
         raise ValueError(f"rate_floor must lie in [0, 1], got {rate_floor}")
+    if trial_budget is None:
+        trial_budget = max(10_000, 200 * count)
+    budget = as_int("trial_budget", trial_budget)
+    if budget < 1:
+        raise ValueError(f"trial_budget must be >= 1, got {budget}")
     rng = generator(seed, REJECT_STREAM)
     cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant="post_approximation")
     result = eliminate(target, cfg)
@@ -300,9 +308,11 @@ def rejection_sampler(
     n = target.n
     log_k = -(result.log_value + result.soir_error)
 
-    budget = trial_budget if trial_budget is not None else max(10_000, 200 * count)
-    kept_states: list[np.ndarray] = []
-    kept_dens: list[np.ndarray] = []
+    # the first ``count`` accepted states, in trial order; no more than
+    # ``budget`` can be accepted
+    room = min(count, budget)
+    kept_states = _allocate((room, n), np.uint8, f"count={count}")
+    kept_dens = _allocate(room, float, f"count={count}")
     accepted = 0
     trials = 0
     max_alpha = 0.0
@@ -310,18 +320,22 @@ def rejection_sampler(
     backward = pomm.conditionals[::-1]
     while accepted < count and trials < budget:
         block = min(batch, budget - trials)
-        uniforms = rng.random((block, n + 1))
-        states = np.zeros((n, block), dtype=np.uint8)
-        log_dens = _walk(backward, states, uniforms)
-        log_alpha = log_k + evaluate_many(target.energy, states.T) - log_dens
-        max_alpha = max(max_alpha, float(np.exp(log_alpha.max(initial=-np.inf))))
-        accept = uniforms[:, n] < np.exp(np.minimum(log_alpha, 0.0))
-        kept_states.append(states.T[accept])
-        kept_dens.append(log_dens[accept])
-        accepted += int(accept.sum())
+        for start in range(0, block, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, block - start)
+            uniforms = rng.random((rows, n + 1))
+            states = np.zeros((n, rows), dtype=np.uint8)
+            log_dens = _walk(backward, states, uniforms)
+            log_alpha = log_k + evaluate_many(target, states.T) - log_dens
+            max_alpha = max(max_alpha, float(np.exp(log_alpha.max(initial=-np.inf))))
+            accept = np.flatnonzero(uniforms[:, n] < np.exp(np.minimum(log_alpha, 0.0)))
+            kept = min(accepted, count)
+            keep = accept[: count - kept]
+            kept_states[kept : kept + len(keep)] = states.T[keep]
+            kept_dens[kept : kept + len(keep)] = log_dens[keep]
+            accepted += len(accept)
         trials += block
     if accepted < count:
-        rate = accepted / trials if trials else 0.0
+        rate = accepted / trials
         if rate < rate_floor:
             raise RuntimeError(
                 f"rejection rate {rate:.2e} below floor {rate_floor:.2e} after "
@@ -333,12 +347,11 @@ def rejection_sampler(
             accepted,
             count,
         )
-    states = np.concatenate(kept_states)[:count]
-    dens = np.concatenate(kept_dens)[:count]
-    samples = SampleBatch(states=states, log_densities=dens)
+    kept = min(accepted, count)
+    samples = SampleBatch(states=kept_states[:kept], log_densities=kept_dens[:kept])
     return RejectionResult(
         samples=samples,
-        acceptance_rate=accepted / trials if trials else 0.0,
+        acceptance_rate=accepted / trials,
         log_k_bound=float(log_k),
         trials=trials,
         max_alpha=max_alpha,
@@ -349,7 +362,7 @@ def rejection_sampler(
 
 
 def mh_acceptance_rate(
-    target: MarkovRandomField,
+    target: PseudoBooleanFunction,
     pomm: PartiallyOrderedMarkovModel,
     current,
     seed: int,
@@ -373,8 +386,8 @@ def mh_acceptance_rate(
     current = current.astype(np.uint8)
     proposal = pomm_sample(pomm, seed, len(current))
     log_ratio = (
-        evaluate_many(target.energy, proposal.states)
-        - evaluate_many(target.energy, current)
+        evaluate_many(target, proposal.states)
+        - evaluate_many(target, current)
         + log_density_many(pomm, current)
         - proposal.log_densities
     )
@@ -440,14 +453,14 @@ def _gibbs_levels(neighbours: list[list[int]]) -> list[list[int]]:
 
 
 def gibbs_sampler(
-    mrf: MarkovRandomField,
+    mrf: PseudoBooleanFunction,
     sweeps: int,
     burn_in: int,
     thin: int,
     seed: int,
     chains: int = 1,
 ) -> SampleBatch:
-    """Systematic-scan single-site Gibbs sampling.
+    """Systematic-scan single-site Gibbs sampling from the energy ``mrf``.
 
     Full conditionals come from the energy's interactions touching each
     site: P(x_k = 1 | rest) = expit(sum of beta * prod of the other
@@ -471,7 +484,7 @@ def gibbs_sampler(
     if sweeps < 1 or burn_in < 0 or thin < 1 or chains < 1:
         raise ValueError("need sweeps >= 1, burn_in >= 0, thin >= 1, chains >= 1")
     n = mrf.n
-    neighbours, tables = _site_conditionals(mrf.energy)
+    neighbours, tables = _site_conditionals(mrf)
     prob_one = np.concatenate(tables)
     offsets = np.cumsum([0] + [t.size for t in tables[:-1]])
     # Per level: its sites, their neighbour columns padded with column n
@@ -493,7 +506,8 @@ def gibbs_sampler(
         raise ValueError("no sweep satisfied the burn-in/thinning schedule")
     # Allocated before the first draw, so a record count past memory fails
     # at once; chain-major: all of chain 0's records first.
-    recorded = np.empty((chains, records, n), dtype=np.uint8)
+    context = f"chains={chains}, sweeps={sweeps}, burn_in={burn_in}, thin={thin}"
+    recorded = _allocate((chains, records, n), np.uint8, context)
     states = np.zeros((chains, n + 1), dtype=np.uint8)
     states[:, :n] = rng.random((chains, n)) < 0.5
     for sweep in range(burn_in + (records - 1) * thin + 1):
@@ -504,6 +518,6 @@ def gibbs_sampler(
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             recorded[:, (sweep - burn_in) // thin] = states[:, :n]
     stacked = recorded.reshape(-1, n)
-    energies = evaluate_many(mrf.energy, stacked)
+    energies = evaluate_many(mrf, stacked)
     return SampleBatch(states=stacked, log_densities=energies)
 

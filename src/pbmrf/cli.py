@@ -251,8 +251,8 @@ def _cmd_map(args, config) -> int:
 
 
 def _cmd_mle(args, config) -> int:
-    model = _model(args, config)
-    if model.label != "ising":
+    _model(args, config)  # refused as any command refuses it, a non-finite theta too
+    if _setting(args, config, "family") != "ising":
         raise ValueError("mle bracketing supports the scalar-parameter ising family")
     lat = LatticeSpec(*(_setting(args, config, key, None, int) for key in ("rows", "cols")))
     observed = _read_state(_require_arg(args, config, "x"), lat.n)

@@ -252,15 +252,6 @@ def _expit(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _energy_of(target) -> PseudoBooleanFunction:
-    if isinstance(target, PseudoBooleanFunction):
-        return target
-    energy = getattr(target, "energy", None)
-    if isinstance(energy, PseudoBooleanFunction):
-        return energy
-    raise TypeError(f"expected an MRF or PseudoBooleanFunction, got {type(target)!r}")
-
-
 def _check_width(context: str, m: int, width: int) -> None:
     """Refuse a joint table over m variables past the dense cap.
 
@@ -550,7 +541,7 @@ def _configs(cfg, count: int) -> list[EliminationConfig]:
 
 
 def eliminate_many(targets, cfg) -> list[EliminationResult]:
-    """Run variable elimination on several MRFs or energies over the same variables.
+    """Run variable elimination on several energies over the same variables.
 
     ``cfg`` is one :class:`EliminationConfig` for every target, or a
     sequence of one per target that differ at most in mode, between
@@ -560,7 +551,10 @@ def eliminate_many(targets, cfg) -> list[EliminationResult]:
     docstring); each result, its mode that of its own config, equals its
     own :func:`eliminate` run byte for byte.
     """
-    energies = [_energy_of(target) for target in targets]
+    energies = list(targets)
+    for energy in energies:
+        if not isinstance(energy, PseudoBooleanFunction):
+            raise TypeError(f"expected a PseudoBooleanFunction, got {type(energy)!r}")
     cfgs = _configs(cfg, len(energies))
     if not energies:
         return []
@@ -577,7 +571,7 @@ def eliminate_many(targets, cfg) -> list[EliminationResult]:
 
 
 def eliminate(target, cfg: EliminationConfig) -> EliminationResult:
-    """Run variable elimination on an MRF or a raw energy polynomial."""
+    """Run variable elimination on an energy polynomial."""
     return eliminate_many([target], cfg)[0]
 
 
@@ -596,14 +590,15 @@ def moment(target, log_psi: PseudoBooleanFunction, cfg: EliminationConfig):
     """
     if cfg.marginal != "sum":
         raise ValueError("moments need the sum marginal")
-    energy = _energy_of(target)
-    tilted = add_scaled(energy, log_psi, 1.0, 1.0)
+    if not isinstance(target, PseudoBooleanFunction):
+        raise TypeError(f"expected a PseudoBooleanFunction, got {type(target)!r}")
+    tilted = add_scaled(target, log_psi, 1.0, 1.0)
     base = replace(cfg, pomm_variant="none")
     if cfg.mode in ("exact", "approximate"):
-        num, den = eliminate_many([tilted, energy], base)
+        num, den = eliminate_many([tilted, target], base)
         return float(np.exp(num.log_value - den.log_value))
     lo_cfg = replace(base, mode="lower_bound")
     hi_cfg = replace(base, mode="upper_bound")
-    runs = eliminate_many([tilted, tilted, energy, energy], [lo_cfg, hi_cfg, hi_cfg, lo_cfg])
+    runs = eliminate_many([tilted, tilted, target, target], [lo_cfg, hi_cfg, hi_cfg, lo_cfg])
     num_lo, num_hi, den_hi, den_lo = (r.log_value for r in runs)
     return float(np.exp(num_lo - den_hi)), float(np.exp(num_hi - den_lo))

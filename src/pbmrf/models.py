@@ -1,10 +1,10 @@
 """Binary MRF energy functions on rectangular lattices.
 
-Every builder returns a :class:`MarkovRandomField`: the energy U(x)
-expanded into a pseudo-Boolean polynomial, so that p(x) = exp{U(x)} / c.
+Every builder returns the field's energy U(x) as a
+:class:`~pbmrf.pbf.PseudoBooleanFunction`, so that p(x) = exp{U(x)} / c.
 Its interaction sets are the cliques of the field's neighbourhood, so the
 energy is the whole model.  Nodes are numbered row-major and all lattices
-have free boundaries.
+have free boundaries, of at most MAX_LATTICE_NODES nodes.
 
 Model families:
 
@@ -29,12 +29,13 @@ transform, once per build) through the accumulator of :mod:`pbmrf.pbf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .pbf import (
     PseudoBooleanFunction,
+    ResourceCapError,
     _add_table_terms,
     as_int,
     moebius_transform,
@@ -42,7 +43,7 @@ from .pbf import (
 
 __all__ = [
     "LatticeSpec",
-    "MarkovRandomField",
+    "MAX_LATTICE_NODES",
     "build_ising",
     "build_independence",
     "build_autologistic",
@@ -53,9 +54,15 @@ __all__ = [
 ]
 
 
+# Most nodes a lattice may have (256 x 256): building traces about 1 KiB per
+# node for the first-order families and 7.4 KiB for higher_order, so about
+# 0.5 GiB at the cap.
+MAX_LATTICE_NODES = 1 << 16
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """A rows x cols rectangular lattice, nodes numbered row-major."""
+    """A rows x cols lattice, nodes row-major; past MAX_LATTICE_NODES, ResourceCapError."""
 
     rows: int
     cols: int
@@ -64,7 +71,12 @@ class LatticeSpec:
         object.__setattr__(self, "rows", as_int("rows", self.rows))
         object.__setattr__(self, "cols", as_int("cols", self.cols))
         if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"lattice must be at least 1x1, got {self.rows}x{self.cols}")
+            raise ValueError(f"lattice rows and cols must be >= 1, got {self.rows}x{self.cols}")
+        if self.n > MAX_LATTICE_NODES:
+            raise ResourceCapError(
+                f"lattice rows={self.rows} x cols={self.cols} has "
+                f"{self.n} nodes, cap is {MAX_LATTICE_NODES}"
+            )
 
     @property
     def n(self) -> int:
@@ -72,22 +84,6 @@ class LatticeSpec:
 
     def index(self, r: int, c: int) -> int:
         return r * self.cols + c
-
-
-@dataclass(frozen=True)
-class MarkovRandomField:
-    """A binary MRF as its energy polynomial, with the family's name and parameters."""
-
-    energy: PseudoBooleanFunction
-    label: str = ""
-    params: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-
-    @property
-    def n(self) -> int:
-        return self.energy.n
 
 
 def _lattice_edges(lat: LatticeSpec) -> list[tuple[int, int]]:
@@ -204,26 +200,32 @@ _BLOCK_ROT_CLASS = _orbit_classes(
 # -- builders ---------------------------------------------------------------
 
 
-def _field(lat: LatticeSpec, label: str, params, terms, shapes) -> MarkovRandomField:
-    """The field whose energy adds one coefficient table per clique into ``terms``.
+def _energy(lat: LatticeSpec, names: str, terms, shapes) -> PseudoBooleanFunction:
+    """The energy that adds one coefficient table per clique into ``terms``.
 
     ``shapes`` pairs a list of cliques (cell tuples) with the coefficient
     table each of them contributes, in :func:`pbmrf.pbf.subset_keys`
     order.  The cliques are added one after another, so the energy's term
-    order is ``terms``' keys, then each clique's new sets in turn.
+    order is ``terms``' keys, then each clique's new sets in turn.  A
+    coefficient that is not finite raises ValueError naming the parameters ``names``.
     """
     for cliques, coeffs in shapes:
         for cells in cliques:
             _add_table_terms(terms, cells, coeffs)
-    return MarkovRandomField(PseudoBooleanFunction(lat.n, terms), label=label, params=params)
+    try:
+        return PseudoBooleanFunction(lat.n, terms)
+    except ValueError as exc:
+        raise ValueError(f"{names}: {exc}") from None
 
 
 def _class_coeffs(classes: np.ndarray, potentials) -> list[float]:
     """Coefficients of the clique table whose entry k is ``potentials[classes[k]]``."""
-    return moebius_transform(np.array([potentials[k] for k in classes])).tolist()
+    # an overflow reaches the constructor, which refuses it by name, unwarned
+    with np.errstate(all="ignore"):
+        return moebius_transform(np.array([potentials[k] for k in classes])).tolist()
 
 
-def build_ising(lat: LatticeSpec, theta: float) -> MarkovRandomField:
+def build_ising(lat: LatticeSpec, theta: float) -> PseudoBooleanFunction:
     """Ising energy theta * sum over first-order pairs of I(x_i = x_j).
 
     Per edge I(x_i = x_j) = 1 - x_i - x_j + 2 x_i x_j, so each edge
@@ -232,19 +234,19 @@ def build_ising(lat: LatticeSpec, theta: float) -> MarkovRandomField:
     """
     theta = float(theta)
     edge = [theta, -theta, -theta, 2.0 * theta]
-    return _field(lat, "ising", (theta,), {(): 0.0}, [(_lattice_edges(lat), edge)])
+    return _energy(lat, "theta", {(): 0.0}, [(_lattice_edges(lat), edge)])
 
 
-def build_independence(lat: LatticeSpec, theta: float) -> MarkovRandomField:
+def build_independence(lat: LatticeSpec, theta: float) -> PseudoBooleanFunction:
     """Independent sites: U(x) = theta * sum_i x_i, c = (1+e^theta)^n."""
     theta = float(theta)
     sites = [(i,) for i in range(lat.n)]
-    return _field(lat, "independence", (theta,), {}, [(sites, [0.0, theta])])
+    return _energy(lat, "theta", {}, [(sites, [0.0, theta])])
 
 
 def build_autologistic(
     lat: LatticeSpec, theta0: float, theta1: float
-) -> MarkovRandomField:
+) -> PseudoBooleanFunction:
     """First-order model with equal horizontal and vertical interactions.
 
     U(x) = theta0 * sum I(x_i != x_j) + theta1 * sum I(x_i = x_j = 1);
@@ -252,10 +254,10 @@ def build_autologistic(
     """
     theta0, theta1 = float(theta0), float(theta1)
     edge = [0.0, theta0, theta0, theta1 - 2.0 * theta0]
-    return _field(lat, "autologistic", (theta0, theta1), {}, [(_lattice_edges(lat), edge)])
+    return _energy(lat, "theta0, theta1", {}, [(_lattice_edges(lat), edge)])
 
 
-def build_higher_order(lat: LatticeSpec, potentials) -> MarkovRandomField:
+def build_higher_order(lat: LatticeSpec, potentials) -> PseudoBooleanFunction:
     """Third-order neighbourhood MRF with ten clique-configuration classes.
 
     ``potentials`` holds the four 2x2-block class values followed by the
@@ -269,10 +271,10 @@ def build_higher_order(lat: LatticeSpec, potentials) -> MarkovRandomField:
         (_placements(lat, _BLOCK), _class_coeffs(_BLOCK_FULL_CLASS, pot)),
         (_placements(lat, _CROSS), _class_coeffs(_CROSS_CLASS, pot[4:])),
     ]
-    return _field(lat, "higher_order", pot, {(): 0.0}, shapes)
+    return _energy(lat, "potentials", {(): 0.0}, shapes)
 
 
-def build_2x2_rotinv(lat: LatticeSpec, thetas) -> MarkovRandomField:
+def build_2x2_rotinv(lat: LatticeSpec, thetas) -> PseudoBooleanFunction:
     """3x3 neighbourhood MRF over 2x2 cliques, rotation-invariant classes.
 
     ``thetas`` holds the five non-reference class potentials (one on,
@@ -283,7 +285,7 @@ def build_2x2_rotinv(lat: LatticeSpec, thetas) -> MarkovRandomField:
     if len(th) != 5:
         raise ValueError(f"rotation-invariant model needs 5 parameters, got {len(th)}")
     shapes = [(_placements(lat, _BLOCK), _class_coeffs(_BLOCK_ROT_CLASS, (0.0,) + th))]
-    return _field(lat, "rotinv2x2", th, {(): 0.0}, shapes)
+    return _energy(lat, "thetas", {(): 0.0}, shapes)
 
 
 MODEL_FAMILIES = {
@@ -295,7 +297,7 @@ MODEL_FAMILIES = {
 }
 
 
-def model_from_config(config: dict) -> MarkovRandomField:
+def model_from_config(config: dict) -> PseudoBooleanFunction:
     """Build a model from {"family", "rows", "cols", "params"}."""
     try:
         family = config["family"]

@@ -122,6 +122,14 @@ def _check_table_size(m: int, context: str) -> None:
         )
 
 
+def _allocate(shape, dtype, context: str) -> np.ndarray:
+    """``np.empty(shape, dtype)``; a size numpy refuses raises ValueError naming ``context``."""
+    try:
+        return np.empty(shape, dtype=dtype)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from None
+
+
 def _check_terms_size(m: int, context: str) -> None:
     if m > TERMS_TABLE_CAP:
         raise ResourceCapError(

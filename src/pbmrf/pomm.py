@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pbf import as_int, table_rows
+from .pbf import _allocate, as_int, table_rows
 from .rng import POMM_STREAM, generator
 
 __all__ = [
@@ -35,8 +35,8 @@ __all__ = [
     "state_texts",
 ]
 
-# Rows drawn and decided at once by :func:`sample`, and rendered as text at
-# once by the command line.
+# Rows drawn and decided at once by :func:`sample` and by the rejection
+# sampler, and rendered as text at once by the command line.
 _BLOCK_ROWS = 4096
 
 
@@ -156,8 +156,8 @@ def sample(pomm: PartiallyOrderedMarkovModel, seed: int, count: int) -> SampleBa
         raise ValueError(f"count must be >= 0, got {count}")
     rng = generator(seed, POMM_STREAM)
     backward = pomm.conditionals[::-1]
-    states = np.empty((count, pomm.n), dtype=np.uint8)
-    log_dens = np.empty(count)
+    states = _allocate((count, pomm.n), np.uint8, f"count={count}")
+    log_dens = _allocate(count, float, f"count={count}")
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         block = np.zeros((pomm.n, stop - start), dtype=np.uint8)

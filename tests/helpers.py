@@ -16,7 +16,6 @@ import numpy as np
 
 from pbmrf import (
     LatticeSpec,
-    MarkovRandomField,
     PseudoBooleanFunction,
     interaction_set,
 )
@@ -178,9 +177,10 @@ def model_energy_direct(
     raise ValueError(f"no direct oracle for family {label!r}")
 
 
-def brute_log_c(model, rows: int, cols: int) -> float:
-    states = all_states(model.n)
-    return log_sum_exp(model_energy_direct(model.label, model.params, rows, cols, states))
+def brute_log_c(family: str, params, rows: int, cols: int) -> float:
+    """ln c of a lattice family by summing its direct energy over all states."""
+    states = all_states(rows * cols)
+    return log_sum_exp(model_energy_direct(family, params, rows, cols, states))
 
 
 def random_dense_pbf(
@@ -243,7 +243,10 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def random_test_model(rng: np.random.Generator, max_rows=4, max_cols=5):
-    """(model, rows, cols) from the four lattice families, moderate strengths."""
+    """(energy, family, params, rows, cols) from the four lattice families.
+
+    Moderate strengths; ``family`` and ``params`` feed the direct oracles.
+    """
     family = ["ising", "autologistic", "higher_order", "rotinv2x2"][
         int(rng.integers(4))
     ]
@@ -255,23 +258,24 @@ def random_test_model(rng: np.random.Generator, max_rows=4, max_cols=5):
         cols = int(rng.integers(2, max_cols + 1))
     lat = LatticeSpec(rows, cols)
     if family == "ising":
-        model = build_ising(lat, float(rng.uniform(-1.0, 1.0)))
+        params = (float(rng.uniform(-1.0, 1.0)),)
+        model = build_ising(lat, *params)
     elif family == "autologistic":
-        model = build_autologistic(
-            lat, float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))
-        )
+        params = (float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
+        model = build_autologistic(lat, *params)
     elif family == "higher_order":
-        model = build_higher_order(lat, rng.uniform(-1.0, 1.0, size=10))
+        params = tuple(rng.uniform(-1.0, 1.0, size=10))
+        model = build_higher_order(lat, params)
     else:
-        model = build_2x2_rotinv(lat, rng.uniform(-1.0, 1.0, size=5))
-    return model, rows, cols
+        params = tuple(rng.uniform(-1.0, 1.0, size=5))
+        model = build_2x2_rotinv(lat, params)
+    return model, family, params, rows, cols
 
 
-def star_mrf(leaves: int) -> MarkovRandomField:
+def star_mrf(leaves: int) -> PseudoBooleanFunction:
     """Hub 0 joined by a pair interaction to each of ``leaves`` leaves."""
     n = leaves + 1
-    terms = {(0, k): 0.1 for k in range(1, n)}
-    return MarkovRandomField(PseudoBooleanFunction(n, terms), label="star")
+    return PseudoBooleanFunction(n, {(0, k): 0.1 for k in range(1, n)})
 
 
 def least_squares_project(
@@ -325,7 +329,7 @@ def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> SampleBatc
     """
     n = mrf.n
     site_terms: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n)]
-    for key, b in mrf.energy.terms().items():
+    for key, b in mrf.terms().items():
         if b == 0.0:
             continue
         for k in key:
@@ -347,7 +351,7 @@ def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> SampleBatc
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             snapshots.append(states.copy())
     stacked = np.stack(snapshots, axis=1).reshape(-1, n)
-    return SampleBatch(states=stacked, log_densities=evaluate_many(mrf.energy, stacked))
+    return SampleBatch(states=stacked, log_densities=evaluate_many(mrf, stacked))
 
 
 def _dep_rows_row_major(cond, states: np.ndarray) -> np.ndarray:

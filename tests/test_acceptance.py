@@ -60,15 +60,14 @@ def model_pool():
     rng = np.random.default_rng(20240917)
     pool = []
     while len(pool) < 20:
-        model, rows, cols = random_test_model(rng, max_rows=4, max_cols=5)
-        pool.append((model, rows, cols))
+        pool.append(random_test_model(rng, max_rows=4, max_cols=5))
     return pool
 
 
 @pytest.fixture(scope="module")
 def pool_brute(model_pool):
     started = time.perf_counter()
-    values = [brute_log_c(model, rows, cols) for model, rows, cols in model_pool]
+    values = [brute_log_c(*drawn[1:]) for drawn in model_pool]
     return values, time.perf_counter() - started
 
 
@@ -76,7 +75,7 @@ def test_c01_exact_elimination_matches_brute_force(model_pool, pool_brute):
     references, brute_seconds = pool_brute
     started = time.perf_counter()
     worst = 0.0
-    for (model, rows, cols), reference in zip(model_pool, references):
+    for (model, *_), reference in zip(model_pool, references):
         got = eliminate_exact_sum(model).log_value
         worst = max(worst, abs(got - reference))
     elapsed = brute_seconds + time.perf_counter() - started
@@ -209,7 +208,7 @@ def test_c04_theorem_suite():
 def test_c05_bound_sandwich(model_pool, pool_brute):
     slack = 1e-12
     violations = []
-    for (model, rows, cols), reference in zip(model_pool, pool_brute[0]):
+    for (model, family, _, rows, cols), reference in zip(model_pool, pool_brute[0]):
         for nu in (1, 2, 3, 4):
             lower = eliminate(
                 model, EliminationConfig(mode="lower_bound", nu=nu)
@@ -218,7 +217,7 @@ def test_c05_bound_sandwich(model_pool, pool_brute):
                 model, EliminationConfig(mode="upper_bound", nu=nu)
             ).log_value
             if not (lower <= reference + slack and reference <= upper + slack):
-                violations.append((model.label, rows, cols, nu))
+                violations.append((family, rows, cols, nu))
     # pointwise sandwich on raw polynomials, including piece-by-piece clamps at cap 1
     rng = np.random.default_rng(55)
     worst_point = 0.0
@@ -252,7 +251,7 @@ def test_c05_bound_sandwich(model_pool, pool_brute):
 
 def test_c06_saturation(model_pool):
     worst = 0.0
-    for model, rows, cols in model_pool:
+    for model, *_ in model_pool:
         exact = eliminate_exact_sum(model)
         nu = max(step.eta_after for step in exact.per_step)
         for mode in ("approximate", "lower_bound", "upper_bound"):
@@ -268,7 +267,7 @@ def test_c07_pomm_fidelity():
         m, EliminationConfig(mode="exact", pomm_variant="post_approximation")
     )
     X = all_states(12)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     p = np.exp(u - log_sum_exp(u))
     q = np.exp(log_density_many(res.pomm, X))
     tv_exact = tv_distance(p, q)
@@ -280,7 +279,7 @@ def test_c07_pomm_fidelity():
     )
     batch = sample(res33.pomm, seed=77, count=1_000_000)
     X9 = all_states(9)
-    u9 = eval_pbf(m33.energy, X9)
+    u9 = eval_pbf(m33, X9)
     p9 = np.exp(u9 - log_sum_exp(u9))
     emp = np.bincount(pack_states(batch.states), minlength=512) / batch.count
     tv_sampled = tv_distance(emp, p9)
@@ -296,15 +295,13 @@ def test_c08_viterbi():
     worst = 0.0
     bracket_ok = True
     for _ in range(20):
-        model, rows, cols = random_test_model(rng, max_rows=4, max_cols=4)
+        model, family, params, rows, cols = random_test_model(rng, max_rows=4, max_cols=4)
         from helpers import model_energy_direct
 
-        u = model_energy_direct(
-            model.label, model.params, rows, cols, all_states(model.n)
-        )
+        u = model_energy_direct(family, params, rows, cols, all_states(model.n))
         exact = eliminate(model, EliminationConfig(marginal="max"))
         worst = max(worst, abs(exact.log_value - u.max()))
-        achieved = eval_pbf(model.energy, exact.argmax.reshape(1, -1))[0]
+        achieved = eval_pbf(model, exact.argmax.reshape(1, -1))[0]
         worst = max(worst, abs(achieved - exact.log_value))
         lo = eliminate(
             model, EliminationConfig(mode="lower_bound", marginal="max", nu=2)
@@ -326,7 +323,7 @@ def test_c09_weak_interaction_trend():
     gap = {}
     for theta in (0.4, 0.8):
         m = build_ising(lat, theta)
-        exact = brute_log_c(m, 4, 4)
+        exact = brute_log_c("ising", (theta,), 4, 4)
         approx = eliminate(m, EliminationConfig(mode="approximate", nu=2)).log_value
         lower = eliminate(m, EliminationConfig(mode="lower_bound", nu=2)).log_value
         upper = eliminate(m, EliminationConfig(mode="upper_bound", nu=2)).log_value
@@ -344,14 +341,14 @@ def test_c09_weak_interaction_trend():
 def test_c10_mle_bracket_contains_grid_mle():
     lat = LatticeSpec(4, 4)
     grid = list(np.linspace(0.0, 2.0, 11))
-    ln_c = {t: brute_log_c(build_ising(lat, t), 4, 4) for t in grid}
+    ln_c = {t: brute_log_c("ising", (t,), 4, 4) for t in grid}
     m06 = build_ising(lat, 0.6)
     failures = []
     for seed in range(10):
         obs = gibbs_sampler(m06, sweeps=220, burn_in=219, thin=1, seed=seed).states[0]
         bracket = mle_bracket(obs, lambda t: build_ising(lat, t), grid, [16])
         ell = [
-            eval_pbf(build_ising(lat, t).energy, obs.reshape(1, -1))[0] - ln_c[t]
+            eval_pbf(build_ising(lat, t), obs.reshape(1, -1))[0] - ln_c[t]
             for t in grid
         ]
         best = grid[int(np.argmax(ell))]
@@ -366,7 +363,7 @@ def test_c11_rejection_sampler():
         m, nu=2, seed=11, count=100_000, trial_budget=1_000_000
     )
     X = all_states(9)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     p = np.exp(u - log_sum_exp(u))
     emp = np.bincount(pack_states(result.samples.states), minlength=512) / 100_000
     tv = tv_distance(emp, p)

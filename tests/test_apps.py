@@ -2,6 +2,8 @@
 
 import math
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from pbmrf import (
     GaussianLikelihoodSpec,
     LatticeSpec,
     ResourceCapError,
+    build_2x2_rotinv,
+    build_autologistic,
     build_higher_order,
     build_independence,
     build_ising,
@@ -44,7 +48,7 @@ from pbmrf.pomm import log_density_many, sample
 def ising_distribution(lat, theta):
     m = build_ising(lat, theta)
     X = all_states(m.n)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     return m, X, np.exp(u - log_sum_exp(u))
 
 
@@ -70,8 +74,8 @@ def test_mle_bracket_contains_grid_mle_exact_bounds():
         bracket = mle_bracket(obs, lambda t: build_ising(lat, t), grid, [16, 16])
         for rnd in bracket.rounds:
             ell = [
-                eval_pbf(build_ising(lat, t).energy, obs.reshape(1, -1))[0]
-                - brute_log_c(build_ising(lat, t), 4, 4)
+                eval_pbf(build_ising(lat, t), obs.reshape(1, -1))[0]
+                - brute_log_c("ising", (t,), 4, 4)
                 for t in rnd.grid
             ]
             best = int(np.argmax(ell))
@@ -120,7 +124,7 @@ def test_mle_bracket_curves_are_the_single_bounds():
         assert all(type(t) is float for t in rnd.grid)
         for t, lower, upper in zip(rnd.grid, rnd.ell_lower, rnd.ell_upper, strict=True):
             model = build_ising(lat, t)
-            energy = float(evaluate_many(model.energy, obs.reshape(1, -1))[0])
+            energy = float(evaluate_many(model, obs.reshape(1, -1))[0])
             ln_c = {
                 mode: eliminate(model, EliminationConfig(mode=mode, nu=rnd.nu)).log_value
                 for mode in ("lower_bound", "upper_bound")
@@ -232,7 +236,7 @@ def test_rejection_alphas_under_one_via_log_k():
     cfg = EliminationConfig(mode="approximate", nu=3, pomm_variant="post_approximation")
     pomm = eliminate(m, cfg).pomm
     log_alpha = (
-        result.log_k_bound + eval_pbf(m.energy, X) - log_density_many(pomm, X)
+        result.log_k_bound + eval_pbf(m, X) - log_density_many(pomm, X)
     )
     assert log_alpha.max() <= 1e-12
 
@@ -250,6 +254,56 @@ def test_rejection_refuses_a_rate_floor_outside_the_unit_interval(rate_floor):
     m = build_ising(LatticeSpec(2, 2), 0.4)
     with pytest.raises(ValueError, match="rate_floor"):
         rejection_sampler(m, nu=1, seed=0, count=3, rate_floor=rate_floor)
+
+
+@pytest.mark.parametrize("trial_budget", [0, -1, 2.5, True, math.nan])
+def test_rejection_refuses_a_trial_budget_below_one_trial(trial_budget):
+    # a budget of no trials used to end in the rate-floor RuntimeError, or,
+    # with rate_floor 0, in numpy's error on concatenating no kept states
+    m = build_ising(LatticeSpec(2, 2), 0.4)
+    with pytest.raises(ValueError, match="trial_budget"):
+        rejection_sampler(m, nu=1, seed=0, count=3, rate_floor=0.0, trial_budget=trial_budget)
+
+
+def rejection_fields(result) -> tuple:
+    """Every field of a rejection result, arrays as bytes."""
+    samples = result.samples
+    return (samples.states.tobytes(), samples.states.shape, samples.log_densities.tobytes(),
+            result.acceptance_rate, result.log_k_bound, result.trials, result.max_alpha)
+
+
+@pytest.mark.parametrize("block_rows", [64, 100])
+@pytest.mark.parametrize(
+    "count, trial_budget",
+    [
+        (600, None),  # one round of 1,200 trials
+        (3, None),  # one round of 1,024 trials
+        (5_000, 1_500),  # a budget that ends inside the first round
+    ],
+)
+def test_rejection_blocks_change_no_field(monkeypatch, block_rows, count, trial_budget):
+    # a round is drawn _BLOCK_ROWS trials at a time, its last block partial
+    m = build_ising(LatticeSpec(3, 3), 0.4)
+    settings = {"nu": 2, "seed": 4, "count": count, "rate_floor": 0.0, "trial_budget": trial_budget}
+    want = rejection_fields(rejection_sampler(m, **settings))
+    monkeypatch.setattr(apps, "_BLOCK_ROWS", block_rows)
+    assert rejection_fields(rejection_sampler(m, **settings)) == want
+
+
+def test_rejection_memory_is_the_kept_states_and_one_block():
+    # 100,000 draws on 3x3: a round of 200,000 trials whose uniforms alone
+    # took 16 MB when a round was drawn at once
+    m = build_ising(LatticeSpec(3, 3), 0.4)
+    tracemalloc.start()
+    try:
+        result = rejection_sampler(m, nu=2, seed=1, count=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trials == 200_000
+    kept = 100_000 * (9 + 8)  # a uint8 state and a float64 density per draw
+    block = 4096 * 10 * 8  # one block of uniforms
+    assert peak < kept + 8 * block, peak
 
 
 def _gibbs_with(name, value):
@@ -311,6 +365,17 @@ def test_sampler_seeds_and_counts_refuse_fractions_and_booleans(call, name, valu
     _sampler_call(call, name, 2.0)  # an integral float passes
 
 
+@pytest.mark.parametrize("value", [2**63, 2**64, 10**308])
+@pytest.mark.parametrize(
+    "call, name",
+    [("sample", "count"), ("rejection_sampler", "count"), ("gibbs_sampler", "chains")],
+)
+def test_sizes_past_numpy_are_refused_by_name(call, name, value):
+    # numpy refused each array with a ValueError that named no argument
+    with pytest.raises(ValueError, match=rf"^{name}={value}"):
+        _sampler_call(call, name, value)
+
+
 @pytest.mark.parametrize(
     "model, nu",
     [
@@ -343,7 +408,7 @@ def test_mh_rate_matches_exhaustive_double_sum():
     m, X, p = ising_distribution(LatticeSpec(3, 3), 0.6)
     cfg = EliminationConfig(mode="approximate", nu=2, pomm_variant="pre_approximation")
     pomm = eliminate(m, cfg).pomm
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     lq = log_density_many(pomm, X)
     q = np.exp(lq)
     # row x ~ target, column x' ~ proposal:
@@ -423,7 +488,7 @@ def test_gibbs_handles_higher_order_conditionals():
     rng = np.random.default_rng(4)
     m = build_2x2_rotinv(LatticeSpec(3, 3), rng.uniform(-0.8, 0.8, size=5))
     X = all_states(9)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     p = np.exp(u - log_sum_exp(u))
     batch = gibbs_sampler(m, sweeps=1300, burn_in=100, thin=4, seed=8, chains=400)
     emp = np.bincount(pack_states(batch.states), minlength=512) / batch.count
@@ -469,7 +534,7 @@ def test_gibbs_runs_no_sweep_after_its_last_record(monkeypatch):
 def test_gibbs_refuses_records_past_memory_before_its_first_draw(monkeypatch):
     # 2^62 records of 4 sites: the sweeps used to run, filling memory, first
     draws = listed_gibbs_draws(monkeypatch)
-    with pytest.raises((ValueError, MemoryError)):
+    with pytest.raises(ValueError, match="sweeps"):
         gibbs_sampler(build_ising(LatticeSpec(2, 2), 0.4), 2**62, 0, 1, seed=0)
     assert draws == []
 
@@ -506,7 +571,7 @@ def test_gibbs_equals_site_by_site_scan(model, data):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(lattice_models())
 def test_gibbs_levels_respect_the_scan_order(model):
-    neighbours, _ = _site_conditionals(model.energy)
+    neighbours, _ = _site_conditionals(model)
     levels = _gibbs_levels(neighbours)
     level = {}
     for lv, sites in enumerate(levels):
@@ -515,7 +580,7 @@ def test_gibbs_levels_respect_the_scan_order(model):
             level[k] = lv
     assert sorted(level) == list(range(model.n))
     # within a level no two sites share an energy term
-    for key, b in model.energy.terms().items():
+    for key, b in model.terms().items():
         if b != 0.0:
             assert len({level[k] for k in key}) == len(key)
     # every lower-index neighbour was updated in an earlier level
@@ -526,7 +591,7 @@ def test_gibbs_levels_respect_the_scan_order(model):
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (4, 4), (3, 7), (12, 12)])
 def test_ising_lattice_has_rows_plus_cols_minus_one_levels(rows, cols):
     model = build_ising(LatticeSpec(rows, cols), 0.5)
-    neighbours, _ = _site_conditionals(model.energy)
+    neighbours, _ = _site_conditionals(model)
     assert len(_gibbs_levels(neighbours)) == rows + cols - 1
 
 
@@ -536,3 +601,121 @@ def test_gibbs_caps_site_neighbourhoods_before_tabulating():
     with pytest.raises(ResourceCapError, match="site 0"):
         gibbs_sampler(star, sweeps=1, burn_in=0, thin=1, seed=0)
     assert time.perf_counter() - started < 2.0
+
+
+# -- every bad number refused by name: the library contract -------------------
+
+# The command-line contract's edge values as numbers: integers at and past
+# 64 bits, a huge, a non-finite and a fractional float, and a boolean.
+LIBRARY_EDGES = [0, -1, 2**63, 2**64, 1e308, math.inf, -math.inf, math.nan, 2.5, True]
+# Arguments that set an amount of work take no value past 2^63: a burn-in
+# of 2^63 sweeps asks for that much.
+LIBRARY_WORK = {("gibbs_sampler", "sweeps"), ("gibbs_sampler", "burn_in")}
+
+
+def _library_calls():
+    """Each entry point on a tiny lattice: (call, {argument: (value, name in errors)}).
+
+    A list argument is set one element at a time; its errors name the
+    argument or, for a model builder's theta, the parameter.
+    """
+    lat = LatticeSpec(2, 2)
+    model = build_ising(lat, 0.4)
+    cfg = EliminationConfig(mode="approximate", nu=1, pomm_variant="post_approximation")
+    pomm = eliminate(model, cfg).pomm
+    observed = np.array([0, 1, 1, 0], dtype=np.uint8)
+    return {
+        "EliminationConfig": (
+            lambda nu, table_cap: EliminationConfig(mode="lower_bound", nu=nu, table_cap=table_cap),
+            {"nu": (1, "nu"), "table_cap": (1, "table_cap")},
+        ),
+        "LatticeSpec": (LatticeSpec, {"rows": (2, "rows"), "cols": (2, "cols")}),
+        "build_ising": (lambda theta: build_ising(lat, theta), {"theta": (0.4, "theta")}),
+        "build_independence": (
+            lambda theta: build_independence(lat, theta), {"theta": (0.4, "theta")}
+        ),
+        "build_autologistic": (
+            lambda theta0, theta1: build_autologistic(lat, theta0, theta1),
+            {"theta0": (0.4, "theta0"), "theta1": (-0.2, "theta1")},
+        ),
+        "build_higher_order": (
+            lambda first, last: build_higher_order(LatticeSpec(3, 3), [first] + [0.1] * 8 + [last]),
+            {"first": (0.3, "potentials"), "last": (-0.2, "potentials")},
+        ),
+        "build_2x2_rotinv": (
+            lambda first, last: build_2x2_rotinv(lat, [first, 0.1, 0.2, 0.3, last]),
+            {"first": (0.3, "thetas"), "last": (-0.2, "thetas")},
+        ),
+        "sample": (
+            lambda seed, count: sample(pomm, seed, count),
+            {"seed": (0, "seed"), "count": (3, "count")},
+        ),
+        "rejection_sampler": (
+            lambda **kw: rejection_sampler(model, **kw),
+            {"nu": (1, "nu"), "seed": (0, "seed"), "count": (3, "count"),
+             "rate_floor": (1e-3, "rate_floor"), "trial_budget": (10_000, "trial_budget")},
+        ),
+        "gibbs_sampler": (
+            lambda **kw: gibbs_sampler(model, **kw),
+            {"sweeps": (3, "sweeps"), "burn_in": (0, "burn_in"), "thin": (1, "thin"),
+             "seed": (0, "seed"), "chains": (2, "chains")},
+        ),
+        "mle_bracket": (
+            lambda low, high, nu, table_cap: mle_bracket(
+                observed, lambda t: build_ising(lat, t), [low, 0.5, high], [1, nu], table_cap
+            ),
+            {"low": (0.0, "theta"), "high": (1.0, "theta"), "nu": (2, "nu"),
+             "table_cap": (1, "table_cap")},
+        ),
+        "mh_acceptance_rate": (
+            lambda seed: mh_acceptance_rate(model, pomm, np.zeros((3, 4), np.uint8), seed),
+            {"seed": (0, "seed")},
+        ),
+    }
+
+
+LIBRARY_CALLS = _library_calls()
+
+
+def library_edges(call, argument):
+    huge = (2**63, 2**64, 1e308) if (call, argument) in LIBRARY_WORK else ()
+    return [v for v in LIBRARY_EDGES if not any(v is h for h in huge)]
+
+
+def assert_returns_or_refuses_by_name(call, values):
+    """Run ``call`` with ``values`` set: it returns or names one of them, unwarned."""
+    fn, arguments = LIBRARY_CALLS[call]
+    kwargs = {name: default for name, (default, _) in arguments.items()}
+    kwargs.update(values)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fn(**kwargs)
+        except (ValueError, TypeError, ResourceCapError) as exc:
+            names = {arguments[name][1] for name in values}
+            assert any(name in str(exc) for name in names), (call, values, exc)
+    assert [str(w.message) for w in caught] == [], (call, values)
+
+
+def test_every_bad_argument_is_refused_by_name():
+    # each argument of each call alone, at every value of its pool
+    for call, (_, arguments) in LIBRARY_CALLS.items():
+        for name in arguments:
+            for value in library_edges(call, name):
+                assert_returns_or_refuses_by_name(call, {name: value})
+
+
+@st.composite
+def library_inputs(draw):
+    """A call and one or two of its arguments set to edge values."""
+    call = draw(st.sampled_from(sorted(LIBRARY_CALLS)))
+    arguments = sorted(LIBRARY_CALLS[call][1])
+    names = draw(st.lists(st.sampled_from(arguments), min_size=1, max_size=2, unique=True))
+    return call, {name: draw(st.sampled_from(library_edges(call, name))) for name in names}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(library_inputs())
+def test_every_bad_library_input_is_refused_by_name(drawn):
+    # pairs of bad values; the test above takes every single one
+    assert_returns_or_refuses_by_name(*drawn)

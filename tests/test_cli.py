@@ -16,12 +16,14 @@ from pbmrf import (
     DENSE_TABLE_CAP,
     EliminationConfig,
     LatticeSpec,
+    ResourceCapError,
     build_ising,
     eliminate,
     gibbs_sampler,
 )
 from pbmrf import cli
 from pbmrf.cli import main
+from pbmrf.models import MAX_LATTICE_NODES
 from pbmrf.pomm import _BLOCK_ROWS as BLOCK_ROWS, sample as pomm_sample, state_texts
 
 
@@ -64,7 +66,7 @@ def test_norm_sweep_brackets_brute_force(tmp_path):
     cfg.write_text(json.dumps({"family": "ising", "rows": 4, "cols": 4, "params": [0.8]}))
     out = tmp_path / "norm.csv"
     assert run(["norm", "--config", str(cfg), "--nu", "1,2,3,4", "--out", str(out)]) == 0
-    exact = brute_log_c(build_ising(LatticeSpec(4, 4), 0.8), 4, 4)
+    exact = brute_log_c("ising", (0.8,), 4, 4)
     for line in out.read_text().strip().splitlines()[1:]:
         fields = line.split(",")
         lower, upper, gap = float(fields[2]), float(fields[3]), float(fields[4])
@@ -266,8 +268,8 @@ def test_mle_command_brackets_grid_mle(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     thetas = [float(r[1]) for r in rows]
     ells = [
-        eval_pbf(build_ising(lat, t).energy, obs.reshape(1, -1))[0]
-        - brute_log_c(build_ising(lat, t), 3, 3)
+        eval_pbf(build_ising(lat, t), obs.reshape(1, -1))[0]
+        - brute_log_c("ising", (t,), 3, 3)
         for t in thetas
     ]
     best = int(np.argmax(ells))
@@ -600,15 +602,34 @@ def test_config_defaults_exact_mode_does_not_read_are_allowed(
 
 # -- every bad input refused by name: the command-line contract ----------------
 
+
+@pytest.mark.parametrize("rows, cols", [(MAX_LATTICE_NODES + 1, 1), (1, MAX_LATTICE_NODES + 1),
+                                        (2**63, 2), (2, 2**64)])
+def test_lattice_past_the_node_cap_is_refused_before_it_builds(tmp_path, capsys, rows, cols):
+    # a lattice of 2^63 rows used to be built edge by edge until memory ran
+    # out; this test runs before the contract tests below, which draw such
+    # sizes, so that a lost cap fails here rather than building there
+    with pytest.raises(ResourceCapError, match=rf"rows={rows} x cols={cols} has "):
+        LatticeSpec(rows, cols)
+    argv = ["norm", "--family", "ising", "--rows", str(rows), "--cols", str(cols),
+            "--params", "0.4", "--nu", "2", "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"resource cap: lattice rows={rows} x cols={cols} has {rows * cols} nodes, " \
+                  f"cap is {MAX_LATTICE_NODES}\n"
+    assert LatticeSpec(MAX_LATTICE_NODES, 1).n == MAX_LATTICE_NODES
+
+
 # Values that slipped through hand-made checks before: integers at and past
 # 64 bits, non-finite and fractional numbers, a word, the empty string, a
 # missing file and a parameter list of the wrong length.
 EDGE_VALUES = ["0", "-1", str(2**63), str(2**64), "1e308", "inf", "-inf", "nan", "2.5",
                "true", "", "MISSING", "0.1,0.2,0.3"]
-# Flags that set an amount of work take no value past 2^63: a lattice of
-# 2^63 rows or a burn-in of 2^63 sweeps asks for that much, so the lattices
-# stay tiny and every run short.
-WORK_FLAGS = {"--rows", "--cols", "--burn-in"}
+# Flags that set an amount of work take no value past 2^63: a burn-in of
+# 2^63 sweeps asks for that much, so every run stays short.  A lattice past
+# models.MAX_LATTICE_NODES is refused before it is built, so --rows and
+# --cols take every value.
+WORK_FLAGS = {"--burn-in"}
 MODEL_FLAGS = {"--family": "ising", "--rows": "2", "--cols": "2", "--params": "0.4"}
 # Each command's flags, with a value that runs on the 2x2 Ising model.
 COMMAND_FLAGS = {

@@ -64,17 +64,34 @@ def test_zero_interaction_energy_any_mode():
 
 def test_exact_4x4_ising_vs_brute_force():
     m = build_ising(LatticeSpec(4, 4), 0.8)
-    assert abs(eliminate_exact_sum(m).log_value - brute_log_c(m, 4, 4)) < 1e-9
+    assert abs(eliminate_exact_sum(m).log_value - brute_log_c("ising", (0.8,), 4, 4)) < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_elimination_is_order_invariant(seed):
     rng = np.random.default_rng(800 + seed)
-    model, rows, cols = random_test_model(rng, max_rows=3, max_cols=4)
+    model, *_ = random_test_model(rng, max_rows=3, max_cols=4)
     reference = eliminate_exact_sum(model).log_value
     order = rng.permutation(model.n)
     res = eliminate(model, EliminationConfig(order=tuple(order)))
     assert abs(res.log_value - reference) < 1e-9
+
+
+@pytest.mark.parametrize("target", [None, 1.5, {(0, 1): 0.5}])
+def test_eliminate_and_moment_take_only_an_energy(target):
+    # an object holding an energy is refused too: a model is its energy
+    class Holder:
+        energy = build_ising(LatticeSpec(2, 2), 0.4)
+        n = 4
+
+    psi = PseudoBooleanFunction(4, {(0,): 0.1})
+    for bad in (target, Holder()):
+        with pytest.raises(TypeError, match="expected a PseudoBooleanFunction"):
+            eliminate(bad, EliminationConfig())
+        with pytest.raises(TypeError, match="expected a PseudoBooleanFunction"):
+            eliminate_many([Holder.energy, bad], EliminationConfig())
+        with pytest.raises(TypeError, match="expected a PseudoBooleanFunction"):
+            moment(bad, psi, EliminationConfig())
 
 
 def test_order_must_be_permutation():
@@ -125,7 +142,7 @@ def test_config_takes_integral_floats():
 def test_saturated_nu_reproduces_exact():
     rng = np.random.default_rng(13)
     for _ in range(4):
-        model, rows, cols = random_test_model(rng, max_rows=3, max_cols=4)
+        model, *_ = random_test_model(rng, max_rows=3, max_cols=4)
         exact = eliminate_exact_sum(model).log_value
         for mode in ("approximate", "lower_bound", "upper_bound"):
             res = eliminate(model, EliminationConfig(mode=mode, nu=model.n))
@@ -137,7 +154,7 @@ def test_weak_interactions_approximate_better():
     errors = {}
     for theta in (0.4, 0.8):
         m = build_ising(lat, theta)
-        exact = brute_log_c(m, 4, 4)
+        exact = brute_log_c("ising", (theta,), 4, 4)
         approx = eliminate(m, EliminationConfig(mode="approximate", nu=2))
         errors[theta] = abs(approx.log_value - exact)
     assert errors[0.4] <= errors[0.8]
@@ -157,7 +174,7 @@ def test_eta_respects_nu_in_capped_modes():
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_bound_sandwich_on_4x4_ising(nu):
     m = build_ising(LatticeSpec(4, 4), 0.8)
-    exact = brute_log_c(m, 4, 4)
+    exact = brute_log_c("ising", (0.8,), 4, 4)
     lower = eliminate(m, EliminationConfig(mode="lower_bound", nu=nu)).log_value
     upper = eliminate(m, EliminationConfig(mode="upper_bound", nu=nu)).log_value
     assert lower <= exact + 1e-12
@@ -187,8 +204,9 @@ def test_forced_splitting_with_table_cap_one():
     rng = np.random.default_rng(5)
     from pbmrf import build_higher_order
 
-    m = build_higher_order(LatticeSpec(3, 4), rng.uniform(-0.8, 0.8, size=10))
-    exact = brute_log_c(m, 3, 4)
+    potentials = rng.uniform(-0.8, 0.8, size=10)
+    m = build_higher_order(LatticeSpec(3, 4), potentials)
+    exact = brute_log_c("higher_order", potentials, 3, 4)
     for mode in ("lower_bound", "upper_bound"):
         res = eliminate(m, EliminationConfig(mode=mode, nu=2, table_cap=1))
         if mode == "lower_bound":
@@ -216,10 +234,10 @@ def test_max_mode_independence_argmax():
 def test_max_mode_exact_vs_exhaustive():
     m = build_ising(LatticeSpec(4, 4), 0.6)
     X = all_states(16)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     res = eliminate(m, EliminationConfig(marginal="max"))
     assert abs(res.log_value - u.max()) < 1e-9
-    assert abs(eval_pbf(m.energy, res.argmax.reshape(1, -1))[0] - res.log_value) < 1e-9
+    assert abs(eval_pbf(m, res.argmax.reshape(1, -1))[0] - res.log_value) < 1e-9
 
 
 def test_max_mode_saturated_matches_exact():
@@ -234,12 +252,10 @@ def test_max_mode_saturated_matches_exact():
 
 def test_max_mode_bounds_bracket_maximum():
     rng = np.random.default_rng(31)
-    model, rows, cols = random_test_model(rng, max_rows=3, max_cols=4)
+    model, family, params, rows, cols = random_test_model(rng, max_rows=3, max_cols=4)
     from helpers import model_energy_direct
 
-    u = model_energy_direct(
-        model.label, model.params, rows, cols, all_states(model.n)
-    )
+    u = model_energy_direct(family, params, rows, cols, all_states(model.n))
     lo = eliminate(
         model, EliminationConfig(mode="lower_bound", marginal="max", nu=2)
     ).log_value
@@ -506,7 +522,7 @@ def test_moment_exponential_site_vs_brute_force():
     m = build_ising(LatticeSpec(2, 2), 0.4)
     log_psi = PseudoBooleanFunction(4, {(0,): 1.0})  # psi = e^{x_0}
     X = all_states(4)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     p = np.exp(u - log_sum_exp(u))
     want = float((np.exp(X[:, 0].astype(float)) * p).sum())
     got = moment(m, log_psi, EliminationConfig())
@@ -522,7 +538,7 @@ def test_moment_equals_its_single_runs(mode):
     # one batched call gives the bits of one eliminate per energy and bound
     m = build_higher_order(LatticeSpec(3, 4), np.linspace(-0.6, 0.7, 10))
     log_psi = PseudoBooleanFunction(12, {(0, 5): 0.8, (3,): -0.4, (6, 7, 10): 0.3})
-    tilted = add_scaled(m.energy, log_psi, 1.0, 1.0)
+    tilted = add_scaled(m, log_psi, 1.0, 1.0)
     cfg = EliminationConfig(mode=mode, nu=None if mode == "exact" else 2)
 
     def ln_c(target, mode):
@@ -546,7 +562,7 @@ def test_pomm_normalises_and_matches_exact_distribution():
         m, EliminationConfig(mode="exact", pomm_variant="post_approximation")
     )
     X = all_states(9)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     p = np.exp(u - log_sum_exp(u))
     q = np.exp(log_density_many(res.pomm, X))
     assert abs(q.sum() - 1.0) < 1e-10
@@ -669,20 +685,21 @@ def assert_same_runs(dead, pruned, orders, modes):
 def test_incremental_prune_matches_full_prune(mode, nu, seed):
     # an unpruned input with dead zero leaves runs as its pruned copy does
     rng = np.random.default_rng(900 + seed)
-    m = build_higher_order(LatticeSpec(4, 4), rng.uniform(-1, 1, size=10))
-    live = [set(key) for key, b in m.energy.terms().items() if b != 0.0]
+    potentials = rng.uniform(-1, 1, size=10)
+    m = build_higher_order(LatticeSpec(4, 4), potentials)
+    live = [set(key) for key, b in m.terms().items() if b != 0.0]
     zeros = {
         key: 0.0
         for key in (tuple(sorted(rng.choice(16, size=k, replace=False))) for k in (2, 2, 3, 4))
         if not any(set(key) <= other for other in live)
     }
     assert zeros
-    dead = PseudoBooleanFunction(16, {**m.energy.terms(), **zeros}, prune=False)
-    assert len(dead) > len(m.energy)
-    assert_same_runs(dead, m.energy, lattice_orders(4, 4).values(), [(mode, nu)])
+    dead = PseudoBooleanFunction(16, {**m.terms(), **zeros}, prune=False)
+    assert len(dead) > len(m)
+    assert_same_runs(dead, m, lattice_orders(4, 4).values(), [(mode, nu)])
     if nu == m.n:
         res = eliminate(dead, EliminationConfig(mode=mode, nu=nu))
-        assert abs(res.log_value - brute_log_c(m, 4, 4)) < 1e-9
+        assert abs(res.log_value - brute_log_c("higher_order", potentials, 4, 4)) < 1e-9
 
 
 def test_incremental_prune_drops_zero_leaves_of_unpruned_input():
@@ -736,7 +753,7 @@ def assert_same_bytes(got, want):
 def small_lattice_models(draw):
     """A model of :func:`random_test_model` on at most 16 nodes, and a cap nu."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model, _, _ = random_test_model(rng, max_rows=4, max_cols=4)
+    model, *_ = random_test_model(rng, max_rows=4, max_cols=4)
     return model, draw(st.integers(1, 4))
 
 
@@ -747,7 +764,7 @@ def test_soir_error_bounds_the_approximation_and_the_rejection_gap(case):
     cfg = EliminationConfig(mode="approximate", nu=nu, pomm_variant="post_approximation")
     res = eliminate(model, cfg)
     states = all_states(model.n)
-    energy = eval_pbf(model.energy, states)
+    energy = eval_pbf(model, states)
     # U - ln q = ln c~ + the sum of the removal errors, each within its bound
     gap = energy - log_density_many(res.pomm, states) - res.log_value
     assert gap.max() <= res.soir_error + 1e-12
@@ -771,7 +788,7 @@ def test_soir_error_is_zero_without_removals(case):
 )
 def test_eliminate_many_gives_each_member_its_own_soir_error(case, thetas):
     model, nu = case
-    members = [scale(model.energy, theta) for theta in thetas]
+    members = [scale(model, theta) for theta in thetas]
     cfg = EliminationConfig(mode="approximate", nu=nu)
     for got, f in zip(eliminate_many(members, cfg), members, strict=True):
         assert got.soir_error.hex() == eliminate(f, cfg).soir_error.hex()
@@ -924,7 +941,7 @@ def last_singleton_zeroed(f):
 def test_members_with_other_input_sets_part_before_step_0(caplog, other):
     # the members never share a step: they part when their nonzero sets are
     # grouped, not when a step reads the bucket where they differ
-    f = build_ising(LatticeSpec(4, 4), 0.6).energy
+    f = build_ising(LatticeSpec(4, 4), 0.6)
     members = [f, other(f)]
     for mode, marginal, variant in CONFIGS:
         cfg = EliminationConfig(mode=mode, marginal=marginal, pomm_variant=variant,

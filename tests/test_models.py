@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,20 +35,16 @@ MODEL1_POTENTIALS = (0.5, 0.0, 0.0, -1.0, 0.0, -1.5, 0.0, 0.0, -0.5, -0.5)
 
 
 def builders(rng):
+    """(family, params, make) per family: ``make(lat)`` builds it with params."""
+    ising, independence = (float(rng.uniform(-1, 1)),), (float(rng.uniform(-1, 1)),)
+    autologistic = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+    higher_order, rotinv = tuple(rng.uniform(-1, 1, size=10)), tuple(rng.uniform(-1, 1, size=5))
     return [
-        ("ising", lambda lat: build_ising(lat, float(rng.uniform(-1, 1)))),
-        (
-            "autologistic",
-            lambda lat: build_autologistic(
-                lat, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
-            ),
-        ),
-        (
-            "higher_order",
-            lambda lat: build_higher_order(lat, rng.uniform(-1, 1, size=10)),
-        ),
-        ("rotinv2x2", lambda lat: build_2x2_rotinv(lat, rng.uniform(-1, 1, size=5))),
-        ("independence", lambda lat: build_independence(lat, float(rng.uniform(-1, 1)))),
+        ("ising", ising, lambda lat: build_ising(lat, *ising)),
+        ("autologistic", autologistic, lambda lat: build_autologistic(lat, *autologistic)),
+        ("higher_order", higher_order, lambda lat: build_higher_order(lat, higher_order)),
+        ("rotinv2x2", rotinv, lambda lat: build_2x2_rotinv(lat, rotinv)),
+        ("independence", independence, lambda lat: build_independence(lat, *independence)),
     ]
 
 
@@ -58,7 +55,7 @@ def builders(rng):
 def test_free_boundary_edge_count(rows, cols):
     assert len(lattice_edges(rows, cols)) == rows * (cols - 1) + cols * (rows - 1)
     m = build_ising(LatticeSpec(rows, cols), 1.0)
-    pairs = [k for k, b in m.energy.terms().items() if len(k) == 2 and abs(b) > 0]
+    pairs = [k for k, b in m.terms().items() if len(k) == 2 and abs(b) > 0]
     assert len(pairs) == rows * (cols - 1) + cols * (rows - 1)
 
 
@@ -81,7 +78,7 @@ def test_ising_1x2_analytic():
 def test_ising_zero_theta_constant_energy():
     m = build_ising(LatticeSpec(3, 3), 0.0)
     X = all_states(9)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     assert np.allclose(u, u[0])
     assert abs(eliminate_exact_sum(m).log_value - (9 * math.log(2) + u[0])) < 1e-10
 
@@ -165,7 +162,7 @@ def test_single_block_energy_is_class_potential():
     m = build_higher_order(LatticeSpec(2, 2), pot)
     table = clique_value_tables()["block_full"]
     X = all_states(4)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     for cfg in range(16):
         # lattice nodes are row-major: (TL, TR, BL, BR) = (0, 1, 2, 3)
         row = (
@@ -180,13 +177,13 @@ def test_single_block_energy_is_class_potential():
 def test_higher_order_zero_potentials():
     m = build_higher_order(LatticeSpec(3, 3), np.zeros(10))
     X = all_states(9)
-    assert np.allclose(eval_pbf(m.energy, X), 0.0)
+    assert np.allclose(eval_pbf(m, X), 0.0)
 
 
 def test_rotinv_zero_thetas():
     m = build_2x2_rotinv(LatticeSpec(3, 3), np.zeros(5))
     X = all_states(9)
-    assert np.allclose(eval_pbf(m.energy, X), 0.0)
+    assert np.allclose(eval_pbf(m, X), 0.0)
 
 
 # -- polynomial vs direct clique evaluation ------------------------------------
@@ -197,20 +194,19 @@ def test_polynomial_matches_direct_potentials(rows, cols):
     rng = np.random.default_rng(rows * 10 + cols)
     X = all_states(rows * cols)
     sample = X[rng.integers(0, len(X), size=100)]
-    for label, make in builders(rng):
+    for label, params, make in builders(rng):
         if label == "higher_order" and (rows < 3 or cols < 3):
             continue
         m = make(LatticeSpec(rows, cols))
-        direct = model_energy_direct(label, m.params, rows, cols, sample)
-        assert np.abs(eval_pbf(m.energy, sample) - direct).max() < 1e-10, label
+        direct = model_energy_direct(label, params, rows, cols, sample)
+        assert np.abs(eval_pbf(m, sample) - direct).max() < 1e-10, label
 
 
 def test_clique_support_everywhere():
     rng = np.random.default_rng(77)
-    for label, make in builders(rng):
+    for label, _, make in builders(rng):
         m = make(LatticeSpec(4, 4))
-        assert m.label == label
-        for key, b in m.energy.terms().items():
+        for key, b in m.terms().items():
             if len(key) >= 2 and abs(b) > 1e-12:
                 assert is_lattice_clique(key, 4, FAMILY_OFFSETS[label]), (label, key)
 
@@ -222,7 +218,7 @@ def test_colour_inversion_symmetry():
         build_ising(LatticeSpec(3, 3), 0.8),
         build_higher_order(LatticeSpec(3, 3), MODEL1_POTENTIALS),
     ):
-        assert np.abs(eval_pbf(m.energy, X) - eval_pbf(m.energy, inverted)).max() < 1e-10
+        assert np.abs(eval_pbf(m, X) - eval_pbf(m, inverted)).max() < 1e-10
 
 
 def test_higher_order_model1_brute_force_matches_elimination():
@@ -247,14 +243,43 @@ def test_autologistic_3x3_brute_force():
     assert abs(eliminate_exact_sum(m).log_value - log_sum_exp(u)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "family, params, name",
+    [
+        ("ising", (1e308,), "theta"),
+        ("independence", (math.nan,), "theta"),
+        ("autologistic", (1e308, 0.1), "theta0, theta1"),
+        ("higher_order", (1e308,) + (0.1,) * 9, "potentials"),
+        ("higher_order", (0.1,) * 9 + (-1e308,), "potentials"),
+        ("rotinv2x2", (1e308,) * 5, "thetas"),
+    ],
+)
+def test_builders_name_their_parameters_when_a_coefficient_overflows(family, params, name):
+    # the class tables' transform used to print numpy's overflow warning, and
+    # the constructor's error named only the coefficient
+    builder, arity = MODEL_FAMILIES[family]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=rf"^{name}: coefficient of .* must be finite"):
+            builder(LatticeSpec(3, 3), params) if arity > 2 else builder(LatticeSpec(3, 3), *params)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_lattice_sizes_below_one_are_named():
+    # the message named neither rows nor cols
+    for rows, cols in ((0, 3), (3, -1)):
+        with pytest.raises(ValueError, match=rf"rows and cols must be >= 1, got {rows}x{cols}"):
+            LatticeSpec(rows, cols)
+
+
 # -- config files ------------------------------------------------------------
 
 
 def test_model_config_round_trip():
     cfg = {"family": "autologistic", "rows": 2, "cols": 3, "params": [0.2, -0.1]}
     m = model_from_config(json.loads(json.dumps(cfg)))
-    assert m.label == "autologistic" and m.n == 6
-    assert m.params == (0.2, -0.1)
+    want = build_autologistic(LatticeSpec(2, 3), 0.2, -0.1)
+    assert m.n == 6 and m.terms() == want.terms()
 
 
 def test_model_config_validation():
@@ -310,7 +335,7 @@ def test_builders_reproduce_the_expanded_energies(rows, cols):
         builder, arity = MODEL_FAMILIES[family]
         lat = LatticeSpec(rows, cols)
         built = builder(lat, params) if arity > 2 else builder(lat, *params)
-        got = list(built.energy.terms().items())
+        got = list(built.terms().items())
         want = list(expanded_energy(family, params, rows, cols).terms().items())
         if family == "autologistic" and params[0] == 0.0:
             # The expansion filed each zero singleton before its first pair;

@@ -66,8 +66,8 @@ def test_evaluate_matches_ising_pair_count():
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
     for x in all_states(4):
         direct = theta * sum(x[i] == x[j] for i, j in edges)
-        assert abs(evaluate(m.energy, x) - direct) < 1e-12
-    assert abs(evaluate(m.energy, np.ones(4, dtype=np.uint8)) - 4 * theta) < 1e-12
+        assert abs(evaluate(m, x) - direct) < 1e-12
+    assert abs(evaluate(m, np.ones(4, dtype=np.uint8)) - 4 * theta) < 1e-12
 
 
 def test_evaluate_rejects_length_mismatch():

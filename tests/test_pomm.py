@@ -93,7 +93,7 @@ def test_exact_pomm_sampling_matches_brute_force_distribution():
     pomm = exact_pomm(m)
     batch = sample(pomm, seed=7, count=200_000)
     X = all_states(9)
-    u = eval_pbf(m.energy, X)
+    u = eval_pbf(m, X)
     p = np.exp(u - log_sum_exp(u))
     emp = np.bincount(pack_states(batch.states), minlength=512) / batch.count
     assert tv_distance(emp, p) < 0.05
@@ -127,7 +127,7 @@ def test_exact_pomm_equals_mrf_density():
     pomm = exact_pomm(m)
     ln_c = eliminate_exact_sum(m).log_value
     X = all_states(12)
-    diff = log_density_many(pomm, X) - (eval_pbf(m.energy, X) - ln_c)
+    diff = log_density_many(pomm, X) - (eval_pbf(m, X) - ln_c)
     assert np.abs(diff).max() < 1e-9
 
 

@@ -28,6 +28,8 @@ $P sample --config "$OUT/ho.json" --nu 5 --count 100 --seed 4 --pomm-variant pre
 $P sample --config "$OUT/small.json" --nu 3 --count 9000 --seed 10 --out "$OUT/sample_9000.csv"
 $P sample --config "$OUT/small.json" --mode exact --count 200 --seed 11 --out "$OUT/sample_exact.csv"
 $P reject --config "$OUT/small.json" --nu 4 --count 100 --seed 5 --out "$OUT/reject.csv" 2> "$OUT/reject.err"
+# A round of 2 x 3000 trials is drawn in two blocks of at most 4,096 rows.
+$P reject --config "$OUT/small.json" --nu 4 --count 3000 --seed 6 --out "$OUT/reject_3000.csv" 2> "$OUT/reject_3000.err"
 # Ising 30x30 theta 0.6 nu 6: many removals, so the rejection constant is
 # loosest here and its acceptance rate shows the certificate's slack.
 $P reject --family ising --rows 30 --cols 30 --params 0.6 --nu 6 --count 100 --seed 5 --out "$OUT/reject_30x30.csv" 2> "$OUT/reject_30x30.err"
@@ -64,7 +66,7 @@ ho = build_higher_order(LatticeSpec(5, 5), np.random.default_rng(3).uniform(-1, 
 print(repr(eliminate_exact_sum(ho).log_value))
 r = eliminate(ho, EliminationConfig(marginal="max"))
 print(r.to_json(), r.argmax.tolist())
-f = build_higher_order(LatticeSpec(4, 4), np.random.default_rng(4).uniform(-1, 1, 10)).energy
+f = build_higher_order(LatticeSpec(4, 4), np.random.default_rng(4).uniform(-1, 1, 10))
 g, rep = soir(f, 0, 5)
 print(to_json(g)); print(rep.to_json())
 print(to_json(bound_remove_pair(f, 0, 5, "upper", 1)))
@@ -86,7 +88,7 @@ batch = sample(pomm, 12, 500)
 print(batch.log_densities.tolist())
 print(log_density_many(pomm, batch.states).tolist())
 rot = build_2x2_rotinv(LatticeSpec(4, 4), [0.3, -0.2, 0.5, 0.1, -0.4])
-print(to_json(rot.energy))
+print(to_json(rot))
 # the posterior of an autologistic prior with theta0 = 0 (see map_autologistic.csv)
 y = np.random.default_rng(5).normal(0, 0.6, 36) + (np.arange(36) % 3 == 0)
 post = posterior_energy(y, build_autologistic(LatticeSpec(6, 6), 0.0, 0.3), GaussianLikelihoodSpec(0.0, 1.0, 0.6))
@@ -126,7 +128,7 @@ for name, order in lattice_orders(5, 6).items():
 for name, order in lattice_orders(6, 7).items():
     show("ising 6x7 " + name, build_ising(LatticeSpec(6, 7), 0.6), order)
 # an unpruned input whose zero leaves are dead from the start
-terms = build_higher_order(LatticeSpec(3, 4), np.random.default_rng(12).uniform(-1, 1, 10)).energy.terms()
+terms = build_higher_order(LatticeSpec(3, 4), np.random.default_rng(12).uniform(-1, 1, 10)).terms()
 terms.update({(0, 5): 0.0, (2, 7, 11): 0.0, (3, 4): 0.0, (1, 6, 8, 9): 0.0})
 dead = PseudoBooleanFunction(12, terms, prune=False)
 for name, order in lattice_orders(3, 4).items():
@@ -166,7 +168,7 @@ python3 - > "$OUT/batch_groups.txt" <<'EOF'
 import hashlib
 from pbmrf import LatticeSpec, build_ising, EliminationConfig, eliminate_many, PseudoBooleanFunction
 lattice = LatticeSpec(12, 12)
-base = build_ising(lattice, 0.6).energy
+base = build_ising(lattice, 0.6)
 late = PseudoBooleanFunction(lattice.n, {**base.terms(), (lattice.n - 1,): 0.0})
 reordered = PseudoBooleanFunction(lattice.n, dict(reversed(base.terms().items())))
 members = [build_ising(lattice, 0.0), base, late, reordered, build_ising(lattice, 0.9)]
