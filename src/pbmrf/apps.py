@@ -25,17 +25,20 @@ import numpy as np
 from .elimination import EliminationConfig, _expit, eliminate, eliminate_many
 from .pbf import (
     PseudoBooleanFunction,
+    ResourceCapError,
     _allocate,
     _check_table_size,
     _entries,
     as_int,
     evaluate,
     evaluate_many,
+    table_rows,
 )
 from .pomm import (
     _BLOCK_ROWS,
     PartiallyOrderedMarkovModel,
     SampleBatch,
+    _uniform_columns,
     _walk,
     log_density_many,
     sample as pomm_sample,
@@ -52,9 +55,16 @@ __all__ = [
     "rejection_sampler",
     "mh_acceptance_rate",
     "gibbs_sampler",
+    "GIBBS_UPDATE_CAP",
 ]
 
 logger = logging.getLogger(__name__)
+
+# Most site updates one gibbs_sampler call may run, chains * sweeps run * n
+# (about 1.7e10).  Measured on 2 CPUs, an update costs 13.5 ns (Ising 30x30,
+# 400 chains) to 160 ns (Ising 12x12, one chain), so a run at the cap takes
+# from 4 to 45 minutes.
+GIBBS_UPDATE_CAP = 1 << 34
 
 
 @dataclass(frozen=True)
@@ -322,12 +332,12 @@ def rejection_sampler(
         block = min(batch, budget - trials)
         for start in range(0, block, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, block - start)
-            uniforms = rng.random((rows, n + 1))
+            uniforms = _uniform_columns(rng, rows, n + 1)
             states = np.zeros((n, rows), dtype=np.uint8)
             log_dens = _walk(backward, states, uniforms)
             log_alpha = log_k + evaluate_many(target, states.T) - log_dens
             max_alpha = max(max_alpha, float(np.exp(log_alpha.max(initial=-np.inf))))
-            accept = np.flatnonzero(uniforms[:, n] < np.exp(np.minimum(log_alpha, 0.0)))
+            accept = np.flatnonzero(uniforms[n] < np.exp(np.minimum(log_alpha, 0.0)))
             kept = min(accepted, count)
             keep = accept[: count - kept]
             kept_states[kept : kept + len(keep)] = states.T[keep]
@@ -452,6 +462,25 @@ def _gibbs_levels(neighbours: list[list[int]]) -> list[list[int]]:
     return groups
 
 
+def _gibbs_skew(neighbours: list[list[int]], levels: list[list[int]], window: int) -> int:
+    """Steps between a site's updates in consecutive sweeps of the wavefront.
+
+    Site k of sweep s runs at step level(k) + skew * s.  A higher neighbour
+    j of k must show k its sweep s - 1 value, so that update must come
+    first: skew > level(j) - level(k) for every neighbour pair j > k, which
+    also keeps neighbours out of one step (2 on a lattice).  A step reads
+    the uniforms of (len(levels) - 1) // skew + 1 sweeps, so the skew
+    widens until they fit in ``window`` sweeps; at skew = len(levels) the
+    sweeps run one after another.
+    """
+    level = {k: lv for lv, sites in enumerate(levels) for k in sites}
+    least = 1 + max(
+        (level[j] - level[k] for k, nbrs in enumerate(neighbours) for j in nbrs if j > k),
+        default=0,
+    )
+    return max(least, (len(levels) - 1) // window + 1)
+
+
 def gibbs_sampler(
     mrf: PseudoBooleanFunction,
     sweeps: int,
@@ -470,12 +499,19 @@ def gibbs_sampler(
     are consumed sweep by sweep, site by site, chain by chain) and their
     draws are concatenated chain-major.
 
-    Each site's conditional is tabulated once over its neighbours, and a
-    sweep updates the sites level by level (see ``_gibbs_levels``): the
-    draws are those of the site-by-site scan in index order, bit for bit.
+    Each site's conditional is tabulated once over its neighbours.  Site k
+    of sweep s is updated at step level(k) + skew * s (see ``_gibbs_levels``
+    and ``_gibbs_skew``), so one step advances several sweeps at once (loop
+    skewing; Wolfe, 1986).  Each site still reads exactly what the
+    site-by-site scan in index order reads, so the draws are the scan's,
+    bit for bit.  Uniforms are drawn a chunk of sweeps at a time into a ring
+    of max(1, _BLOCK_ROWS // chains) sweeps.
 
-    The returned log_densities hold the unnormalised log target U(x);
-    the true sampling density of a Gibbs draw is not available.
+    A run of more than GIBBS_UPDATE_CAP site updates,
+    chains * (burn_in + (records - 1) * thin + 1) * n, raises
+    ResourceCapError naming the arguments before the first draw.  The
+    returned log_densities hold the unnormalised log target U(x); the true
+    sampling density of a Gibbs draw is not available.
     """
     sweeps = as_int("sweeps", sweeps)
     burn_in = as_int("burn_in", burn_in)
@@ -487,37 +523,77 @@ def gibbs_sampler(
     neighbours, tables = _site_conditionals(mrf)
     prob_one = np.concatenate(tables)
     offsets = np.cumsum([0] + [t.size for t in tables[:-1]])
-    # Per level: its sites, their neighbour columns padded with column n
-    # (always 0, so padding adds nothing to a table index), the bit value
-    # of each column and the sites' table offsets.
-    schedule = []
-    for sites in _gibbs_levels(neighbours):
+    levels = _gibbs_levels(neighbours)
+    depth = len(levels)
+    # Uniforms of at most this many sweeps are held: _BLOCK_ROWS * n values.
+    window = max(1, _BLOCK_ROWS // chains)
+    skew = _gibbs_skew(neighbours, levels, window)
+    # Per phase r < skew, the levels r, r + skew, ... that share a step,
+    # their sites in level order: the sites, their neighbour columns
+    # (bit-major, padded with column n, always 0, so padding adds nothing to
+    # a table index), their table offsets, each site's uniform row k - m * n
+    # and the index of each level's first site.  A step of phase r updates
+    # level r + skew * m at sweep q - m, where q = step // skew, so site k
+    # reads uniform row (q - m) * n + k, held at that modulo window * n.
+    phases = []
+    for r in range(skew):
+        group = levels[r::skew]
+        sites = np.array([k for g in group for k in g])
         width = max(len(neighbours[k]) for k in sites)
-        gather = np.full((len(sites), width), n, dtype=np.intp)
-        for row, k in enumerate(sites):
-            gather[row, : len(neighbours[k])] = neighbours[k]
-        schedule.append(
-            (np.array(sites), gather, 1 << np.arange(width), offsets[sites])
-        )
+        gather = np.full((width, len(sites)), n, dtype=np.intp)
+        for col, k in enumerate(sites):
+            gather[: len(neighbours[k]), col] = neighbours[k]
+        lag = np.repeat(np.arange(len(group)), [len(g) for g in group])
+        starts = np.cumsum([0] + [len(g) for g in group]).tolist()
+        phases.append((sites, gather, offsets[sites][:, None], sites - lag * n, starts))
+    level_sites = [np.array(sites) for sites in levels]
 
     rng = generator(seed, GIBBS_STREAM)
     records = max(0, -(-(sweeps - burn_in) // thin))
+    context = f"chains={chains}, sweeps={sweeps}, burn_in={burn_in}, thin={thin}"
     if not records:
-        raise ValueError("no sweep satisfied the burn-in/thinning schedule")
+        raise ValueError(f"no sweep satisfied the burn-in/thinning schedule: {context}")
     # Allocated before the first draw, so a record count past memory fails
     # at once; chain-major: all of chain 0's records first.
-    context = f"chains={chains}, sweeps={sweeps}, burn_in={burn_in}, thin={thin}"
     recorded = _allocate((chains, records, n), np.uint8, context)
-    states = np.zeros((chains, n + 1), dtype=np.uint8)
-    states[:, :n] = rng.random((chains, n)) < 0.5
-    for sweep in range(burn_in + (records - 1) * thin + 1):
-        uniforms = rng.random((n, chains))
-        for sites, gather, bits, base in schedule:
-            rows = base + (states[:, gather] * bits).sum(axis=2)
-            states[:, sites] = uniforms[sites].T < prob_one[rows]
-        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-            recorded[:, (sweep - burn_in) // thin] = states[:, :n]
+    total = burn_in + (records - 1) * thin + 1
+    if chains * total * n > GIBBS_UPDATE_CAP:
+        raise ResourceCapError(
+            f"gibbs_sampler: {context} asks for {chains * total * n} site updates "
+            f"on {n} sites, cap is {GIBBS_UPDATE_CAP}"
+        )
+    states = np.zeros((n + 1, chains), dtype=np.uint8)
+    states[:n] = (rng.random((chains, n)) < 0.5).T
+    # sweep s's (n, chains) uniforms sit in slot s % window; ``ready`` are drawn
+    drawn = np.empty((window, n, chains))
+    flat = drawn.reshape(-1, chains)
+    ready = 0
+    for step in range(skew * (total - 1) + depth):
+        q, r = divmod(step, skew)
+        sites, gather, base, draw_rows, starts = phases[r]
+        m_lo, m_hi = max(0, q - total + 1), min(len(starts) - 1, q + 1)
+        lo, hi = starts[m_lo], starts[m_hi]
+        if lo >= hi:
+            continue
+        if q - m_lo >= ready:
+            # draw on, into the slots of the sweeps no later step reads
+            stop = min(total, max(0, -((depth - 1 - step) // skew)) + window)
+            while ready < stop:
+                slot = ready % window
+                fresh = min(stop - ready, window - slot)
+                rng.random(out=drawn[slot : slot + fresh])
+                ready += fresh
+        index = base[lo:hi] + table_rows(states, gather[:, lo:hi])
+        uniforms = flat.take((draw_rows[lo:hi] + q * n) % (window * n), axis=0)
+        states[sites[lo:hi]] = uniforms < prob_one.take(index)
+        # record sweep s once this step finishes its level, step - skew * s
+        newest, oldest = q - m_lo, q - m_hi + 1
+        for j in range(max(0, -(-(oldest - burn_in) // thin)), records):
+            s = burn_in + j * thin
+            if s > newest:
+                break
+            done = level_sites[step - skew * s]
+            recorded[:, j, done] = states[done].T
     stacked = recorded.reshape(-1, n)
     energies = evaluate_many(mrf, stacked)
     return SampleBatch(states=stacked, log_densities=energies)
-

@@ -76,13 +76,34 @@ def _lines(columns: list[str], rows, fmt: str):
         yield "{" + fields + "}\n"
 
 
-def _write_rows(path, columns: list[str], rows, fmt: str) -> None:
-    """Write each row of the iterable ``rows`` as it arrives."""
+# A (state, log_density) row as :func:`_lines` writes it, for a 0/1 state
+# string and a float density ("%.17g" formats as _fmt does).
+_STATE_LINE = {"csv": "%s,%.17g\n", "json": '{"state": "%s", "log_density": %.17g}\n'}
+
+
+def _state_lines(batch, fmt: str):
+    """The (state, log_density) table of ``batch``: a header, then one string per block.
+
+    Each block of _BLOCK_ROWS states is rendered by one format of the row
+    template over the block's state texts and densities.
+    """
+    yield from _lines(["state", "log_density"], (), fmt)
+    for start in range(0, batch.count, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        texts = state_texts(batch.states[start:stop])
+        cells = [None] * (2 * len(texts))
+        cells[::2] = texts
+        cells[1::2] = batch.log_densities[start:stop].tolist()
+        yield _STATE_LINE[fmt] * len(texts) % tuple(cells)
+
+
+def _write(path, chunks) -> None:
+    """Write each string of the iterable ``chunks`` as it arrives."""
     if path is None:
-        sys.stdout.writelines(_lines(columns, rows, fmt))
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(_lines(columns, rows, fmt))
+            handle.writelines(chunks)
 
 
 def _load_config(args) -> dict:
@@ -162,15 +183,6 @@ def _read_reals(path) -> np.ndarray:
         return np.array([float(tok) for tok in handle.read().split()], dtype=float)
 
 
-def _state_rows(batch):
-    """One row per state of ``batch``, rendered _BLOCK_ROWS states at a time."""
-    for start in range(0, batch.count, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        texts = state_texts(batch.states[start:stop])
-        for text, dens in zip(texts, batch.log_densities[start:stop].tolist()):
-            yield {"state": text, "log_density": dens}
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -192,7 +204,7 @@ def _cmd_norm(args, config) -> int:
         row["wall_seconds"] = time.perf_counter() - started if args.timing else 0.0
         rows.append(row)
     columns = ["nu", "ln_c_approx", "ln_c_lower", "ln_c_upper", "gap", "wall_seconds"]
-    _write_rows(args.out, columns, rows, args.format)
+    _write(args.out, _lines(columns, rows, args.format))
     return 0
 
 
@@ -213,7 +225,7 @@ def _cmd_sample(args, config) -> int:
     )
     pomm = eliminate(model, cfg).pomm
     batch = pomm_sample(pomm, seed, count)
-    _write_rows(args.out, ["state", "log_density"], _state_rows(batch), args.format)
+    _write(args.out, _state_lines(batch, args.format))
     return 0
 
 
@@ -227,7 +239,7 @@ def _cmd_gibbs(args, config) -> int:
         seed=_setting(args, config, "seed", 0, int),
         chains=_setting(args, config, "chains", 1, int),
     )
-    _write_rows(args.out, ["state", "log_density"], _state_rows(batch), args.format)
+    _write(args.out, _state_lines(batch, args.format))
     return 0
 
 
@@ -246,7 +258,7 @@ def _cmd_map(args, config) -> int:
     cfg = EliminationConfig(mode=mode, marginal="max", nu=nu, table_cap=table_cap)
     state = map_estimate(y, model, lik, cfg)
     rows = [{"state": state_texts(state.reshape(1, -1))[0]}]
-    _write_rows(args.out, ["state"], rows, args.format)
+    _write(args.out, _lines(["state"], rows, args.format))
     return 0
 
 
@@ -285,7 +297,7 @@ def _cmd_mle(args, config) -> int:
                 }
             )
     columns = ["nu", "theta", "ell_lower", "ell_upper", "retained"]
-    _write_rows(args.out, columns, rows, args.format)
+    _write(args.out, _lines(columns, rows, args.format))
     sys.stderr.write(
         f"mle bracket: ({bracket.theta_lo:.17g}, {bracket.theta_hi:.17g})\n"
     )
@@ -301,9 +313,7 @@ def _cmd_reject(args, config) -> int:
         count=_setting(args, config, "count", 100, int),
         rate_floor=_setting(args, config, "rate-floor", 1e-3, float),
     )
-    _write_rows(
-        args.out, ["state", "log_density"], _state_rows(result.samples), args.format
-    )
+    _write(args.out, _state_lines(result.samples, args.format))
     sys.stderr.write(
         f"acceptance_rate {result.acceptance_rate:.17g} trials {result.trials} "
         f"log_k_bound {result.log_k_bound:.17g}\n"
@@ -339,7 +349,7 @@ def _cmd_mh_rate(args, config) -> int:
         chains=chains,
     ).states[:pairs]
     rate = mh_acceptance_rate(model, pomm, reference, seed)
-    _write_rows(args.out, ["pairs", "rate"], [{"pairs": pairs, "rate": rate}], args.format)
+    _write(args.out, _lines(["pairs", "rate"], [{"pairs": pairs, "rate": rate}], args.format))
     return 0
 
 

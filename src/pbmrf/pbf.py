@@ -353,14 +353,28 @@ def _add_table_terms(terms: dict[InteractionSet, float], cells, coeffs) -> None:
             terms[key] = get(key, 0.0) + c
 
 
+@functools.cache
+def _row_weights(k: int) -> np.ndarray:
+    """2^j for j < k, in the narrowest unsigned dtype that holds k + 1 bits.
+
+    The spare bit lets a caller append one more bit to a row index in
+    place (``rows <<= 1; rows |= x``) without widening it.
+    """
+    weights = np.left_shift(1, np.arange(k)).astype(np.min_scalar_type((2 << k) - 1))
+    weights.setflags(write=False)
+    return weights
+
+
 def table_rows(values: np.ndarray, variables):
     """Table entry of each assignment, bit k the value of ``variables[k]``.
 
     ``values[v]`` is variable v's 0/1 value in one state of shape (n,), or
-    its row in a column-major (n, count) batch: one entry per column.
+    its row in a column-major (n, count) batch: one entry per column.  For
+    0/1 uint8 values the entries come in the narrowest unsigned dtype that
+    holds one bit more than ``len(variables)``.
     """
-    bits = np.left_shift(1, np.arange(len(variables), dtype=np.int64))
-    return bits @ values[list(variables)].astype(np.int64)
+    picked = values.take(variables, axis=0)
+    return np.einsum("k,k...->...", _row_weights(len(variables)), picked)
 
 
 # -- factor tables ---------------------------------------------------------

@@ -39,7 +39,7 @@ from pbmrf import (
     rejection_sampler,
 )
 from pbmrf import apps
-from pbmrf.apps import _gibbs_levels, _site_conditionals
+from pbmrf.apps import _gibbs_levels, _gibbs_skew, _site_conditionals
 from pbmrf.models import MODEL_FAMILIES
 from pbmrf.pbf import evaluate_many
 from pbmrf.pomm import log_density_many, sample
@@ -504,7 +504,7 @@ def test_gibbs_validates_arguments():
 
 
 def listed_gibbs_draws(monkeypatch) -> list:
-    """The shape of each uniform block the Gibbs sampler draws from now on."""
+    """The number of uniforms in each block the Gibbs sampler draws from now on."""
     draws = []
     make = apps.generator
 
@@ -512,9 +512,10 @@ def listed_gibbs_draws(monkeypatch) -> list:
         def __init__(self, seed, stream):
             self.rng = make(seed, stream)
 
-        def random(self, shape):
-            draws.append(shape)
-            return self.rng.random(shape)
+        def random(self, size=None, out=None):
+            values = self.rng.random(size, out=out)
+            draws.append(values.size)
+            return values
 
     monkeypatch.setattr(apps, "generator", Listed)
     return draws
@@ -526,9 +527,23 @@ def test_gibbs_runs_no_sweep_after_its_last_record(monkeypatch):
     want = gibbs_sampler(m, sweeps=31, burn_in=10, thin=20, seed=3, chains=2)
     draws = listed_gibbs_draws(monkeypatch)
     got = gibbs_sampler(m, sweeps=50, burn_in=10, thin=20, seed=3, chains=2)
-    assert draws == [(2, 6)] + [(6, 2)] * 31  # the start, then sweeps 0 to 30
+    # the start, then sweeps 0 to 30: one uniform per site and chain each
+    assert draws[0] == 2 * 6
+    assert sum(draws) == 2 * 6 * (1 + 31)
     assert got.states.tobytes() == want.states.tobytes()
     assert got.log_densities.tobytes() == want.log_densities.tobytes()
+
+
+def test_gibbs_refuses_site_updates_past_its_cap_before_its_first_draw(monkeypatch):
+    m = build_ising(LatticeSpec(2, 3), 0.4)
+    # records at sweeps 4, 7 and 10: 2 chains x 11 sweeps x 6 sites
+    monkeypatch.setattr(apps, "GIBBS_UPDATE_CAP", 2 * 11 * 6)
+    assert gibbs_sampler(m, sweeps=12, burn_in=4, thin=3, seed=0, chains=2).count == 6
+    monkeypatch.setattr(apps, "GIBBS_UPDATE_CAP", 2 * 11 * 6 - 1)
+    draws = listed_gibbs_draws(monkeypatch)
+    with pytest.raises(ResourceCapError, match="chains=2, sweeps=12, burn_in=4, thin=3"):
+        gibbs_sampler(m, sweeps=12, burn_in=4, thin=3, seed=0, chains=2)
+    assert draws == []
 
 
 def test_gibbs_refuses_records_past_memory_before_its_first_draw(monkeypatch):
@@ -568,6 +583,31 @@ def test_gibbs_equals_site_by_site_scan(model, data):
     assert got.log_densities.tobytes() == want.log_densities.tobytes()
 
 
+@pytest.mark.parametrize("block_rows", [1, 6, 64])
+@pytest.mark.parametrize("sweeps, burn_in, thin", [(40, 7, 3), (23, 0, 1)])
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_ising(LatticeSpec(4, 5), 0.6),
+        build_independence(LatticeSpec(3, 4), 0.3),
+        build_higher_order(LatticeSpec(4, 4), np.linspace(-0.8, 0.9, 10)),
+    ],
+    ids=["ising", "independence", "higher_order"],
+)
+def test_gibbs_wavefront_equals_site_by_site_across_chunks(
+    monkeypatch, model, sweeps, burn_in, thin, block_rows
+):
+    # 3 chains: room for the uniforms of 1, 2 or 21 sweeps, so the skew
+    # widens, or the sweeps span several chunks
+    monkeypatch.setattr(apps, "_BLOCK_ROWS", block_rows)
+    draws = listed_gibbs_draws(monkeypatch)
+    got = gibbs_sampler(model, sweeps, burn_in, thin, 11, chains=3)
+    want = gibbs_site_by_site(model, sweeps, burn_in, thin, 11, chains=3)
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+    assert max(draws[1:]) <= max(1, block_rows // 3) * 3 * model.n
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(lattice_models())
 def test_gibbs_levels_respect_the_scan_order(model):
@@ -592,7 +632,12 @@ def test_gibbs_levels_respect_the_scan_order(model):
 def test_ising_lattice_has_rows_plus_cols_minus_one_levels(rows, cols):
     model = build_ising(LatticeSpec(rows, cols), 0.5)
     neighbours, _ = _site_conditionals(model)
-    assert len(_gibbs_levels(neighbours)) == rows + cols - 1
+    levels = _gibbs_levels(neighbours)
+    assert len(levels) == rows + cols - 1
+    # a site's right and lower neighbours sit one level on: sweeps two steps apart
+    assert _gibbs_skew(neighbours, levels, 4096) == (1 if model.n == 1 else 2)
+    # room for one sweep's uniforms: the sweeps run one after another
+    assert _gibbs_skew(neighbours, levels, 1) == max(len(levels), 1 if model.n == 1 else 2)
 
 
 def test_gibbs_caps_site_neighbourhoods_before_tabulating():
@@ -607,10 +652,9 @@ def test_gibbs_caps_site_neighbourhoods_before_tabulating():
 
 # The command-line contract's edge values as numbers: integers at and past
 # 64 bits, a huge, a non-finite and a fractional float, and a boolean.
+# Every argument takes every value: a Gibbs run past GIBBS_UPDATE_CAP site
+# updates is refused before its first sweep.
 LIBRARY_EDGES = [0, -1, 2**63, 2**64, 1e308, math.inf, -math.inf, math.nan, 2.5, True]
-# Arguments that set an amount of work take no value past 2^63: a burn-in
-# of 2^63 sweeps asks for that much.
-LIBRARY_WORK = {("gibbs_sampler", "sweeps"), ("gibbs_sampler", "burn_in")}
 
 
 def _library_calls():
@@ -677,11 +721,6 @@ def _library_calls():
 LIBRARY_CALLS = _library_calls()
 
 
-def library_edges(call, argument):
-    huge = (2**63, 2**64, 1e308) if (call, argument) in LIBRARY_WORK else ()
-    return [v for v in LIBRARY_EDGES if not any(v is h for h in huge)]
-
-
 def assert_returns_or_refuses_by_name(call, values):
     """Run ``call`` with ``values`` set: it returns or names one of them, unwarned."""
     fn, arguments = LIBRARY_CALLS[call]
@@ -698,10 +737,10 @@ def assert_returns_or_refuses_by_name(call, values):
 
 
 def test_every_bad_argument_is_refused_by_name():
-    # each argument of each call alone, at every value of its pool
+    # each argument of each call alone, at every edge value
     for call, (_, arguments) in LIBRARY_CALLS.items():
         for name in arguments:
-            for value in library_edges(call, name):
+            for value in LIBRARY_EDGES:
                 assert_returns_or_refuses_by_name(call, {name: value})
 
 
@@ -711,7 +750,7 @@ def library_inputs(draw):
     call = draw(st.sampled_from(sorted(LIBRARY_CALLS)))
     arguments = sorted(LIBRARY_CALLS[call][1])
     names = draw(st.lists(st.sampled_from(arguments), min_size=1, max_size=2, unique=True))
-    return call, {name: draw(st.sampled_from(library_edges(call, name))) for name in names}
+    return call, {name: draw(st.sampled_from(LIBRARY_EDGES)) for name in names}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

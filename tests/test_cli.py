@@ -24,7 +24,12 @@ from pbmrf import (
 from pbmrf import cli
 from pbmrf.cli import main
 from pbmrf.models import MAX_LATTICE_NODES
-from pbmrf.pomm import _BLOCK_ROWS as BLOCK_ROWS, sample as pomm_sample, state_texts
+from pbmrf.pomm import (
+    _BLOCK_ROWS as BLOCK_ROWS,
+    SampleBatch,
+    sample as pomm_sample,
+    state_texts,
+)
 
 
 @pytest.fixture
@@ -536,6 +541,32 @@ def test_gibbs_exit_code_on_neighbour_cap(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gibbs", "--sweeps", str(2**64), "--burn-in", "0", "--thin", str(2**63)],
+        ["gibbs", "--sweeps", str(2**63 + 5), "--burn-in", str(2**63), "--thin", "2"],
+        ["mh-rate", "--nu", "1", "--pairs", "9", "--chains", "8", "--thin", str(2**63)],
+        ["mh-rate", "--nu", "1", "--pairs", "3", "--burn-in", str(2**63)],
+    ],
+)
+def test_gibbs_work_past_the_update_cap_exits_3(argv, capsys):
+    # each records a few states after about 2^63 sweeps
+    assert run(argv + ["--family", "ising", "--rows", "2", "--cols", "2", "--params", "0.4"]) == 3
+    assert "site updates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_state_blocks_render_as_the_row_writer_does(fmt):
+    states = np.random.default_rng(3).integers(0, 2, size=(10, 7), dtype=np.uint8)
+    dens = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -1.7976931348623157e308,
+            0.1, -123.456789012345678, 1e22]
+    batch = SampleBatch(states=states, log_densities=np.array(dens))
+    rows = [{"state": t, "log_density": d} for t, d in zip(state_texts(states), dens)]
+    want = "".join(cli._lines(["state", "log_density"], rows, fmt))
+    assert "".join(cli._state_lines(batch, fmt)) == want
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("norm", "--mode", "exact"),
@@ -625,11 +656,9 @@ def test_lattice_past_the_node_cap_is_refused_before_it_builds(tmp_path, capsys,
 # missing file and a parameter list of the wrong length.
 EDGE_VALUES = ["0", "-1", str(2**63), str(2**64), "1e308", "inf", "-inf", "nan", "2.5",
                "true", "", "MISSING", "0.1,0.2,0.3"]
-# Flags that set an amount of work take no value past 2^63: a burn-in of
-# 2^63 sweeps asks for that much, so every run stays short.  A lattice past
-# models.MAX_LATTICE_NODES is refused before it is built, so --rows and
-# --cols take every value.
-WORK_FLAGS = {"--burn-in"}
+# Every flag takes every value: a lattice past models.MAX_LATTICE_NODES is
+# refused before it is built, and a Gibbs run past apps.GIBBS_UPDATE_CAP
+# before its first sweep, so every run stays short.
 MODEL_FLAGS = {"--family": "ising", "--rows": "2", "--cols": "2", "--params": "0.4"}
 # Each command's flags, with a value that runs on the 2x2 Ising model.
 COMMAND_FLAGS = {
@@ -647,11 +676,6 @@ COMMAND_FLAGS = {
 }
 # The RuntimeErrors the commands document (exit 1).
 DOCUMENTED_RUNTIME_ERRORS = ("error: rejection rate ", "error: no grid point survives ")
-
-
-def edge_pool(flag):
-    huge = (str(2**63), str(2**64)) if flag in WORK_FLAGS else ()
-    return [v for v in EDGE_VALUES if v not in huge]
 
 
 @pytest.fixture(scope="module")
@@ -689,7 +713,7 @@ def test_every_bad_flag_value_is_refused_by_one_error_line(edge_files):
     for command, own in COMMAND_FLAGS.items():
         flags = {**MODEL_FLAGS, **own}
         for flag in flags:
-            for value in edge_pool(flag):
+            for value in EDGE_VALUES:
                 assert_one_error_line(edge_files, command, {**flags, flag: value})
 
 
@@ -699,7 +723,7 @@ def edge_commands(draw):
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     flags = {**MODEL_FLAGS, **COMMAND_FLAGS[command]}
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=2, max_size=3, unique=True)):
-        flags[flag] = draw(st.sampled_from(edge_pool(flag)))
+        flags[flag] = draw(st.sampled_from(EDGE_VALUES))
     return command, flags
 
 

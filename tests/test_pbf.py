@@ -323,6 +323,8 @@ def test_table_rows_equals_per_bit_sum(k, spare, count, data):
     rows = table_rows(batch, variables)
     assert rows.shape == (count,)
     assert rows.tolist() == want
+    # the narrowest unsigned dtype with one bit to spare past the k bits
+    assert rows.dtype == np.min_scalar_type((2 << k) - 1)
     for c in range(count):
         assert int(table_rows(batch[:, c], variables)) == want[c]
 

@@ -186,6 +186,23 @@ def test_random_pomm_sample_and_density_equal_row_major_oracles(pomm, seed, coun
     assert got.tobytes() == pomm_log_density_row_major(pomm, batch.states).tobytes()
 
 
+@pytest.mark.parametrize("k", [7, 8, 9, 15, 16])
+def test_wide_conditionals_equal_row_major_oracles(k):
+    # variable 0 depends on variables 1 to k: with its own bit appended its
+    # row index needs k + 1 bits, one past a uint8 at k = 8 (uint16 at 16)
+    rng = np.random.default_rng(k)
+    n = k + 2
+    conds = [PommConditional(0, tuple(range(k, 0, -1)), rng.random(1 << k))]
+    for v in range(1, n):
+        deps = (v + 1,) if v + 1 < n else ()
+        conds.append(PommConditional(v, deps, rng.random(1 << len(deps))))
+    pomm = PartiallyOrderedMarkovModel(n, tuple(conds))
+    batch = sample(pomm, 5, 3000)
+    assert_same_batch(batch, pomm_sample_one_shot(pomm, 5, 3000))
+    got = log_density_many(pomm, batch.states)
+    assert got.tobytes() == pomm_log_density_row_major(pomm, batch.states).tobytes()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(random_pomms())
 def test_random_pomm_density_normalises(pomm):

@@ -44,6 +44,14 @@ $P gibbs --config "$OUT/small.json" --sweeps 50 --burn-in 10 --thin 5 --seed 2 -
 $P gibbs --config "$OUT/ho.json" --sweeps 60 --burn-in 10 --thin 5 --seed 6 --chains 3 --out "$OUT/gibbs_ho.csv"
 $P gibbs --family ising --rows 4 --cols 7 --params 0.7 --sweeps 80 --burn-in 20 --thin 3 --seed 7 --chains 2 --format json --out "$OUT/gibbs_4x7.json"
 $P mh-rate --config "$OUT/ho.json" --nu 4 --pairs 60 --burn-in 20 --thin 4 --seed 8 --out "$OUT/mh_ho.csv"
+# Exact sampling on Ising 6x9: the POMM's conditionals reach 9 dependencies,
+# so a row index with the sampled bit appended needs 10 bits (uint16).
+$P sample --family ising --rows 6 --cols 9 --params 0.5 --mode exact --count 5000 --seed 12 --out "$OUT/sample_exact_6x9.csv"
+# 1,000 chains leave room for the uniforms of 4 sweeps, so the Gibbs
+# wavefront widens its skew to 3 and draws its 18 sweeps in 8 chunks.
+$P gibbs --config "$OUT/small.json" --sweeps 30 --burn-in 4 --thin 13 --seed 13 --chains 1000 --out "$OUT/gibbs_chunks.csv"
+# The bench's mh-rate shape: Ising 12x12, nu 6, 500 pairs from 8 chains.
+$P mh-rate --family ising --rows 12 --cols 12 --params 0.5 --nu 6 --pairs 500 --chains 8 --seed 14 --out "$OUT/mh_12x12.csv"
 $P mle --config "$OUT/small.json" --x "$OUT/x.txt" --nu 2,4 --grid-points 7 --out "$OUT/mle.csv" 2> "$OUT/mle.err"
 # The bench mle run on its seed-1 observed state, and a first round at nu 4
 # over the whole [0, 2] grid, where the grid's batched eliminations split.
