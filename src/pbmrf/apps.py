@@ -488,7 +488,7 @@ def gibbs_sampler(
     thin: int,
     seed: int,
     chains: int = 1,
-) -> SampleBatch:
+) -> np.ndarray:
     """Systematic-scan single-site Gibbs sampling from the energy ``mrf``.
 
     Full conditionals come from the energy's interactions touching each
@@ -496,8 +496,9 @@ def gibbs_sampler(
     variables).  States are recorded at sweeps s >= burn_in with
     (s - burn_in) % thin == 0 below ``sweeps``, and no sweep runs after the
     last record.  ``chains`` independent replicas run in lockstep (uniforms
-    are consumed sweep by sweep, site by site, chain by chain) and their
-    draws are concatenated chain-major.
+    are consumed sweep by sweep, site by site, chain by chain), and the
+    recorded states are returned as one (chains * records, n) uint8 array,
+    chain-major.
 
     Each site's conditional is tabulated once over its neighbours.  Site k
     of sweep s is updated at step level(k) + skew * s (see ``_gibbs_levels``
@@ -509,9 +510,9 @@ def gibbs_sampler(
 
     A run of more than GIBBS_UPDATE_CAP site updates,
     chains * (burn_in + (records - 1) * thin + 1) * n, raises
-    ResourceCapError naming the arguments before the first draw.  The
-    returned log_densities hold the unnormalised log target U(x); the true
-    sampling density of a Gibbs draw is not available.
+    ResourceCapError naming the arguments before the first draw.  A Gibbs
+    draw has no sampling density to return; ``evaluate_many(mrf, states)``
+    gives the unnormalised log target U(x).
     """
     sweeps = as_int("sweeps", sweeps)
     burn_in = as_int("burn_in", burn_in)
@@ -594,6 +595,4 @@ def gibbs_sampler(
                 break
             done = level_sites[step - skew * s]
             recorded[:, j, done] = states[done].T
-    stacked = recorded.reshape(-1, n)
-    energies = evaluate_many(mrf, stacked)
-    return SampleBatch(states=stacked, log_densities=energies)
+    return recorded.reshape(-1, n)

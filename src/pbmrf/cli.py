@@ -42,7 +42,7 @@ from .apps import (
 )
 from .elimination import EliminationConfig, eliminate
 from .models import MODEL_FAMILIES, LatticeSpec, build_ising, model_from_config
-from .pbf import ResourceCapError, as_int
+from .pbf import ResourceCapError, as_int, evaluate_many
 from .pomm import _BLOCK_ROWS, sample as pomm_sample, state_texts
 
 FORMATS = ("csv", "json")
@@ -81,19 +81,19 @@ def _lines(columns: list[str], rows, fmt: str):
 _STATE_LINE = {"csv": "%s,%.17g\n", "json": '{"state": "%s", "log_density": %.17g}\n'}
 
 
-def _state_lines(batch, fmt: str):
-    """The (state, log_density) table of ``batch``: a header, then one string per block.
+def _state_lines(states, log_densities, fmt: str):
+    """The (state, log_density) table: a header, then one string per block.
 
     Each block of _BLOCK_ROWS states is rendered by one format of the row
     template over the block's state texts and densities.
     """
     yield from _lines(["state", "log_density"], (), fmt)
-    for start in range(0, batch.count, _BLOCK_ROWS):
+    for start in range(0, len(states), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        texts = state_texts(batch.states[start:stop])
+        texts = state_texts(states[start:stop])
         cells = [None] * (2 * len(texts))
         cells[::2] = texts
-        cells[1::2] = batch.log_densities[start:stop].tolist()
+        cells[1::2] = log_densities[start:stop].tolist()
         yield _STATE_LINE[fmt] * len(texts) % tuple(cells)
 
 
@@ -169,6 +169,14 @@ def _nu_list(args, config) -> list[int]:
     return [as_int("nu", v) for v in (raw if isinstance(raw, list) else [raw])]
 
 
+def _nu(args, config) -> int:
+    """The one ``nu`` of a command that runs one cap; a list (flag or config) is refused."""
+    nus = _nu_list(args, config)
+    if len(nus) != 1:
+        raise ValueError(f"--nu must be one value for {args.command}, got {nus}")
+    return nus[0]
+
+
 def _read_state(path, n: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         bits = handle.read().split()
@@ -220,18 +228,18 @@ def _cmd_sample(args, config) -> int:
     _refuse_under_exact(args, mode, "nu")
     cfg = EliminationConfig(
         mode=mode,
-        nu=_nu_list(args, config)[0] if mode != "exact" else None,
+        nu=_nu(args, config) if mode != "exact" else None,
         pomm_variant=variant_name,
     )
     pomm = eliminate(model, cfg).pomm
     batch = pomm_sample(pomm, seed, count)
-    _write(args.out, _state_lines(batch, args.format))
+    _write(args.out, _state_lines(batch.states, batch.log_densities, args.format))
     return 0
 
 
 def _cmd_gibbs(args, config) -> int:
     model = _model(args, config)
-    batch = gibbs_sampler(
+    states = gibbs_sampler(
         model,
         sweeps=_setting(args, config, "sweeps", 1000, int),
         burn_in=_setting(args, config, "burn-in", 100, int),
@@ -239,7 +247,8 @@ def _cmd_gibbs(args, config) -> int:
         seed=_setting(args, config, "seed", 0, int),
         chains=_setting(args, config, "chains", 1, int),
     )
-    _write(args.out, _state_lines(batch, args.format))
+    # a Gibbs draw has no sampling density: the column holds the log target U(x)
+    _write(args.out, _state_lines(states, evaluate_many(model, states), args.format))
     return 0
 
 
@@ -253,7 +262,7 @@ def _cmd_map(args, config) -> int:
     )
     mode = _named(args, config, "mode", "exact", MODE_NAMES)
     _refuse_under_exact(args, mode, "nu", "table_cap")
-    nu = None if mode == "exact" else _nu_list(args, config)[0]
+    nu = None if mode == "exact" else _nu(args, config)
     table_cap = _setting(args, config, "table-cap", None, int)
     cfg = EliminationConfig(mode=mode, marginal="max", nu=nu, table_cap=table_cap)
     state = map_estimate(y, model, lik, cfg)
@@ -308,12 +317,13 @@ def _cmd_reject(args, config) -> int:
     model = _model(args, config)
     result = rejection_sampler(
         model,
-        nu=_nu_list(args, config)[0],
+        nu=_nu(args, config),
         seed=_setting(args, config, "seed", 0, int),
         count=_setting(args, config, "count", 100, int),
         rate_floor=_setting(args, config, "rate-floor", 1e-3, float),
     )
-    _write(args.out, _state_lines(result.samples, args.format))
+    samples = result.samples
+    _write(args.out, _state_lines(samples.states, samples.log_densities, args.format))
     sys.stderr.write(
         f"acceptance_rate {result.acceptance_rate:.17g} trials {result.trials} "
         f"log_k_bound {result.log_k_bound:.17g}\n"
@@ -323,7 +333,7 @@ def _cmd_reject(args, config) -> int:
 
 def _cmd_mh_rate(args, config) -> int:
     model = _model(args, config)
-    nu = _nu_list(args, config)[0]
+    nu = _nu(args, config)
     seed = _setting(args, config, "seed", 0, int)
     pairs = _setting(args, config, "pairs", 200, int)
     cfg = EliminationConfig(
@@ -347,7 +357,7 @@ def _cmd_mh_rate(args, config) -> int:
         thin=thin,
         seed=seed,
         chains=chains,
-    ).states[:pairs]
+    )[:pairs]
     rate = mh_acceptance_rate(model, pomm, reference, seed)
     _write(args.out, _lines(["pairs", "rate"], [{"pairs": pairs, "rate": rate}], args.format))
     return 0

@@ -17,10 +17,8 @@ Model families:
 * ``rotinv2x2``    -- 3x3 neighbourhood, 2x2-block cliques with six
   classes invariant under rotation only; the all-zero class is pinned at 0
 
-The configuration-class tables for the last two families are built at
-import time by explicit orbit enumeration under the stated symmetry
-groups; a wrong class count raises immediately rather than silently
-mislabelling potentials.
+The configuration-class tables of the last two families are written out
+as data: one class index per clique configuration, in potential order.
 
 Every builder adds one coefficient table per clique (an Ising edge's
 (theta, -theta, -theta, 2 theta), a block's class table by Moebius
@@ -119,82 +117,22 @@ def _placements(lat: LatticeSpec, shape) -> list[tuple[int, ...]]:
     ]
 
 
-def _permute_bits(config: int, perm: tuple[int, ...]) -> int:
-    """New configuration whose bit p is the old bit perm[p]."""
-    out = 0
-    for p, src in enumerate(perm):
-        out |= (config >> src & 1) << p
-    return out
-
-
-# 90-degree rotations as bit-source permutations.
-_BLOCK_ROT = (2, 0, 3, 1)  # TL<-BL, TR<-TL, BL<-BR, BR<-TR
-_BLOCK_REFLECT = (1, 0, 3, 2)  # mirror: TL<->TR, BL<->BR
-_CROSS_ROT = (0, 4, 1, 2, 3)  # centre fixed, N<-W, E<-N, S<-E, W<-S
-_CROSS_REFLECT = (0, 1, 4, 3, 2)  # mirror: E<->W
-
-
-def _orbit_classes(
-    bits: int, generators: list[tuple[int, ...]], invert: bool, reps: list[int]
-) -> np.ndarray:
-    """Class index per configuration under the group the generators span.
-
-    ``reps`` pins the class numbering: representative k must land in its
-    own orbit and every orbit must contain exactly one representative,
-    otherwise the table is refused.
-    """
-    size = 1 << bits
-    full = size - 1
-    labels = np.full(size, -1, dtype=int)
-    n_orbits = 0
-    for start in range(size):
-        if labels[start] >= 0:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cfg = frontier.pop()
-            images = [_permute_bits(cfg, g) for g in generators]
-            if invert:
-                images.append(cfg ^ full)
-            for img in images:
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        for cfg in orbit:
-            labels[cfg] = n_orbits
-        n_orbits += 1
-    if n_orbits != len(reps):
-        raise RuntimeError(
-            f"orbit enumeration found {n_orbits} classes, expected {len(reps)}"
-        )
-    if len({int(labels[r]) for r in reps}) != len(reps):
-        raise RuntimeError("class representatives are not in distinct orbits")
-    # Renumber so that representative k gets class k.
-    renumber = np.empty(n_orbits, dtype=int)
-    for k, rep in enumerate(reps):
-        renumber[labels[rep]] = k
-    return renumber[labels]
-
-
-# 2x2 classes under rotation+reflection+inversion, in potential-table order:
-# all equal, one cell different, adjacent pair different, diagonal pair.
-_BLOCK_FULL_CLASS = _orbit_classes(
-    4, [_BLOCK_ROT, _BLOCK_REFLECT], True, [0b0000, 0b0001, 0b0011, 0b1001]
+# Entry k of a class table is the class of configuration k, numbered in
+# potential-table order (tests/test_models.py checks each table against its
+# symmetry group).  2x2 classes under rotation, reflection and
+# inversion: 0 all equal, 1 one cell different, 2 adjacent pair different,
+# 3 diagonal pair different.
+_BLOCK_FULL_CLASS = (0, 1, 1, 2, 1, 2, 3, 1, 1, 3, 2, 1, 2, 1, 1, 0)
+# Cross classes under rotation, reflection and inversion: 0 all equal,
+# 1 centre differs, 2 one arm, 3 two adjacent arms, 4 centre plus one arm,
+# 5 two opposite arms.
+_CROSS_CLASS = (
+    0, 1, 2, 4, 2, 4, 3, 3, 2, 4, 5, 5, 3, 3, 4, 2,
+    2, 4, 3, 3, 5, 5, 4, 2, 3, 3, 4, 2, 4, 2, 1, 0,
 )
-# Cross classes under rotation+reflection+inversion: all equal, centre
-# differs, one arm, two adjacent arms, centre plus one arm, two opposite arms.
-_CROSS_CLASS = _orbit_classes(
-    5,
-    [_CROSS_ROT, _CROSS_REFLECT],
-    True,
-    [0b00000, 0b00001, 0b00010, 0b00110, 0b00011, 0b01010],
-)
-# 2x2 classes under rotation only: all zero (reference), one on, adjacent
-# pair on, diagonal pair on, three on, all on.
-_BLOCK_ROT_CLASS = _orbit_classes(
-    4, [_BLOCK_ROT], False, [0b0000, 0b0001, 0b0011, 0b1001, 0b0111, 0b1111]
-)
+# 2x2 classes under rotation only: 0 all zero (reference), 1 one on,
+# 2 adjacent pair on, 3 diagonal pair on, 4 three on, 5 all on.
+_BLOCK_ROT_CLASS = (0, 1, 1, 2, 1, 2, 3, 4, 1, 3, 2, 4, 2, 4, 4, 5)
 
 
 # -- builders ---------------------------------------------------------------
@@ -218,7 +156,7 @@ def _energy(lat: LatticeSpec, names: str, terms, shapes) -> PseudoBooleanFunctio
         raise ValueError(f"{names}: {exc}") from None
 
 
-def _class_coeffs(classes: np.ndarray, potentials) -> list[float]:
+def _class_coeffs(classes: tuple[int, ...], potentials) -> list[float]:
     """Coefficients of the clique table whose entry k is ``potentials[classes[k]]``."""
     # an overflow reaches the constructor, which refuses it by name, unwarned
     with np.errstate(all="ignore"):

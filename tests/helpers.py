@@ -29,7 +29,7 @@ from pbmrf.models import (
     build_higher_order,
     build_ising,
 )
-from pbmrf.pbf import evaluate_many, moebius_transform, subset_keys
+from pbmrf.pbf import moebius_transform, subset_keys
 from pbmrf.pomm import SampleBatch
 from pbmrf.rng import GIBBS_STREAM, POMM_STREAM, generator
 
@@ -100,11 +100,11 @@ def is_lattice_clique(nodes, cols: int, offsets) -> bool:
 
 
 def clique_value_tables() -> dict[str, np.ndarray]:
-    """Copies of the builders' configuration-class tables, for cross-checking."""
+    """The builders' configuration-class tables as arrays, for cross-checking."""
     return {
-        "block_full": _BLOCK_FULL_CLASS.copy(),
-        "cross": _CROSS_CLASS.copy(),
-        "block_rot": _BLOCK_ROT_CLASS.copy(),
+        "block_full": np.array(_BLOCK_FULL_CLASS),
+        "cross": np.array(_CROSS_CLASS),
+        "block_rot": np.array(_BLOCK_ROT_CLASS),
     }
 
 
@@ -319,7 +319,7 @@ def least_squares_project(
     return PseudoBooleanFunction(f.n, dict(zip(keep, solution)))
 
 
-def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> SampleBatch:
+def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> np.ndarray:
     """Reference for ``gibbs_sampler``: the systematic scan one site at a time.
 
     Each site's logit is summed from the energy's terms in term order,
@@ -350,8 +350,7 @@ def gibbs_site_by_site(mrf, sweeps, burn_in, thin, seed, chains=1) -> SampleBatc
             states[:, k] = uniforms[k] < _expit(h)
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             snapshots.append(states.copy())
-    stacked = np.stack(snapshots, axis=1).reshape(-1, n)
-    return SampleBatch(states=stacked, log_densities=evaluate_many(mrf, stacked))
+    return np.stack(snapshots, axis=1).reshape(-1, n)
 
 
 def _dep_rows_row_major(cond, states: np.ndarray) -> np.ndarray:

@@ -345,7 +345,7 @@ def test_c10_mle_bracket_contains_grid_mle():
     m06 = build_ising(lat, 0.6)
     failures = []
     for seed in range(10):
-        obs = gibbs_sampler(m06, sweeps=220, burn_in=219, thin=1, seed=seed).states[0]
+        obs = gibbs_sampler(m06, sweeps=220, burn_in=219, thin=1, seed=seed)[0]
         bracket = mle_bracket(obs, lambda t: build_ising(lat, t), grid, [16])
         ell = [
             eval_pbf(build_ising(lat, t), obs.reshape(1, -1))[0] - ln_c[t]

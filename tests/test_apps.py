@@ -63,7 +63,7 @@ def exact_states(p, n, count, seed):
 
 def observed_realization(lat, theta, seed):
     m = build_ising(lat, theta)
-    return gibbs_sampler(m, sweeps=240, burn_in=239, thin=1, seed=seed).states[0]
+    return gibbs_sampler(m, sweeps=240, burn_in=239, thin=1, seed=seed)[0]
 
 
 def test_mle_bracket_contains_grid_mle_exact_bounds():
@@ -460,9 +460,9 @@ def test_mh_rate_refuses_a_bad_current_array_naming_it(current):
 
 def test_gibbs_fair_coins_at_zero_theta():
     m = build_ising(LatticeSpec(3, 3), 0.0)
-    batch = gibbs_sampler(m, sweeps=500, burn_in=100, thin=4, seed=3, chains=8)
-    mean = batch.states.mean()
-    draws = batch.states.size
+    states = gibbs_sampler(m, sweeps=500, burn_in=100, thin=4, seed=3, chains=8)
+    mean = states.mean()
+    draws = states.size
     assert abs(mean - 0.5) < 3 * math.sqrt(0.25 / draws)
 
 
@@ -470,14 +470,13 @@ def test_gibbs_is_deterministic_given_seed():
     m = build_ising(LatticeSpec(3, 3), 0.4)
     a = gibbs_sampler(m, sweeps=50, burn_in=10, thin=2, seed=9)
     b = gibbs_sampler(m, sweeps=50, burn_in=10, thin=2, seed=9)
-    assert (a.states == b.states).all()
-    assert (a.log_densities == b.log_densities).all()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_gibbs_matches_brute_force_distribution():
     m, X, p = ising_distribution(LatticeSpec(3, 3), 0.4)
-    batch = gibbs_sampler(m, sweeps=1300, burn_in=100, thin=4, seed=5, chains=400)
-    emp = np.bincount(pack_states(batch.states), minlength=512) / batch.count
+    states = gibbs_sampler(m, sweeps=1300, burn_in=100, thin=4, seed=5, chains=400)
+    emp = np.bincount(pack_states(states), minlength=512) / len(states)
     assert tv_distance(emp, p) < 0.03
 
 
@@ -490,8 +489,8 @@ def test_gibbs_handles_higher_order_conditionals():
     X = all_states(9)
     u = eval_pbf(m, X)
     p = np.exp(u - log_sum_exp(u))
-    batch = gibbs_sampler(m, sweeps=1300, burn_in=100, thin=4, seed=8, chains=400)
-    emp = np.bincount(pack_states(batch.states), minlength=512) / batch.count
+    states = gibbs_sampler(m, sweeps=1300, burn_in=100, thin=4, seed=8, chains=400)
+    emp = np.bincount(pack_states(states), minlength=512) / len(states)
     assert tv_distance(emp, p) < 0.03
 
 
@@ -530,15 +529,14 @@ def test_gibbs_runs_no_sweep_after_its_last_record(monkeypatch):
     # the start, then sweeps 0 to 30: one uniform per site and chain each
     assert draws[0] == 2 * 6
     assert sum(draws) == 2 * 6 * (1 + 31)
-    assert got.states.tobytes() == want.states.tobytes()
-    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gibbs_refuses_site_updates_past_its_cap_before_its_first_draw(monkeypatch):
     m = build_ising(LatticeSpec(2, 3), 0.4)
     # records at sweeps 4, 7 and 10: 2 chains x 11 sweeps x 6 sites
     monkeypatch.setattr(apps, "GIBBS_UPDATE_CAP", 2 * 11 * 6)
-    assert gibbs_sampler(m, sweeps=12, burn_in=4, thin=3, seed=0, chains=2).count == 6
+    assert len(gibbs_sampler(m, sweeps=12, burn_in=4, thin=3, seed=0, chains=2)) == 6
     monkeypatch.setattr(apps, "GIBBS_UPDATE_CAP", 2 * 11 * 6 - 1)
     draws = listed_gibbs_draws(monkeypatch)
     with pytest.raises(ResourceCapError, match="chains=2, sweeps=12, burn_in=4, thin=3"):
@@ -577,10 +575,9 @@ def test_gibbs_equals_site_by_site_scan(model, data):
     seed = data.draw(st.integers(0, 2**31))
     got = gibbs_sampler(model, sweeps, burn_in, thin, seed, chains)
     want = gibbs_site_by_site(model, sweeps, burn_in, thin, seed, chains)
-    assert got.states.dtype == want.states.dtype
-    assert got.states.shape == want.states.shape
-    assert got.states.tobytes() == want.states.tobytes()
-    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block_rows", [1, 6, 64])
@@ -603,8 +600,7 @@ def test_gibbs_wavefront_equals_site_by_site_across_chunks(
     draws = listed_gibbs_draws(monkeypatch)
     got = gibbs_sampler(model, sweeps, burn_in, thin, 11, chains=3)
     want = gibbs_site_by_site(model, sweeps, burn_in, thin, 11, chains=3)
-    assert got.states.tobytes() == want.states.tobytes()
-    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+    assert got.tobytes() == want.tobytes()
     assert max(draws[1:]) <= max(1, block_rows // 3) * 3 * model.n
 
 

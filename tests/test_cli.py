@@ -24,9 +24,9 @@ from pbmrf import (
 from pbmrf import cli
 from pbmrf.cli import main
 from pbmrf.models import MAX_LATTICE_NODES
+from pbmrf.pbf import evaluate_many
 from pbmrf.pomm import (
     _BLOCK_ROWS as BLOCK_ROWS,
-    SampleBatch,
     sample as pomm_sample,
     state_texts,
 )
@@ -200,9 +200,14 @@ def test_gibbs_command(ising_config, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "state,log_density"
     assert len(lines) == 5
-    batch = gibbs_sampler(build_ising(LatticeSpec(3, 3), 0.4), 40, 20, 5, 3)
-    first = "".join(str(int(v)) for v in batch.states[0])
-    assert lines[1].split(",")[0] == first
+    model = build_ising(LatticeSpec(3, 3), 0.4)
+    states = gibbs_sampler(model, 40, 20, 5, 3)
+    texts, dens = zip(*(line.split(",") for line in lines[1:]))
+    assert list(texts) == [per_bit_text(s) for s in states]
+    # the log density column is the log target U(x) of each written state, bit for bit
+    written = np.array([[int(ch) for ch in t] for t in texts], dtype=np.uint8)
+    want = evaluate_many(model, written)
+    assert [float(d).hex() for d in dens] == [float(u).hex() for u in want]
 
 
 def test_map_flat_prior_thresholds(tmp_path):
@@ -242,7 +247,7 @@ def test_map_flat_prior_thresholds(tmp_path):
 def test_mle_command_brackets_grid_mle(tmp_path):
     lat = LatticeSpec(3, 3)
     m = build_ising(lat, 0.5)
-    obs = gibbs_sampler(m, sweeps=150, burn_in=149, thin=1, seed=2).states[0]
+    obs = gibbs_sampler(m, sweeps=150, burn_in=149, thin=1, seed=2)[0]
     xpath = tmp_path / "x.txt"
     xpath.write_text("".join(str(int(v)) for v in obs))
     cfg = tmp_path / "m.json"
@@ -560,10 +565,9 @@ def test_state_blocks_render_as_the_row_writer_does(fmt):
     states = np.random.default_rng(3).integers(0, 2, size=(10, 7), dtype=np.uint8)
     dens = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -1.7976931348623157e308,
             0.1, -123.456789012345678, 1e22]
-    batch = SampleBatch(states=states, log_densities=np.array(dens))
     rows = [{"state": t, "log_density": d} for t, d in zip(state_texts(states), dens)]
     want = "".join(cli._lines(["state", "log_density"], rows, fmt))
-    assert "".join(cli._state_lines(batch, fmt)) == want
+    assert "".join(cli._state_lines(states, np.array(dens), fmt)) == want
 
 
 @pytest.mark.parametrize(
@@ -620,6 +624,38 @@ def test_flags_exact_mode_does_not_read_are_usage_errors(
 ):
     assert run(argv + ["--config", exact_config]) == 2
     assert f"error: {flag} has no effect under --mode exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, nus",
+    [("flag", [2, 5]), ("config", [2, 5]), ("config", [])],
+    ids=["flag", "config", "empty"],
+)
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("sample", ["--count", "3"]),
+        ("map", ["--mode", "approx"]),
+        ("reject", ["--count", "3"]),
+        ("mh-rate", ["--pairs", "3", "--burn-in", "0", "--thin", "1"]),
+    ],
+)
+def test_single_cap_commands_refuse_a_nu_list(tmp_path, capsys, command, flags, source, nus):
+    # each used to run with the first value and drop the rest (an empty list: an IndexError)
+    ypath = tmp_path / "y.txt"
+    ypath.write_text(" ".join(["0.3"] * 9))
+    config = {"family": "ising", "rows": 3, "cols": 3, "params": [0.4], "y": str(ypath)}
+    path = tmp_path / "model.json"
+    argv = [command, "--config", str(path), *flags, "--out", str(tmp_path / "out.csv")]
+    path.write_text(json.dumps({**config, "nu": 2}))
+    assert run(argv) == 0
+    capsys.readouterr()
+    if source == "flag":
+        argv += ["--nu", ",".join(map(str, nus))]
+    else:
+        path.write_text(json.dumps({**config, "nu": nus}))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: --nu must be one value for {command}, got {nus}\n"
 
 
 @pytest.mark.parametrize("command", ["sample", "map"])

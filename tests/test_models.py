@@ -122,32 +122,52 @@ def test_orbit_class_counts_and_multiplicities():
     assert tables["block_rot"][0b1111] == 5
 
 
-def test_block_full_classes_invariant_under_group():
-    table = clique_value_tables()["block_full"]
+# Cells in bit order as (row, col): a 2x2 block's (TL, TR, BL, BR) and a
+# cross's (centre, N, E, S, W) offsets from its centre.
+BLOCK_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+CROSS_CELLS = ((0, 0), (-1, 0), (0, 1), (1, 0), (0, -1))
+# Each table's cells, the cell maps that generate its symmetry group (a
+# quarter turn and a mirror), whether colour inversion is a symmetry too,
+# and one configuration of each class in potential order.
+CLASS_TABLES = {
+    "block_full": (
+        BLOCK_CELLS, [lambda r, c: (c, 1 - r), lambda r, c: (r, 1 - c)], True,
+        # all equal, one cell, adjacent pair, diagonal pair
+        [0b0000, 0b0001, 0b0011, 0b1001],
+    ),
+    "cross": (
+        CROSS_CELLS, [lambda r, c: (c, -r), lambda r, c: (r, -c)], True,
+        # all equal, centre, one arm, adjacent arms, centre and arm, opposite arms
+        [0b00000, 0b00001, 0b00010, 0b00110, 0b00011, 0b01010],
+    ),
+    "block_rot": (
+        BLOCK_CELLS, [lambda r, c: (c, 1 - r)], False,
+        # all zero, one on, adjacent pair, diagonal pair, three on, all on
+        [0b0000, 0b0001, 0b0011, 0b1001, 0b0111, 0b1111],
+    ),
+}
 
-    def rot(cfg):  # TL,TR,BL,BR bits 0..3; 90 degrees clockwise
-        bits = [cfg >> k & 1 for k in range(4)]
-        new = [bits[2], bits[0], bits[3], bits[1]]
-        return sum(v << k for k, v in enumerate(new))
 
-    for cfg in range(16):
-        assert table[cfg] == table[rot(cfg)]
-        assert table[cfg] == table[cfg ^ 0b1111]  # colour inversion
-        mirrored = (cfg & 0b1) << 1 | (cfg >> 1 & 1) | (cfg & 0b100) << 1 | (cfg >> 3 & 1) << 2
-        assert table[cfg] == table[mirrored]
+def moved(cfg: int, cells, move) -> int:
+    """Configuration ``cfg`` with the value of each cell carried to ``move(cell)``."""
+    bit = {cell: k for k, cell in enumerate(cells)}
+    return sum((cfg >> k & 1) << bit[move(*cell)] for k, cell in enumerate(cells))
 
 
-def test_cross_classes_invariant_under_group():
-    table = clique_value_tables()["cross"]
-
-    def rot(cfg):  # centre,N,E,S,W bits 0..4
-        c = cfg & 1
-        n, e, s, w = (cfg >> 1 & 1, cfg >> 2 & 1, cfg >> 3 & 1, cfg >> 4 & 1)
-        return c | (w << 1) | (n << 2) | (e << 3) | (s << 4)
-
-    for cfg in range(32):
-        assert table[cfg] == table[rot(cfg)]
-        assert table[cfg] == table[cfg ^ 0b11111]
+@pytest.mark.parametrize("name", CLASS_TABLES)
+def test_class_table_is_numbered_and_invariant(name):
+    cells, moves, inverts, representatives = CLASS_TABLES[name]
+    table = clique_value_tables()[name]
+    full = (1 << len(cells)) - 1
+    assert len(table) == full + 1
+    for cfg in range(full + 1):
+        for move in moves:
+            assert table[moved(cfg, cells, move)] == table[cfg], (name, cfg)
+        if inverts:
+            assert table[cfg ^ full] == table[cfg], (name, cfg)
+    # as many classes as the group has orbits, each at its potential's index
+    assert len(set(table.tolist())) == len(representatives)
+    assert [table[rep] for rep in representatives] == list(range(len(representatives)))
 
 
 def test_rot_only_classes_not_inversion_invariant():

@@ -8,8 +8,10 @@ For each workload and seed it runs ``bench/run.py --trace 0`` once on a
 uncommitted changes count as the change), alternating which side runs
 first from one seed to the next.  The JSON record holds every run, and per
 workload and end-to-end metric the median of each side, the quartiles of
-the parent's runs and the number of pairs the change won (ties count for
-neither side).  The copy is unpacked under the temporary directory
+the parent's runs, the number of pairs the change won (ties count for
+neither side), and each pair's change/parent ratio in seed order with the
+median and quartiles of the ratios (a pair whose parent value is 0 has
+none: null).  The copy is unpacked under the temporary directory
 (``TMPDIR``) and removed at the end; it adds no worktree to the repository.
 """
 
@@ -62,6 +64,9 @@ def _summary(runs: list[dict], spec: dict) -> dict:
             parent = [p["parent"][name] for p in pairs.values()]
             change = [p["change"][name] for p in pairs.values()]
             q1, _, q3 = statistics.quantiles(parent, n=4)
+            ratios = [c / p if p else None for p, c in zip(parent, change)]
+            known = [r for r in ratios if r is not None]
+            rq1, _, rq3 = statistics.quantiles(known, n=4) if len(known) > 1 else (None,) * 3
             rows[name] = {
                 "parent_median": statistics.median(parent),
                 "change_median": statistics.median(change),
@@ -70,6 +75,10 @@ def _summary(runs: list[dict], spec: dict) -> dict:
                 "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
                 "pairs": len(parent),
                 "bound": m["bound"],
+                "ratios": ratios,
+                "ratio_median": statistics.median(known) if known else None,
+                "ratio_q1": rq1,
+                "ratio_q3": rq3,
             }
         out[workload] = rows
     return out
